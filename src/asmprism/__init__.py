@@ -2,7 +2,7 @@
 prism tableaux, pipe dreams and subword-complex facets, determinantal
 initial ideals, and the polynomials they all compute."""
 
-from .algebra import Monomial, Polynomial, ZeroPolynomialError, poly_add, poly_from_monomials, poly_min_total_degree
+from .algebra import Monomial, Polynomial, ZeroPolynomialError, poly_from_monomials
 from .asm import (
     Asm,
     AsmValidationError,
@@ -24,7 +24,6 @@ from .asm import (
     inversions,
     monotone_triangle,
     lambda_row,
-    rothe_diagram,
     validate_asm,
     validate_partial_asm,
 )
@@ -56,12 +55,12 @@ from .prism import (
     prism_weight,
 )
 from .pipedream import (
-    Facet,
     PlusDiagram,
     SquareWord,
     delta_facets,
     delta_fmax,
     diagram_demazure,
+    min_perm_schubert_sum,
     phi,
     pipe_dreams_of,
     schubert_oracle,

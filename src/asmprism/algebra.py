@@ -183,11 +183,3 @@ def poly_from_monomials(ms: Iterable[Monomial]) -> Polynomial:
     for m in ms:
         terms[m] = terms.get(m, 0) + 1
     return Polynomial(terms)
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_min_total_degree(p: Polynomial) -> int:
-    return p.min_total_degree()

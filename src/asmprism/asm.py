@@ -73,6 +73,16 @@ def _check_entries(entries: tuple[tuple[int, ...], ...]) -> None:
                 raise AsmValidationError(f"entry {x} at row {i + 1}, column {j + 1} is outside {{-1,0,1}}")
 
 
+def _check_sums(entries: tuple[tuple[int, ...], ...], allowed: tuple[int, ...]) -> None:
+    """Every row sum, then every column sum, must lie in ``allowed``."""
+    for kind, lines in (("row", entries), ("column", zip(*entries))):
+        for i, line in enumerate(lines, start=1):
+            s = sum(line)
+            if s not in allowed:
+                expected = " or ".join(map(str, allowed))
+                raise AsmValidationError(f"{kind} {i} sums to {s}, expected {expected}")
+
+
 @dataclass(frozen=True, eq=False)
 class Asm:
     """An alternating sign matrix.  Construct via :func:`validate_asm`."""
@@ -168,14 +178,7 @@ def validate_asm(m: Sequence[Sequence[int]]) -> Asm:
     """
     entries = _as_rows(m)
     _check_entries(entries)
-    n = len(entries)
-    for i in range(n):
-        if sum(entries[i]) != 1:
-            raise AsmValidationError(f"row {i + 1} sums to {sum(entries[i])}, expected 1")
-    for j in range(n):
-        s = sum(entries[i][j] for i in range(n))
-        if s != 1:
-            raise AsmValidationError(f"column {j + 1} sums to {s}, expected 1")
+    _check_sums(entries, (1,))
     _check_alternating(entries)
     return Asm(entries)
 
@@ -185,14 +188,7 @@ def validate_partial_asm(m: Sequence[Sequence[int]]) -> PartialAsm:
     the first nonzero entry of every row and column is 1."""
     entries = _as_rows(m)
     _check_entries(entries)
-    n = len(entries)
-    for i in range(n):
-        if sum(entries[i]) not in (0, 1):
-            raise AsmValidationError(f"row {i + 1} sums to {sum(entries[i])}, expected 0 or 1")
-    for j in range(n):
-        s = sum(entries[i][j] for i in range(n))
-        if s not in (0, 1):
-            raise AsmValidationError(f"column {j + 1} sums to {s}, expected 0 or 1")
+    _check_sums(entries, (0, 1))
     _check_alternating(entries)
     return PartialAsm(entries)
 
@@ -276,32 +272,32 @@ def _embed_to(a: Asm, n: int) -> Asm:
     return a
 
 
+def _common_corner_rows(a: Asm, b: Asm) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The common size of a and b and their corner sums at that size."""
+    n = max(a.n, b.n)
+    return n, _corner_rows(_embed_to(a, n).entries), _corner_rows(_embed_to(b, n).entries)
+
+
 def asm_leq(a: Asm, b: Asm) -> bool:
     """True iff a <= b in ASM order, i.e. r_a >= r_b entrywise.
 
     Inputs of different sizes are compared after embedding to a common
     size, which is an order embedding.
     """
-    n = max(a.n, b.n)
-    ra = _corner_rows(_embed_to(a, n).entries)
-    rb = _corner_rows(_embed_to(b, n).entries)
+    n, ra, rb = _common_corner_rows(a, b)
     return all(ra[i][j] >= rb[i][j] for i in range(n) for j in range(n))
 
 
 def asm_join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
-    n = max(a.n, b.n)
-    ra = _corner_rows(_embed_to(a, n).entries)
-    rb = _corner_rows(_embed_to(b, n).entries)
+    n, ra, rb = _common_corner_rows(a, b)
     rows = tuple(tuple(min(x, y) for x, y in zip(ra[i], rb[i])) for i in range(n))
     return asm_from_corner_sum(CornerSum(rows))
 
 
 def asm_meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
-    n = max(a.n, b.n)
-    ra = _corner_rows(_embed_to(a, n).entries)
-    rb = _corner_rows(_embed_to(b, n).entries)
+    n, ra, rb = _common_corner_rows(a, b)
     rows = tuple(tuple(max(x, y) for x, y in zip(ra[i], rb[i])) for i in range(n))
     return asm_from_corner_sum(CornerSum(rows))
 
@@ -333,9 +329,6 @@ def inversions(a: Asm) -> frozenset[Cell]:
             if (1 - colsum[i][j - 1]) * (1 - rowsum[i - 1][j]) == 1:
                 cells.add((i, j))
     return frozenset(cells)
-
-
-rothe_diagram = inversions
 
 
 def essential_set(a: Asm) -> frozenset[Cell]:
@@ -452,6 +445,23 @@ def canonical_completion(p: PartialAsm) -> Asm:
     return validate_asm(rows)
 
 
+def bigrassmannian_one_line(i: int, j: int, r: int, n: int) -> tuple[int, ...]:
+    """Values at positions 1..n of the block biGrassmannian [i, j, r]_b:
+    r fixed points, then the block shifted up by j - r, then the block
+    shifted down by i - r, then fixed points.  Values above n appear when
+    i + j - r > n."""
+    def value(k: int) -> int:
+        if k <= r:
+            return k
+        if k <= i:
+            return j + k - r
+        if k <= i + j - r:
+            return k - i + r
+        return k
+
+    return tuple(value(k) for k in range(1, n + 1))
+
+
 def partial_bigrassmannian(i: int, j: int, r: int, n: int) -> PartialAsm:
     """The partial permutation in PA(n) whose completion is the block
     biGrassmannian for (i, j, r).  Conditions B1 and B2 are required; B3 is
@@ -461,15 +471,7 @@ def partial_bigrassmannian(i: int, j: int, r: int, n: int) -> PartialAsm:
     if not 0 <= r < min(i, j):
         raise ValueError(f"need 0 <= r < min(i, j), got r={r}")
     entries = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        if k <= r:
-            w = k
-        elif k <= i:
-            w = j + k - r
-        elif k <= i + j - r:
-            w = k - i + r
-        else:
-            w = k
+    for k, w in enumerate(bigrassmannian_one_line(i, j, r, n), start=1):
         if w <= n:
             entries[k - 1][w - 1] = 1
     return validate_partial_asm(entries)
@@ -523,13 +525,11 @@ def render_corner_sum(r: CornerSum) -> str:
 
 def parse_matrix_text(text: str) -> list[list[int]]:
     """Parse the ASM text format, reporting the line and token column of the
-    first offending token."""
+    first offending token.  Blank lines are skipped wherever they are."""
     rows: list[list[int]] = []
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    linenos: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            if rows:
-                break
             continue
         row = []
         for colno, tok in enumerate(line.split(), start=1):
@@ -538,12 +538,13 @@ def parse_matrix_text(text: str) -> list[list[int]]:
             except ValueError:
                 raise MatrixParseError(lineno, colno, f"not an integer: {tok!r}") from None
         rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise MatrixParseError(1, 1, "empty matrix")
     n = len(rows[0])
-    for idx, row in enumerate(rows):
+    for lineno, row in zip(linenos, rows):
         if len(row) != n:
-            raise MatrixParseError(idx + 1, len(row) + 1, f"expected {n} entries per row, got {len(row)}")
+            raise MatrixParseError(lineno, len(row) + 1, f"expected {n} entries per row, got {len(row)}")
     if len(rows) != n:
-        raise MatrixParseError(len(rows), 1, f"expected {n} rows for a square matrix, got {len(rows)}")
+        raise MatrixParseError(linenos[-1], 1, f"expected {n} rows for a square matrix, got {len(rows)}")
     return rows

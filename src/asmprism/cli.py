@@ -8,16 +8,17 @@ fixed invocation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import asm as asm_mod
 from . import ideal as ideal_mod
 from . import perm as perm_mod
 from . import pipedream as pd_mod
 from . import prism as prism_mod
-from .algebra import Polynomial
 from .asm import Asm, AsmValidationError, MatrixParseError, PartialAsm
 
 
@@ -54,6 +55,13 @@ def _load_partial(path: str) -> PartialAsm:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _bounded_jobs(jobs: int) -> int:
+    """Reject a worker count below 1; clamp one above the core count."""
+    if jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """Apply fn to items, optionally across processes; order preserved so
     output never depends on the schedule."""
@@ -71,9 +79,7 @@ def _cells_line(cells: Iterable[tuple[int, int]]) -> str:
 # one helper per verify verb; top-level so they can cross process boundaries
 
 def _check_theorem1(a: Asm) -> bool:
-    target = Polynomial.zero()
-    for w in perm_mod.min_perm_set(a):
-        target = target + pd_mod.schubert_polynomial(w, a.n)
+    target = pd_mod.min_perm_schubert_sum(a)
     return (
         prism_mod.asm_polynomial(prism_mod.bigrassmannian_model(a)) == target
         and prism_mod.asm_polynomial(prism_mod.parabolic_model(a)) == target
@@ -99,27 +105,30 @@ def _check_schur(args: tuple[tuple[int, ...], int]) -> bool:
     return prism_mod.asm_polynomial(spec) == prism_mod.schur_polynomial_ssyt(lam, d)
 
 
-def _verify_theorem1(n: int, jobs: int) -> tuple[bool, str]:
-    asms = list(asm_mod.enumerate_asms(n))
-    results = _pmap(_check_theorem1, asms, jobs)
-    ok = sum(results)
-    return all(results), f"{ok}/{len(asms)} ASMs, both models"
+def _asms(n: int) -> list[Asm]:
+    return list(asm_mod.enumerate_asms(n))
 
 
-def _verify_bijection(n: int, jobs: int) -> tuple[bool, str]:
-    asms = list(asm_mod.enumerate_asms(n))
-    results = _pmap(_check_bijection, asms, jobs)
-    return all(results), f"{sum(results)}/{len(asms)} ASMs, both models"
+def _schur_shapes(n: int) -> list[tuple[tuple[int, ...], int]]:
+    return [
+        (parts, d)
+        for parts in _partitions_in_box(n, n)
+        for d in range(max(1, len(parts)), n + 1)
+    ]
 
 
-def _verify_groebner(n: int, jobs: int) -> tuple[bool, str]:
-    asms = list(asm_mod.enumerate_asms(n))
-    results = _pmap(_check_groebner, asms, jobs)
-    return all(results), f"{sum(results)}/{len(asms)} ASMs"
+def _verify_each(
+    items_for: Callable[[int], list], check: Callable, detail: str, n: int, jobs: int
+) -> tuple[bool, str]:
+    """Run check on every item for n; detail is formatted with the number
+    that passed and the total."""
+    items = items_for(n)
+    results = _pmap(check, items, jobs)
+    return all(results), detail.format(ok=sum(results), total=len(items))
 
 
 def _verify_lattice(n: int, jobs: int) -> tuple[bool, str]:
-    asms = list(asm_mod.enumerate_asms(n))
+    asms = _asms(n)
     ok = True
     for a in asms:
         for b in asms:
@@ -131,16 +140,6 @@ def _verify_lattice(n: int, jobs: int) -> tuple[bool, str]:
             [u.matrix(n) for u in perm_mod.bigr_of(a)], n
         ) == a
     return ok, f"{len(asms)} ASMs, joins/meets closed, A = join(biGr(A))"
-
-
-def _verify_schur(n: int, jobs: int) -> tuple[bool, str]:
-    shapes = [
-        (parts, d)
-        for parts in _partitions_in_box(n, n)
-        for d in range(max(1, len(parts)), n + 1)
-    ]
-    results = _pmap(_check_schur, shapes, jobs)
-    return all(results), f"{sum(results)}/{len(shapes)} single shapes match the tableau Schur"
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[tuple[int, ...]]:
@@ -157,11 +156,13 @@ def _partitions_in_box(rows: int, cols: int) -> list[tuple[int, ...]]:
 
 
 VERIFIERS = {
-    "theorem1": _verify_theorem1,
-    "bijection": _verify_bijection,
-    "groebner": _verify_groebner,
+    "theorem1": partial(_verify_each, _asms, _check_theorem1, "{ok}/{total} ASMs, both models"),
+    "bijection": partial(_verify_each, _asms, _check_bijection, "{ok}/{total} ASMs, both models"),
+    "groebner": partial(_verify_each, _asms, _check_groebner, "{ok}/{total} ASMs"),
     "lattice": _verify_lattice,
-    "schur": _verify_schur,
+    "schur": partial(
+        _verify_each, _schur_shapes, _check_schur, "{ok}/{total} single shapes match the tableau Schur"
+    ),
 }
 
 
@@ -226,9 +227,7 @@ def _run(args: argparse.Namespace) -> int:
         elif args.model == "parabolic":
             poly = prism_mod.asm_polynomial(prism_mod.parabolic_model(a))
         elif args.model == "schubert-sum":
-            poly = Polynomial.zero()
-            for w in perm_mod.min_perm_set(a):
-                poly = poly + pd_mod.schubert_polynomial(w, a.n)
+            poly = pd_mod.min_perm_schubert_sum(a)
         else:
             poly = ideal_mod.multidegree(a)
         print(poly.render(), file=out)
@@ -258,7 +257,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "facets":
         a = _load_asm(args.asm)
         facets = pd_mod.delta_fmax(a) if args.max else pd_mod.delta_facets(a)
-        diagrams = sorted((f.diagram for f in facets), key=lambda d: d.sorted_cells())
+        diagrams = sorted(facets, key=lambda d: d.sorted_cells())
         for idx, d in enumerate(diagrams):
             if args.format == "structured":
                 print(_cells_line(d.cells), file=out)
@@ -320,7 +319,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "verify":
         if args.n < 1:
             raise CliError("--n must be positive")
-        passed, detail = VERIFIERS[args.name](args.n, args.jobs)
+        passed, detail = VERIFIERS[args.name](args.n, _bounded_jobs(args.jobs))
         if passed:
             print(f"OK: {detail}", file=out)
             return 0

@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .asm import Asm, asm_leq, corner_sum, essential_set, join_all
+from .asm import Asm, asm_leq, bigrassmannian_one_line, corner_sum, essential_set, join_all
 
 Word = tuple[int, ...]
 
@@ -93,17 +93,9 @@ class Perm:
         return f"Perm({''.join(map(str, self.one_line)) or 'id'})"
 
 
-def length(w: Perm) -> int:
-    return w.length()
-
-
 def all_perms(n: int) -> Iterator[Perm]:
     for p in itertools.permutations(range(1, n + 1)):
         yield Perm(p)
-
-
-def longest_perm(n: int) -> Perm:
-    return Perm(tuple(range(n, 0, -1)))
 
 
 def word_product(q: Sequence[int]) -> Perm:
@@ -190,17 +182,7 @@ def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:
         return Perm.identity()
     if i + j - r > n:
         raise ValueError(f"need i + j - r <= n, got {i}+{j}-{r} > {n} (B3)")
-    w = []
-    for k in range(1, n + 1):
-        if k <= r:
-            w.append(k)
-        elif k <= i:
-            w.append(j + k - r)
-        elif k <= i + j - r:
-            w.append(k - i + r)
-        else:
-            w.append(k)
-    return Perm(tuple(w))
+    return Perm(bigrassmannian_one_line(i, j, r, n))
 
 
 def all_bigrassmannians(n: int) -> Iterator[Perm]:

@@ -4,9 +4,9 @@ weight-preserving map from prism tableaux to plus diagrams.
 The square word on the n-by-n grid assigns the letter s_{i+j-1} to cell
 (i, j); its reading order runs along rows top to bottom, right to left
 within each row.  A plus diagram is a subset of the grid, identified with
-the subword supported on its cells.  A facet stores the plus diagram P
-and stands for the complement Q - P, so containment of facets reverses
-containment of diagrams.
+the subword supported on its cells.  As a facet of a subword complex, a
+plus diagram P stands for the complement Q - P, so containment of facets
+reverses containment of diagrams.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import Asm, Cell
-from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
+from .perm import Perm, asm_from_shape_tuple, demazure_product, min_perm_set, perm_set
 from .prism import (
     PrismShapeSpec,
     PrismTableau,
@@ -56,6 +56,11 @@ class PlusDiagram:
         """prod x_i^(number of pluses in row i)."""
         return Monomial.from_powers(self.row_counts())
 
+    def complement_cells(self) -> frozenset[Cell]:
+        """The facet Q - P of the subword complex that P stands for."""
+        grid = {(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
+        return frozenset(grid - self.cells)
+
     def render(self) -> str:
         return "\n".join(
             "".join("+" if (i, j) in self.cells else "." for j in range(1, self.n + 1))
@@ -77,9 +82,6 @@ class SquareWord:
         object.__setattr__(self, "reading_cells", cells)
         object.__setattr__(self, "letters", tuple(i + j - 1 for (i, j) in cells))
 
-    def letter_at(self, i: int, j: int) -> int:
-        return i + j - 1
-
 
 @lru_cache(maxsize=None)
 def square_word(n: int) -> SquareWord:
@@ -90,16 +92,13 @@ def square_word(n: int) -> SquareWord:
 
 def diagram_word(p: PlusDiagram) -> tuple[int, ...]:
     """Letters of P in square-word reading order."""
-    return tuple(i + j - 1 for (i, j) in sorted(p.cells, key=lambda c: (c[0], -c[1])))
+    sw = square_word(p.n)
+    return tuple(s for cell, s in zip(sw.reading_cells, sw.letters) if cell in p.cells)
 
 
 def diagram_demazure(p: PlusDiagram) -> Perm:
     """Demazure product of the subword supported on P."""
-    w = Perm.identity()
-    for s in diagram_word(p):
-        if w(s) < w(s + 1):
-            w = w.right_mul(s)
-    return w
+    return demazure_product(diagram_word(p))
 
 
 def bottom_pipe_dream(w: Perm, n: int) -> PlusDiagram:
@@ -200,42 +199,28 @@ def schubert_oracle(w: Perm) -> Polynomial:
     return _schubert_by_descent(w.padded(n))
 
 
-@dataclass(frozen=True)
-class Facet:
-    """A facet of the subword complex, stored by its plus diagram P and
-    standing for the complement Q - P."""
-
-    diagram: PlusDiagram
-
-    @property
-    def n(self) -> int:
-        return self.diagram.n
-
-    def complement_cells(self) -> frozenset[Cell]:
-        grid = {(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
-        return frozenset(grid - self.diagram.cells)
-
-    def weight(self) -> Monomial:
-        return self.diagram.weight()
-
-
-def delta_facets(a: Asm) -> frozenset[Facet]:
-    """Facets of Delta(Q_{n x n}, A): pipe dreams of the minimal
-    permutations above A.  The union over Perm(A) is disjoint."""
-    out = set()
-    for w in perm_set(a):
-        for p in pipe_dreams_of(w, a.n):
-            out.add(Facet(p))
-    return frozenset(out)
-
-
-def delta_fmax(a: Asm) -> frozenset[Facet]:
-    """The maximal-dimension facets: pipe dreams over MinPerm(A)."""
-    out = set()
+def min_perm_schubert_sum(a: Asm) -> Polynomial:
+    """The sum of the Schubert polynomials of MinPerm(A)."""
+    total = Polynomial.zero()
     for w in min_perm_set(a):
-        for p in pipe_dreams_of(w, a.n):
-            out.add(Facet(p))
-    return frozenset(out)
+        total = total + schubert_polynomial(w, a.n)
+    return total
+
+
+def _pipe_dreams_over(perms: frozenset[Perm], n: int) -> frozenset[PlusDiagram]:
+    return frozenset(p for w in perms for p in pipe_dreams_of(w, n))
+
+
+def delta_facets(a: Asm) -> frozenset[PlusDiagram]:
+    """Facets of Delta(Q_{n x n}, A), each given by its plus diagram: pipe
+    dreams of the minimal permutations above A.  The union over Perm(A)
+    is disjoint."""
+    return _pipe_dreams_over(perm_set(a), a.n)
+
+
+def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
+    """The maximal-dimension facets: pipe dreams over MinPerm(A)."""
+    return _pipe_dreams_over(min_perm_set(a), a.n)
 
 
 def _phi_cells(t: PrismTableau) -> frozenset[Cell]:
@@ -281,8 +266,8 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
         facets, preserving weights.
     """
     a = asm_from_shape_tuple(spec.lambdas, spec.ds)
-    facet_cells = {f.diagram.cells: f for f in delta_facets(a)}
-    fmax_cells = {f.diagram.cells for f in delta_fmax(a)}
+    facet_cells = {p.cells: p for p in delta_facets(a)}
+    fmax_cells = {p.cells for p in delta_fmax(a)}
 
     tableaux = list(enumerate_all_prism(spec))
     fibers: dict[frozenset[Cell], list[PrismTableau]] = {}

@@ -249,7 +249,7 @@ def prism_min_degree(spec: PrismShapeSpec) -> int:
     return min(prism_weight(t).total_degree for t in enumerate_all_prism(spec))
 
 
-def prism_set(spec: PrismShapeSpec, require_two_colors: bool = True) -> list[PrismTableau]:
+def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:
     """The minimal prism tableaux with no unstable triples, in enumeration
     order."""
     tableaux = list(enumerate_all_prism(spec))
@@ -257,15 +257,13 @@ def prism_set(spec: PrismShapeSpec, require_two_colors: bool = True) -> list[Pri
     return [
         t for t in tableaux
         if prism_weight(t).total_degree == lowest
-        and not has_unstable_triple(t, require_two_colors=require_two_colors)
+        and not has_unstable_triple(t)
     ]
 
 
-def asm_polynomial(spec: PrismShapeSpec, require_two_colors: bool = True) -> Polynomial:
+def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:
     """The weighted sum over prism_set(spec)."""
-    return poly_from_monomials(
-        prism_weight(t) for t in prism_set(spec, require_two_colors=require_two_colors)
-    )
+    return poly_from_monomials(prism_weight(t) for t in prism_set(spec))
 
 
 def bigrassmannian_model(a: Asm) -> PrismShapeSpec:

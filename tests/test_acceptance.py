@@ -26,9 +26,14 @@ from asmprism.perm import (
     bigrassmannian_encode,
     bruhat_leq,
     deg,
-    min_perm_set,
 )
-from asmprism.pipedream import delta_facets, schubert_oracle, schubert_polynomial, verify_bijection
+from asmprism.pipedream import (
+    delta_facets,
+    min_perm_schubert_sum,
+    schubert_oracle,
+    schubert_polynomial,
+    verify_bijection,
+)
 from asmprism.prism import (
     PrismShapeSpec,
     asm_polynomial,
@@ -62,13 +67,6 @@ def criterion(num: int, description: str, limit_seconds: float):
     assert elapsed < limit_seconds, f"criterion {num} exceeded {limit_seconds}s"
 
 
-def minperm_schubert_sum(a) -> Polynomial:
-    total = Polynomial.zero()
-    for w in min_perm_set(a):
-        total = total + schubert_polynomial(w, a.n)
-    return total
-
-
 def test_criterion_1_counting():
     with criterion(1, "ASM counts 1, 2, 7, 42, 429 for n = 1..5", 10.0):
         counts = [sum(1 for _ in enumerate_asms(n)) for n in range(1, 6)]
@@ -80,7 +78,7 @@ def test_criterion_2_theorem_1_1_exhaustive():
         asms = list(enumerate_asms(4))
         assert len(asms) == 42
         for a in asms:
-            target = minperm_schubert_sum(a)
+            target = min_perm_schubert_sum(a)
             assert asm_polynomial(bigrassmannian_model(a)) == target
             assert asm_polynomial(parabolic_model(a)) == target
 

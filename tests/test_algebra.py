@@ -5,9 +5,7 @@ from asmprism.algebra import (
     Monomial,
     Polynomial,
     ZeroPolynomialError,
-    poly_add,
     poly_from_monomials,
-    poly_min_total_degree,
 )
 
 X1X1X2X3 = Monomial((3, 1, 1))   # x1^3 x2 x3
@@ -52,27 +50,27 @@ def test_from_monomials_duplicates_count():
 
 def test_add_identity_and_cancellation():
     p = poly_from_monomials([X1X2SQ])
-    assert poly_add(p, Polynomial.zero()) == p
+    assert p + Polynomial.zero() == p
     x1 = Polynomial({Monomial.variable(1): 1})
     neg = Polynomial({Monomial.variable(1): -1})
-    assert poly_add(x1, neg).is_zero
+    assert (x1 + neg).is_zero
 
 
 def test_add_builds_the_two_term_example():
-    p = poly_add(poly_from_monomials([X1X2SQ]), poly_from_monomials([X1X1X2X3]))
+    p = poly_from_monomials([X1X2SQ]) + poly_from_monomials([X1X1X2X3])
     assert p == poly_from_monomials([X1X1X2X3, X1X2SQ])
 
 
 def test_min_total_degree():
-    assert poly_min_total_degree(poly_from_monomials([X1X1X2X3, X1X2SQ])) == 5
-    assert poly_min_total_degree(Polynomial.one()) == 0
+    assert poly_from_monomials([X1X1X2X3, X1X2SQ]).min_total_degree() == 5
+    assert Polynomial.one().min_total_degree() == 0
     p = poly_from_monomials([Monomial.variable(1), Monomial.variable(1, 2)])
-    assert poly_min_total_degree(p) == 1
+    assert p.min_total_degree() == 1
 
 
 def test_min_total_degree_of_zero_raises():
     with pytest.raises(ZeroPolynomialError):
-        poly_min_total_degree(Polynomial.zero())
+        Polynomial.zero().min_total_degree()
 
 
 def test_render_format():
@@ -93,8 +91,8 @@ monomials = st.lists(
 @given(monomials, monomials, monomials)
 def test_add_commutative_associative(ms1, ms2, ms3):
     p, q, r = (poly_from_monomials(ms) for ms in (ms1, ms2, ms3))
-    assert poly_add(p, q) == poly_add(q, p)
-    assert poly_add(poly_add(p, q), r) == poly_add(p, poly_add(q, r))
+    assert p + q == q + p
+    assert (p + q) + r == p + (q + r)
 
 
 @given(monomials)

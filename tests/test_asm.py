@@ -30,7 +30,6 @@ from asmprism.asm import (
     partial_bigrassmannian,
     partial_corner_rows,
     render_asm,
-    rothe_diagram,
     validate_asm,
     validate_partial_asm,
 )
@@ -149,7 +148,6 @@ class TestDiagram:
 
     def test_asmdiag_cells(self, asmdiag):
         assert inversions(asmdiag) == frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (3, 2)})
-        assert rothe_diagram(asmdiag) == inversions(asmdiag)
 
     def test_3412_rothe(self):
         w3412 = validate_asm([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])

@@ -1,4 +1,5 @@
 import io
+import os
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -195,6 +196,40 @@ class TestErrors:
     def test_missing_file(self):
         code, _, err = run(["deg", "--asm", "/nonexistent/nope.txt"])
         assert code == 1
+
+    @pytest.mark.parametrize("text,where", [
+        ("1 0\n0 1\n\n7 x 9\n", "line 4, column 2"),
+        ("1 0\n0 1\n\n1 0\n", "line 4, column 1"),
+        ("\n1 0 0\n0 1\n0 0 1\n", "line 3, column 3"),
+    ])
+    def test_every_nonblank_line_is_parsed_and_cited_by_source_line(self, tmp_path, text, where):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        code, out, err = run(["deg", "--asm", str(p)])
+        assert code == 1
+        assert out == ""
+        assert where in err
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "spaced.txt"
+        p.write_text("\n0 1\n\n1 0\n\n")
+        assert run(["deg", "--asm", str(p)]) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_rejected(self, jobs):
+        code, out, err = run(["verify", "theorem1", "--n", "1", "--jobs", jobs])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --jobs must be at least 1")
+
+
+def test_jobs_clamped_to_core_count():
+    cores = os.cpu_count() or 1
+    assert cli._bounded_jobs(1) == 1
+    assert cli._bounded_jobs(cores) == cores
+    assert cli._bounded_jobs(cores + 7) == cores
+    with pytest.raises(cli.CliError):
+        cli._bounded_jobs(0)
 
 
 class TestDeterminism:

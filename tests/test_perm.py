@@ -18,7 +18,6 @@ from asmprism.perm import (
     grassmannian_decode,
     grassmannian_encode,
     is_reduced,
-    length,
     min_perm_set,
     perm_set,
     reduced_words,
@@ -52,13 +51,13 @@ class TestPerm:
 
 class TestLength:
     def test_identity(self):
-        assert length(Perm.identity()) == 0
+        assert Perm.identity().length() == 0
 
     def test_3412(self):
-        assert length(W3412) == 4
+        assert W3412.length() == 4
 
     def test_4123(self):
-        assert length(W4123) == 3
+        assert W4123.length() == 3
 
 
 class TestWords:

@@ -6,9 +6,8 @@ from conftest import brute_force_pipe_dreams, contains_reduced_word
 
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import enumerate_asms, identity_asm
-from asmprism.perm import Perm, all_perms, bruhat_leq, min_perm_set, perm_set, word_product
+from asmprism.perm import Perm, all_perms, bruhat_leq, perm_set, word_product
 from asmprism.pipedream import (
-    Facet,
     PlusDiagram,
     bottom_pipe_dream,
     delta_facets,
@@ -16,6 +15,7 @@ from asmprism.pipedream import (
     diagram_demazure,
     diagram_word,
     divided_difference,
+    min_perm_schubert_sum,
     phi,
     pipe_dreams_of,
     schubert_oracle,
@@ -49,7 +49,8 @@ class TestSquareWord:
 
     def test_grid_labels_n3(self):
         sw = square_word(3)
-        grid = [[sw.letter_at(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
+        label = dict(zip(sw.reading_cells, sw.letters))
+        grid = [[label[i, j] for j in (1, 2, 3)] for i in (1, 2, 3)]
         assert grid == [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
 
     def test_reading_order_row_major_right_to_left(self):
@@ -165,32 +166,31 @@ class TestSchubert:
 class TestFacets:
     def test_permutation_facets_are_pipe_dreams(self):
         a = W3412.matrix(4)
-        assert {f.diagram.cells for f in delta_facets(a)} == {
+        assert {f.cells for f in delta_facets(a)} == {
             p.cells for p in pipe_dreams_of(W3412, 4)}
 
     def test_identity_single_empty_facet(self):
         fs = delta_facets(identity_asm(3))
         assert len(fs) == 1
         (f,) = fs
-        assert f.diagram.cells == frozenset()
+        assert f.cells == frozenset()
         assert f.complement_cells() == frozenset(
             (i, j) for i in range(1, 4) for j in range(1, 4))
 
     def test_noneqi_facets(self, noneqi):
-        facets = {f.diagram.cells for f in delta_facets(noneqi)}
+        facets = {f.cells for f in delta_facets(noneqi)}
         assert facets == {
             frozenset({(1, 1), (1, 2), (1, 3)}),
             frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}),
         }
-        fmax = {f.diagram.cells for f in delta_fmax(noneqi)}
+        fmax = {f.cells for f in delta_fmax(noneqi)}
         assert fmax == {frozenset({(1, 1), (1, 2), (1, 3)})}
 
     def test_containment_reverses(self):
         # F_P subset of F_P' iff P contains P'
         p1 = diagram(4, (1, 1), (1, 2), (1, 3))
         p2 = diagram(4, (1, 1), (1, 2), (1, 3), (2, 1))
-        f1, f2 = Facet(p1), Facet(p2)
-        assert f2.complement_cells() < f1.complement_cells()
+        assert p2.complement_cells() < p1.complement_cells()
 
     def test_union_disjoint_asm4(self):
         for a in enumerate_asms(4):
@@ -200,7 +200,7 @@ class TestFacets:
     def test_perm_set_recovered_from_facets_asm3(self):
         # the facet words pick out exactly Perm(A)
         for a in enumerate_asms(3):
-            words = {word_product(diagram_word(f.diagram)) for f in delta_facets(a)}
+            words = {word_product(diagram_word(f)) for f in delta_facets(a)}
             assert words == perm_set(a)
 
 
@@ -235,7 +235,7 @@ class TestPhi:
 
         for a in enumerate_asms(3):
             for model in (bigrassmannian_model(a), parabolic_model(a)):
-                facet_cells = {f.diagram.cells for f in delta_facets(a)}
+                facet_cells = {f.cells for f in delta_facets(a)}
                 images = {}
                 for t in enumerate_all_prism(model):
                     p = phi(t)
@@ -253,7 +253,7 @@ class TestVerifyBijection:
         assert report.counts == {
             "all_prism": 3, "facets": 2, "fmax": 1, "stable_facet": 2, "prism": 1}
         t2 = PrismTableau(spec, (Rssyt((2,), 1, ((1, 1),)), Rssyt((2,), 2, ((2, 1),))))
-        facet_cells = {f.diagram.cells for f in delta_facets(noneqi)}
+        facet_cells = {f.cells for f in delta_facets(noneqi)}
         assert phi(t2).cells not in facet_cells
 
     def test_asmdiag_both_models(self, asmdiag):
@@ -280,7 +280,4 @@ class TestWeightedSums:
                 perm_sum = perm_sum + schubert_polynomial(w, 4)
             assert facet_sum == perm_sum
             fmax_sum = poly_from_monomials(f.weight() for f in delta_fmax(a))
-            min_sum = Polynomial.zero()
-            for w in min_perm_set(a):
-                min_sum = min_sum + schubert_polynomial(w, 4)
-            assert fmax_sum == min_sum
+            assert fmax_sum == min_perm_schubert_sum(a)
