@@ -68,7 +68,8 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        # a few chunks per worker: chunksize 1 spends most of the run on IPC
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 def _cells_line(cells: Iterable[tuple[int, int]]) -> str:

@@ -69,7 +69,7 @@ class SRComplexFacets:
     facets: frozenset[frozenset[Cell]]
 
     def max_dimension_facets(self) -> frozenset[frozenset[Cell]]:
-        top = max(len(f) for f in self.facets)
+        top = max((len(f) for f in self.facets), default=0)
         return frozenset(f for f in self.facets if len(f) == top)
 
 

@@ -11,7 +11,7 @@ i and i+1 of the one-line word.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .asm import Asm, asm_leq, bigrassmannian_one_line, corner_sum, essential_set, join_all
@@ -219,21 +219,67 @@ def bigr_of(a: Asm) -> frozenset[Perm]:
     )
 
 
+def _perms_above(a: Asm) -> set[tuple[int, ...]]:
+    """One-line words of every w in S_n with w >= A, built a row at a time.
+
+    By Fulton's essential-set theorem (A = join(biGr(A))), w >= A iff
+    r_w(i, j) <= r_A(i, j) at every (i, j) in Ess(A).  The prefix w(1..i)
+    fixes r_w(i, j), so a prefix is dropped as soon as one test fails."""
+    n = a.n
+    r = corner_sum(a)
+    tests: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (i, j) in essential_set(a):
+        tests[i].append((j, r.value(i, j)))
+    out: set[tuple[int, ...]] = set()
+
+    def extend(prefix: tuple[int, ...]) -> None:
+        i = len(prefix) + 1
+        for v in range(1, n + 1):
+            if v in prefix:
+                continue
+            w = prefix + (v,)
+            if all(sum(x <= j for x in w) <= bound for j, bound in tests[i]):
+                if i == n:
+                    out.add(w)
+                else:
+                    extend(w)
+
+    extend(())
+    return out
+
+
+def _lower_covers(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Bruhat lower covers of w: swap w(p) > w(q) when no position between
+    p and q holds a value between them."""
+    for p in range(len(w) - 1):
+        low = 0  # the largest value below w(p) met so far after position p
+        for q in range(p + 1, len(w)):
+            if low < w[q] < w[p]:
+                low = w[q]
+                yield w[:p] + (w[q],) + w[p + 1:q] + (w[p],) + w[q + 1:]
+
+
 def perm_set(a: Asm) -> frozenset[Perm]:
-    """Bruhat-minimal honest permutations above A, by brute force over S_n."""
-    above = [w for w in all_perms(a.n) if asm_leq(a, w.matrix(a.n))]
+    """Perm(A): the Bruhat-minimal permutations above A in S_n.  The
+    permutations above A form an upper set, so w is minimal iff none of
+    its lower covers lies above A."""
+    above = _perms_above(a)
     return frozenset(
-        w for w in above
-        if not any(v != w and bruhat_leq(v, w) for v in above)
+        Perm(w) for w in above if not any(v in above for v in _lower_covers(w))
     )
 
 
+def shortest(perms: Collection[Perm]) -> frozenset[Perm]:
+    """The elements of minimum length."""
+    m = min(w.length() for w in perms)
+    return frozenset(w for w in perms if w.length() == m)
+
+
 def min_perm_set(a: Asm) -> frozenset[Perm]:
-    ps = perm_set(a)
-    m = min(w.length() for w in ps)
-    return frozenset(w for w in ps if w.length() == m)
+    """MinPerm(A): the shortest elements of Perm(A)."""
+    return shortest(perm_set(a))
 
 
 def deg(a: Asm) -> int:
     """Minimum length of an honest permutation above A."""
-    return min(w.length() for w in perm_set(a))
+    return next(iter(min_perm_set(a))).length()

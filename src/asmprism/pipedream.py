@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import Asm, Cell
-from .perm import Perm, asm_from_shape_tuple, demazure_product, min_perm_set, perm_set
+from .perm import Perm, asm_from_shape_tuple, demazure_product, min_perm_set, perm_set, shortest
 from .prism import (
     PrismShapeSpec,
     PrismTableau,
@@ -266,8 +266,9 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
         facets, preserving weights.
     """
     a = asm_from_shape_tuple(spec.lambdas, spec.ds)
-    facet_cells = {p.cells: p for p in delta_facets(a)}
-    fmax_cells = {p.cells for p in delta_fmax(a)}
+    dreams = {w: pipe_dreams_of(w, a.n) for w in perm_set(a)}
+    facet_cells = {p.cells: p for ps in dreams.values() for p in ps}
+    fmax_cells = {p.cells for w in shortest(dreams.keys()) for p in dreams[w]}
 
     tableaux = list(enumerate_all_prism(spec))
     fibers: dict[frozenset[Cell], list[PrismTableau]] = {}

@@ -97,6 +97,19 @@ def brute_force_pipe_dreams(w, n: int) -> frozenset[frozenset[tuple[int, int]]]:
     return frozenset(out)
 
 
+def brute_force_perm_set(a: Asm):
+    """Perm(A) by scanning S_n: every w with A <= w, minus those lying
+    above another such w."""
+    from asmprism.asm import asm_leq
+    from asmprism.perm import all_perms, bruhat_leq
+
+    above = [w for w in all_perms(a.n) if asm_leq(a, w.matrix(a.n))]
+    return frozenset(
+        w for w in above
+        if not any(v != w and bruhat_leq(v, w) for v in above)
+    )
+
+
 def contains_reduced_word(letters: tuple[int, ...], w) -> bool:
     """Does the word contain some reduced word of w as a subsequence?"""
     from asmprism.perm import reduced_words

@@ -89,9 +89,11 @@ class TestVerify:
         assert code == 0
 
     def test_jobs_flag_same_output(self):
-        _, serial, _ = run(["verify", "theorem1", "--n", "3"])
-        _, parallel, _ = run(["verify", "theorem1", "--n", "3", "--jobs", "2"])
-        assert serial == parallel
+        # 42 ASMs at n = 4 go to the pool in chunks of 5
+        for n in ("3", "4"):
+            _, serial, _ = run(["verify", "theorem1", "--n", n])
+            _, parallel, _ = run(["verify", "theorem1", "--n", n, "--jobs", "2"])
+            assert serial == parallel
 
     def test_failure_exits_2(self, monkeypatch):
         monkeypatch.setitem(cli.VERIFIERS, "theorem1", lambda n, jobs: (False, "0/7 ASMs"))

@@ -6,6 +6,7 @@ from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import enumerate_asms, identity_asm
 from asmprism.ideal import (
     MinorSpec,
+    SRComplexFacets,
     SquareFreeMonomial,
     antidiagonal_init,
     defining_generators,
@@ -132,6 +133,9 @@ class TestStanleyReisner:
     def test_single_variable_generator(self):
         sr = stanley_reisner_facets([sq((1, 1))], 2)
         assert sr.facets == {frozenset({(1, 2), (2, 1), (2, 2)})}
+
+    def test_max_dimension_facets_of_empty_complex(self):
+        assert SRComplexFacets(2, frozenset()).max_dimension_facets() == frozenset()
 
     def test_facets_match_subword_complement_noneqi(self, noneqi):
         sr = stanley_reisner_facets(initial_ideal(noneqi), 4)

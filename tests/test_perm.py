@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import contains_reduced_word
+from conftest import brute_force_perm_set, contains_reduced_word
 
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, join_all, validate_asm
 from asmprism.perm import (
@@ -272,6 +272,49 @@ class TestPermSet:
                 for b in family[1:]:
                     meet = asm_meet(meet, b)
                 assert meet == bigrassmannian_encode(i, j, r, 4).matrix(4)
+
+
+def assert_matches_oracle(a):
+    expected = brute_force_perm_set(a)
+    shortest_length = min(w.length() for w in expected)
+    assert perm_set(a) == expected
+    assert min_perm_set(a) == {w for w in expected if w.length() == shortest_length}
+    assert deg(a) == shortest_length
+
+
+class TestPermSetOracle:
+    """The essential-set search against the scan of all of S_n."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_asm(self, n):
+        for a in enumerate_asms(n):
+            assert_matches_oracle(a)
+
+    def test_asm6_every_250th(self):
+        for a in list(enumerate_asms(6))[::250]:
+            assert_matches_oracle(a)
+
+    def test_n1(self):
+        a = identity_asm(1)
+        assert perm_set(a) == min_perm_set(a) == {Perm.identity()}
+        assert deg(a) == 0
+
+    def test_identity_6(self):
+        a = identity_asm(6)
+        assert perm_set(a) == min_perm_set(a) == {Perm.identity()}
+        assert deg(a) == 0
+
+    @pytest.mark.parametrize("w", [(3, 6, 1, 5, 2, 4), (6, 5, 4, 3, 2, 1), (2, 1, 3, 4, 5, 6)])
+    def test_permutation_matrix(self, w):
+        w = Perm(w)
+        a = w.matrix(6)
+        assert perm_set(a) == min_perm_set(a) == {w}
+        assert deg(a) == w.length()
+
+    @pytest.mark.slow
+    def test_every_asm6(self):
+        for a in enumerate_asms(6):
+            assert_matches_oracle(a)
 
 
 class TestDegViaPrisms:
