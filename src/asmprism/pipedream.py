@@ -24,6 +24,7 @@ from .prism import (
     Rssyt,
     enumerate_all_prism,
     has_unstable_triple,
+    phi_cells,
     prism_set,
     prism_weight,
     serialize_prism_tableau,
@@ -223,18 +224,9 @@ def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
     return _pipe_dreams_over(min_perm_set(a), a.n)
 
 
-def _phi_cells(t: PrismTableau) -> frozenset[Cell]:
-    cells = set()
-    for comp in t.components:
-        for a, b, v in comp.cells():
-            cells.add((v, a + b - v))
-    return frozenset(cells)
-
-
 def phi(t: PrismTableau) -> PlusDiagram:
-    """The overlay map: a label v in grid cell (a, b) places a plus at
-    (v, a + b - v); the component diagrams are unioned."""
-    return PlusDiagram(t.spec.ambient_size, _phi_cells(t))
+    """The overlay map as a plus diagram (see prism.phi_cells)."""
+    return PlusDiagram(t.spec.ambient_size, phi_cells(t))
 
 
 @dataclass
@@ -273,7 +265,7 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     tableaux = list(enumerate_all_prism(spec))
     fibers: dict[frozenset[Cell], list[PrismTableau]] = {}
     for t in tableaux:
-        fibers.setdefault(_phi_cells(t), []).append(t)
+        fibers.setdefault(phi_cells(t), []).append(t)
 
     checks: dict[str, bool] = {}
     failure: str | None = None
@@ -289,9 +281,11 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
         fail(f"facet with pluses {sorted(missing[0])} has empty fiber")
 
     fiber_ok = True
+    stable_facet: list[tuple[PrismTableau, PlusDiagram]] = []
     for cells, f in facet_cells.items():
         fib = fibers.get(cells, [])
         stable = [t for t in fib if not has_unstable_triple(t)]
+        stable_facet.extend((t, f) for t in stable)
         if len(stable) != 1:
             fiber_ok = False
             fail(f"facet {sorted(cells)} has {len(stable)} stable tableaux in its fiber")
@@ -302,25 +296,20 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
             fail(f"stable tableau in fiber of {sorted(cells)} is not the fiber maximum")
     checks["unique_stable_per_fiber"] = fiber_ok
 
-    stable_facet = [
-        t for t in tableaux
-        if _phi_cells(t) in facet_cells and not has_unstable_triple(t)
-    ]
     wt_ok = len(stable_facet) == len(facet_cells)
-    for t in stable_facet:
-        f = facet_cells[_phi_cells(t)]
+    for t, f in stable_facet:
         if prism_weight(t) != f.weight():
             wt_ok = False
             fail(f"weight mismatch on {serialize_prism_tableau(t)}")
     checks["weight_preserving"] = wt_ok
 
     prism = prism_set(spec)
-    prism_images = {_phi_cells(t) for t in prism}
+    prism_images = {phi_cells(t) for t in prism}
     dmatch = prism_images == fmax_cells and len(prism) == len(fmax_cells)
     if not dmatch:
         fail("prism set does not biject with the maximal-dimension facets")
     for t in prism:
-        if prism_weight(t) != PlusDiagram(a.n, _phi_cells(t)).weight():
+        if prism_weight(t) != PlusDiagram(a.n, phi_cells(t)).weight():
             dmatch = False
             fail(f"weight mismatch on minimal tableau {serialize_prism_tableau(t)}")
     checks["prism_matches_fmax"] = dmatch

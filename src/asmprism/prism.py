@@ -9,13 +9,17 @@ each column (T1/T2), with labels drawn from {1, ..., d}.
 A cell (a, b) lies on antidiagonal a + b - 1.  The weight of a prism
 tableau is prod x_v^{n_v} where n_v counts the antidiagonals containing
 the label v in any color; a label repeated across colors on one
-antidiagonal counts once.
+antidiagonal counts once.  It is computed as the row-count weight of the
+tableau's image under the overlay map phi (``phi_cells``), which has one
+cell per (label, antidiagonal) pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+import math
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
@@ -192,12 +196,21 @@ def enumerate_all_prism(spec: PrismShapeSpec) -> Iterator[PrismTableau]:
         yield PrismTableau(spec, tuple(combo))
 
 
+def _phi(components: Iterable[Rssyt]) -> frozenset[Cell]:
+    return frozenset((v, a + b - v) for comp in components for a, b, v in comp.cells())
+
+
+def phi_cells(t: PrismTableau) -> frozenset[Cell]:
+    """The cells of the overlay map phi: a label v in grid cell (a, b)
+    places a plus at (v, a + b - v); the components are unioned.  Each
+    cell is one (label, antidiagonal) pair of t."""
+    return _phi(t.components)
+
+
 def prism_weight(t: PrismTableau) -> Monomial:
-    diag_of: dict[int, set[int]] = {}
-    for ad, items in t.labels_by_antidiagonal().items():
-        for v, _, _, _ in items:
-            diag_of.setdefault(v, set()).add(ad)
-    return Monomial.from_powers({v: len(ads) for v, ads in diag_of.items()})
+    """The row-count weight of phi(t): x_v counts the antidiagonals that
+    carry the label v."""
+    return Monomial.from_powers(Counter(v for v, _ in phi_cells(t)))
 
 
 def _replacement_valid(t: Rssyt, q: int, b: int, new: int) -> bool:
@@ -244,21 +257,50 @@ def has_unstable_triple(t: PrismTableau, require_two_colors: bool = True) -> boo
     return False
 
 
+def _minimal_fillings(spec: PrismShapeSpec) -> tuple[int, list[PrismTableau]]:
+    """The least degree of a filling of spec, and the fillings of that
+    degree in enumerate_all_prism order.
+
+    A depth-first branch and bound over the components.  The degree of a
+    filling is the number of its phi cells, and the union of phi cells
+    only grows as components are filled in, so a branch is dropped as soon
+    as its union is larger than the smallest complete filling seen so far.
+    Ties are kept, so the survivors come out in enumeration order."""
+    pools = [
+        [(f, _phi((f,))) for f in enumerate_rssyt(lam, d)]
+        for lam, d in zip(spec.lambdas, spec.ds)
+    ]
+    best = math.inf
+    found: list[PrismTableau] = []
+    chosen: list[Rssyt] = []
+
+    def walk(c: int, union: frozenset[Cell]) -> None:
+        nonlocal best, found
+        if c == len(pools):
+            if len(union) < best:
+                best, found = len(union), []
+            found.append(PrismTableau(spec, tuple(chosen)))
+            return
+        for f, cells in pools[c]:
+            grown = union | cells
+            if len(grown) <= best:
+                chosen.append(f)
+                walk(c + 1, grown)
+                chosen.pop()
+
+    walk(0, frozenset())
+    return best, found
+
+
 def prism_min_degree(spec: PrismShapeSpec) -> int:
     """deg(lambda, d): minimum weight degree over all prism fillings."""
-    return min(prism_weight(t).total_degree for t in enumerate_all_prism(spec))
+    return _minimal_fillings(spec)[0]
 
 
 def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:
     """The minimal prism tableaux with no unstable triples, in enumeration
     order."""
-    tableaux = list(enumerate_all_prism(spec))
-    lowest = min(prism_weight(t).total_degree for t in tableaux)
-    return [
-        t for t in tableaux
-        if prism_weight(t).total_degree == lowest
-        and not has_unstable_triple(t)
-    ]
+    return [t for t in _minimal_fillings(spec)[1] if not has_unstable_triple(t)]
 
 
 def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:

@@ -110,6 +110,28 @@ def brute_force_perm_set(a: Asm):
     )
 
 
+def brute_force_prism_weight(t):
+    """The weight by its antidiagonal definition: x_v to the number of
+    antidiagonals that carry the label v in some color."""
+    from asmprism.algebra import Monomial
+
+    diag_of: dict[int, set[int]] = {}
+    for ad, items in t.labels_by_antidiagonal().items():
+        for v, _, _, _ in items:
+            diag_of.setdefault(v, set()).add(ad)
+    return Monomial.from_powers({v: len(ads) for v, ads in diag_of.items()})
+
+
+def brute_force_prism_set(spec):
+    """The minimal stable prism tableaux by building the whole product of
+    component fillings, in enumeration order."""
+    from asmprism.prism import enumerate_all_prism, has_unstable_triple
+
+    degrees = [(t, brute_force_prism_weight(t).total_degree) for t in enumerate_all_prism(spec)]
+    lowest = min(d for _, d in degrees)
+    return [t for t, d in degrees if d == lowest and not has_unstable_triple(t)]
+
+
 def contains_reduced_word(letters: tuple[int, ...], w) -> bool:
     """Does the word contain some reduced word of w as a subsequence?"""
     from asmprism.perm import reduced_words

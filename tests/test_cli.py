@@ -1,5 +1,7 @@
 import io
 import os
+import runpy
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -94,6 +96,10 @@ class TestVerify:
             _, serial, _ = run(["verify", "theorem1", "--n", n])
             _, parallel, _ = run(["verify", "theorem1", "--n", n, "--jobs", "2"])
             assert serial == parallel
+
+    @pytest.mark.slow
+    def test_theorem1_n6_exhaustive(self):
+        assert run(["verify", "theorem1", "--n", "6"]) == (0, "OK: 7436/7436 ASMs, both models\n", "")
 
     def test_failure_exits_2(self, monkeypatch):
         monkeypatch.setitem(cli.VERIFIERS, "theorem1", lambda n, jobs: (False, "0/7 ASMs"))
@@ -232,6 +238,15 @@ def test_jobs_clamped_to_core_count():
     assert cli._bounded_jobs(cores + 7) == cores
     with pytest.raises(cli.CliError):
         cli._bounded_jobs(0)
+
+
+def test_python_dash_m_runs_the_command(monkeypatch, noneqi_file):
+    monkeypatch.setattr(sys, "argv", ["asmprism", "deg", "--asm", noneqi_file])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        runpy.run_module("asmprism", run_name="__main__")
+    assert exc.value.code == 0
+    assert out.getvalue() == "3\n"
 
 
 class TestDeterminism:

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_pipe_dreams, contains_reduced_word
 
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
-from asmprism.asm import enumerate_asms, identity_asm
+from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, enumerate_asms, identity_asm
 from asmprism.perm import Perm, all_perms, bruhat_leq, perm_set, word_product
 from asmprism.pipedream import (
     PlusDiagram,
@@ -27,6 +28,7 @@ from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
     Rssyt,
+    asm_polynomial,
     bigrassmannian_model,
     parabolic_model,
 )
@@ -270,7 +272,29 @@ class TestVerifyBijection:
                 assert report.passed, report.summary()
 
 
+@st.composite
+def monotone_triangles(draw, n: int) -> MonotoneTriangle:
+    """Rows from the bottom (1, ..., n) up, each entry drawn from the
+    range that keeps the row strictly increasing and interleaved with the
+    row below."""
+    rows = [tuple(range(1, n + 1))]
+    for k in range(n - 1, 0, -1):
+        below, row = rows[-1], []
+        for i in range(k):
+            lo = max(below[i], row[-1] + 1) if row else below[i]
+            row.append(draw(st.integers(lo, below[i + 1])))
+        rows.append(tuple(row))
+    return MonotoneTriangle(tuple(reversed(rows)))
+
+
 class TestWeightedSums:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(6, 7).flatmap(monotone_triangles).map(asm_from_monotone_triangle))
+    def test_theorem1_on_random_asms_n6_n7(self, a):
+        target = min_perm_schubert_sum(a)
+        assert asm_polynomial(bigrassmannian_model(a)) == target
+        assert asm_polynomial(parabolic_model(a)) == target
+
     def test_facet_sum_is_schubert_sum_asm4(self):
         # over all facets and over the maximal-dimension ones
         for a in enumerate_asms(4):

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from conftest import brute_force_prism_set, brute_force_prism_weight
+
 from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, lambda_row
 from asmprism.prism import (
@@ -16,6 +18,7 @@ from asmprism.prism import (
     parabolic_model,
     partition,
     partition_leq,
+    prism_min_degree,
     prism_set,
     prism_weight,
     schur_polynomial_ssyt,
@@ -204,6 +207,51 @@ class TestPrismSet:
             for d in range(len(lam), 4):
                 spec = PrismShapeSpec((lam,), (d,))
                 assert asm_polynomial(spec) == schur_polynomial_ssyt(lam, d), (lam, d)
+
+
+def assert_matches_oracle(spec):
+    expected = brute_force_prism_set(spec)
+    assert prism_set(spec) == expected
+    assert asm_polynomial(spec) == poly_from_monomials(brute_force_prism_weight(t) for t in expected)
+    assert prism_min_degree(spec) == brute_force_prism_weight(expected[0]).total_degree
+
+
+class TestPrismSetOracle:
+    """The branch and bound against the full product of component fillings."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_asm(self, n):
+        for a in enumerate_asms(n):
+            assert_matches_oracle(bigrassmannian_model(a))
+            assert_matches_oracle(parabolic_model(a))
+
+    def test_asm6_sample(self):
+        asms = list(enumerate_asms(6))
+        # ASM 278's biGrassmannian spec has 48,000 fillings, the second
+        # largest product in ASM(6)
+        for a in asms[::500] + [asms[278]]:
+            assert_matches_oracle(bigrassmannian_model(a))
+            assert_matches_oracle(parabolic_model(a))
+
+    def test_identity_has_one_empty_tableau(self):
+        for spec in (bigrassmannian_model(identity_asm(6)), parabolic_model(identity_asm(6))):
+            assert spec.k == 0
+            assert prism_set(spec) == [PrismTableau(spec, ())]
+            assert prism_min_degree(spec) == 0
+            assert_matches_oracle(spec)
+
+    def test_empty_shapes(self):
+        for spec in (
+            PrismShapeSpec(((), (2, 1), ()), (1, 3, 2)),
+            PrismShapeSpec(((),), (4,)),
+        ):
+            assert_matches_oracle(spec)
+
+    def test_weight_is_the_antidiagonal_count(self):
+        for a in enumerate_asms(4):
+            for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                for t in enumerate_all_prism(spec):
+                    assert prism_weight(t) == brute_force_prism_weight(t)
 
 
 class TestModels:
