@@ -15,8 +15,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 Cell = tuple[int, int]
 
@@ -35,7 +37,7 @@ class MatrixParseError(ValueError):
 
 
 def _as_rows(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(tuple(map(int, row)) for row in m)
 
 
 def _check_alternating(entries: tuple[tuple[int, ...], ...]) -> None:
@@ -197,31 +199,26 @@ def identity_asm(n: int) -> Asm:
     return Asm(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _corner_rows(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(entries)
+def _corner_rows(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Row i of the corner sum is row i-1 plus the running sums of entry row i."""
     rows = []
-    prev = [0] * n
-    for i in range(n):
-        acc = 0
-        row = []
-        for j in range(n):
-            acc += entries[i][j]
-            row.append(prev[j] + acc)
-        prev = row
-        rows.append(tuple(row))
+    prev: Sequence[int] = (0,) * len(entries)
+    for row in entries:
+        prev = tuple(map(operator.add, prev, accumulate(row)))
+        rows.append(prev)
     return tuple(rows)
 
 
 def _entries_from_corner_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    n = len(rows)
-
-    def r(i: int, j: int) -> int:
-        return rows[i - 1][j - 1] if i >= 1 and j >= 1 else 0
-
-    return tuple(
-        tuple(r(i, j) - r(i, j - 1) - r(i - 1, j) + r(i - 1, j - 1) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    """Inclusion-exclusion, a row at a time: the differences r(i, j) - r(i-1, j)
+    are the column sums down to row i, and consecutive ones differ by a(i, j)."""
+    out = []
+    prev: Sequence[int] = (0,) * len(rows)
+    for row in rows:
+        down = tuple(map(operator.sub, row, prev))
+        out.append(tuple(map(operator.sub, down, (0,) + down[:-1])))
+        prev = row
+    return tuple(out)
 
 
 def corner_sum(a: Asm) -> CornerSum:
@@ -249,8 +246,14 @@ def corner_sum_from_rows(rows: Sequence[Sequence[int]]) -> CornerSum:
 
 
 def asm_from_corner_sum(r: CornerSum) -> Asm:
-    """Inverse of :func:`corner_sum` via inclusion-exclusion of r."""
-    corner_sum_from_rows(r.rows)
+    """Inverse of :func:`corner_sum` via inclusion-exclusion of r.
+
+    By Robbins-Rumsey, r satisfies R1 and R2 exactly when the recovered
+    entries form an ASM, so :func:`validate_asm` alone checks r, and its
+    errors name a row or column of the recovered matrix."""
+    n = len(r.rows)
+    if any(len(row) != n for row in r.rows):
+        raise ValueError("corner sum matrix must be square")
     return validate_asm(_entries_from_corner_rows(r.rows))
 
 
@@ -272,10 +275,10 @@ def _embed_to(a: Asm, n: int) -> Asm:
     return a
 
 
-def _common_corner_rows(a: Asm, b: Asm) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The common size of a and b and their corner sums at that size."""
+def _common_corner_rows(a: Asm, b: Asm) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The corner sums of a and b at their common size."""
     n = max(a.n, b.n)
-    return n, _corner_rows(_embed_to(a, n).entries), _corner_rows(_embed_to(b, n).entries)
+    return _corner_rows(_embed_to(a, n).entries), _corner_rows(_embed_to(b, n).entries)
 
 
 def asm_leq(a: Asm, b: Asm) -> bool:
@@ -284,33 +287,36 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     Inputs of different sizes are compared after embedding to a common
     size, which is an order embedding.
     """
-    n, ra, rb = _common_corner_rows(a, b)
-    return all(ra[i][j] >= rb[i][j] for i in range(n) for j in range(n))
+    ra, rb = _common_corner_rows(a, b)
+    return all(all(map(operator.ge, x, y)) for x, y in zip(ra, rb))
 
 
 def asm_join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
-    n, ra, rb = _common_corner_rows(a, b)
-    rows = tuple(tuple(min(x, y) for x, y in zip(ra[i], rb[i])) for i in range(n))
-    return asm_from_corner_sum(CornerSum(rows))
+    ra, rb = _common_corner_rows(a, b)
+    return asm_from_corner_sum(CornerSum(tuple(tuple(map(min, x, y)) for x, y in zip(ra, rb))))
 
 
 def asm_meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
-    n, ra, rb = _common_corner_rows(a, b)
-    rows = tuple(tuple(max(x, y) for x, y in zip(ra[i], rb[i])) for i in range(n))
-    return asm_from_corner_sum(CornerSum(rows))
+    ra, rb = _common_corner_rows(a, b)
+    return asm_from_corner_sum(CornerSum(tuple(tuple(map(max, x, y)) for x, y in zip(ra, rb))))
+
+
+def _entrywise_min(mats: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The entrywise minimum of one or more square matrices of one size."""
+    return tuple(tuple(map(min, zip(*rows))) for rows in zip(*mats))
 
 
 def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
-    """Join of a finite family; the empty join is the identity (lattice minimum)."""
+    """Join of a finite family in ASM(m), m the largest of n and the members'
+    sizes: the entrywise minimum of all their corner sums at size m.  The
+    empty join is the identity (lattice minimum)."""
     items = list(asms)
     if not items:
         return identity_asm(n if n else 1)
-    out = items[0] if n is None else _embed_to(items[0], n)
-    for a in items[1:]:
-        out = asm_join(out, a)
-    return out
+    m = max(n or 1, max(a.n for a in items))
+    return asm_from_corner_sum(CornerSum(_entrywise_min([_corner_rows(_embed_to(a, m).entries) for a in items])))
 
 
 def inversions(a: Asm) -> frozenset[Cell]:
@@ -482,11 +488,7 @@ def partial_asm_join(ps: Sequence[PartialAsm], n: int) -> PartialAsm:
     identity, the minimum of the order."""
     if not ps:
         return PartialAsm(identity_asm(n).entries)
-    mats = [partial_corner_rows(p) for p in ps]
-    rows = tuple(
-        tuple(min(m[i][j] for m in mats) for j in range(n)) for i in range(n)
-    )
-    return validate_partial_asm(_entries_from_corner_rows(rows))
+    return validate_partial_asm(_entries_from_corner_rows(_entrywise_min([partial_corner_rows(p) for p in ps])))
 
 
 def asm_from_rank_conditions(r: Sequence[Sequence[int | None]]) -> PartialAsm:

@@ -128,18 +128,22 @@ def _verify_each(
     return all(results), detail.format(ok=sum(results), total=len(items))
 
 
+def _check_lattice(a: Asm, asms: Sequence[Asm]) -> bool:
+    """Join and meet of a with every b bound both, and A = join(biGr(A))."""
+    for b in asms:
+        j = asm_mod.asm_join(a, b)
+        m = asm_mod.asm_meet(a, b)
+        if not (
+            asm_mod.asm_leq(a, j) and asm_mod.asm_leq(b, j)
+            and asm_mod.asm_leq(m, a) and asm_mod.asm_leq(m, b)
+        ):
+            return False
+    return asm_mod.join_all([u.matrix(a.n) for u in perm_mod.bigr_of(a)], a.n) == a
+
+
 def _verify_lattice(n: int, jobs: int) -> tuple[bool, str]:
     asms = _asms(n)
-    ok = True
-    for a in asms:
-        for b in asms:
-            j = asm_mod.asm_join(a, b)
-            m = asm_mod.asm_meet(a, b)
-            ok = ok and asm_mod.asm_leq(a, j) and asm_mod.asm_leq(b, j)
-            ok = ok and asm_mod.asm_leq(m, a) and asm_mod.asm_leq(m, b)
-        ok = ok and asm_mod.join_all(
-            [u.matrix(n) for u in perm_mod.bigr_of(a)], n
-        ) == a
+    ok = all(_pmap(partial(_check_lattice, asms=asms), asms, jobs))
     return ok, f"{len(asms)} ASMs, joins/meets closed, A = join(biGr(A))"
 
 

@@ -83,8 +83,8 @@ class Perm:
         n = max(n, 1)
         if n < self.size:
             raise ValueError(f"{self} does not fit in S_{n}")
-        w = self.padded(n)
-        return Asm(tuple(tuple(1 if w[i] == j + 1 else 0 for j in range(n)) for i in range(n)))
+        zero = (0,) * n
+        return Asm(tuple(zero[: v - 1] + (1,) + zero[v:] for v in self.padded(n)))
 
     def render(self, n: int | None = None) -> str:
         return " ".join(str(x) for x in self.padded(n if n else max(self.size, 1)))

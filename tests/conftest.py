@@ -72,14 +72,55 @@ def brute_force_asms(n: int) -> list[Asm]:
     return out
 
 
+def _block_sums(a: Asm, n: int) -> list[int]:
+    """Every top-left block sum of a, padded to n x n with 1s on the
+    diagonal, summed cell by cell from the definition (row-major)."""
+    def entry(k: int, l: int) -> int:
+        if k < a.n and l < a.n:
+            return a.entries[k][l]
+        return int(k == l)
+
+    return [
+        sum(entry(k, l) for k in range(i) for l in range(j))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ]
+
+
+def _dominates(r: list[int], s: list[int]) -> bool:
+    return all(x >= y for x, y in zip(r, s))
+
+
+def brute_force_leq(a: Asm, b: Asm) -> bool:
+    """a <= b: every block sum of a is at least that of b."""
+    n = max(a.n, b.n)
+    return _dominates(_block_sums(a, n), _block_sums(b, n))
+
+
+def _brute_force_bound(a: Asm, b: Asm, universe: list[Asm], upper: bool) -> Asm:
+    """The least upper (or greatest lower) bound of a and b found by
+    scanning the whole lattice, ordered by block sums."""
+    n = max(c.n for c in (a, b, *universe))
+    ra, rb = _block_sums(a, n), _block_sums(b, n)
+    sums = [(c, _block_sums(c, n)) for c in universe]
+    if upper:
+        bounds = [(c, r) for c, r in sums if _dominates(ra, r) and _dominates(rb, r)]
+        best = [c for c, r in bounds if all(_dominates(r, s) for _, s in bounds)]
+    else:
+        bounds = [(c, r) for c, r in sums if _dominates(r, ra) and _dominates(r, rb)]
+        best = [c for c, r in bounds if all(_dominates(s, r) for _, s in bounds)]
+    assert len(best) == 1
+    return best[0]
+
+
 def brute_force_join(a: Asm, b: Asm, universe: list[Asm]) -> Asm:
     """Least upper bound by scanning the whole lattice."""
-    from asmprism.asm import asm_leq
+    return _brute_force_bound(a, b, universe, upper=True)
 
-    uppers = [c for c in universe if asm_leq(a, c) and asm_leq(b, c)]
-    least = [u for u in uppers if all(asm_leq(u, v) for v in uppers)]
-    assert len(least) == 1
-    return least[0]
+
+def brute_force_meet(a: Asm, b: Asm, universe: list[Asm]) -> Asm:
+    """Greatest lower bound by scanning the whole lattice."""
+    return _brute_force_bound(a, b, universe, upper=False)
 
 
 def brute_force_pipe_dreams(w, n: int) -> frozenset[frozenset[tuple[int, int]]]:

@@ -1,8 +1,17 @@
+import functools
 import itertools
+import random
 
 import pytest
 
-from conftest import brute_force_asms, brute_force_join, essential_by_corner_sums, matrix_rank
+from conftest import (
+    brute_force_asms,
+    brute_force_join,
+    brute_force_leq,
+    brute_force_meet,
+    essential_by_corner_sums,
+    matrix_rank,
+)
 
 from asmprism.asm import (
     AsmValidationError,
@@ -24,6 +33,7 @@ from asmprism.asm import (
     essential_set,
     identity_asm,
     inversions,
+    join_all,
     lambda_row,
     monotone_triangle,
     parse_matrix_text,
@@ -33,6 +43,7 @@ from asmprism.asm import (
     validate_asm,
     validate_partial_asm,
 )
+from asmprism.perm import bigr_of
 
 
 class TestValidation:
@@ -91,6 +102,20 @@ class TestCornerSum:
         with pytest.raises(ValueError, match="R2"):
             corner_sum_from_rows([[2, 1], [1, 2]])
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (((0, 0), (0, 2)), "entry 2 at row 2, column 2"),  # R1
+            (((2, 1), (1, 2)), "entry 2 at row 1, column 1"),  # R2
+            (((1, 1), (1, 1)), "row 2 sums to 0"),  # R1, entries in {-1,0,1}
+            (((1, 0, 1), (1, 1, 2), (1, 2, 3)), "alternation fails in column 2"),  # R2 only
+            (((1, 1), (1, 2), (1, 2)), "square"),
+        ],
+    )
+    def test_asm_from_corner_sum_rejects(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            asm_from_corner_sum(CornerSum(rows))
+
 
 class TestOrderAndLattice:
     def test_reflexive(self, asmdiag):
@@ -139,6 +164,78 @@ class TestOrderAndLattice:
             a, b, c = (rng.choice(asms) for _ in range(3))
             assert asm_join(asm_join(a, b), c) == asm_join(a, asm_join(b, c))
             assert asm_meet(asm_meet(a, b), c) == asm_meet(a, asm_meet(b, c))
+
+
+    def test_leq_matches_block_sums(self):
+        asm3, asm4 = list(enumerate_asms(3)), list(enumerate_asms(4))
+        for a, b in itertools.chain(itertools.product(asm4, repeat=2), itertools.product(asm3, asm4)):
+            assert asm_leq(a, b) == brute_force_leq(a, b)
+            assert asm_leq(b, a) == brute_force_leq(b, a)
+
+    def test_join_meet_match_oracles_asm3(self):
+        universe = list(enumerate_asms(3))
+        for a, b in itertools.product(universe, repeat=2):
+            assert asm_join(a, b) == brute_force_join(a, b, universe)
+            assert asm_meet(a, b) == brute_force_meet(a, b, universe)
+
+    def test_join_meet_match_oracles_asm4_sample(self):
+        universe = list(enumerate_asms(4))
+        rng = random.Random(4)
+        for _ in range(60):
+            a, b = rng.choice(universe), rng.choice(universe)
+            assert asm_join(a, b) == brute_force_join(a, b, universe)
+            assert asm_meet(a, b) == brute_force_meet(a, b, universe)
+
+
+def _fold_join(family, universe):
+    """join_all by the oracle: brute_force_join folded over the family; the
+    empty fold is the least element of the universe, found by scanning."""
+    if not family:
+        return next(c for c in universe if all(brute_force_leq(c, d) for d in universe))
+    return functools.reduce(lambda x, y: brute_force_join(x, y, universe), family)
+
+
+class TestJoinAll:
+    def test_bigr_families_asm4(self):
+        universe = list(enumerate_asms(4))
+        for a in universe:
+            family = [u.matrix(4) for u in bigr_of(a)]
+            assert join_all(family, 4) == _fold_join(family, universe) == a
+
+    def test_mixed_sizes(self):
+        rng = random.Random(7)
+        pools = [list(enumerate_asms(k)) for k in (2, 3, 4)]
+        universe = pools[-1]
+        for _ in range(20):
+            family = [rng.choice(pool) for pool in pools for _ in range(rng.randrange(2))]
+            family.append(rng.choice(pools[1]))
+            rng.shuffle(family)
+            j = join_all(family)
+            assert j.n == max(a.n for a in family)
+            assert j == _fold_join(family, universe)
+
+    def test_n_larger_than_every_member(self):
+        universe = list(enumerate_asms(4))
+        rng = random.Random(8)
+        asm3 = list(enumerate_asms(3))
+        for _ in range(20):
+            family = [rng.choice(asm3) for _ in range(3)]
+            j = join_all(family, 4)
+            assert j.n == 4
+            assert j == _fold_join(family, universe)
+
+    def test_single_item(self):
+        for a in enumerate_asms(3):
+            assert join_all([a]) == a and join_all([a]).n == 3
+            assert join_all([a], 5) == a and join_all([a], 5).n == 5
+
+    def test_empty_family(self):
+        for n in (1, 2, 3):
+            universe = list(enumerate_asms(n))
+            j = join_all([], n)
+            assert j.n == n
+            assert j == _fold_join([], universe) == identity_asm(n)
+        assert join_all([]).n == 1
 
 
 class TestDiagram:

@@ -92,14 +92,28 @@ class TestVerify:
 
     def test_jobs_flag_same_output(self):
         # 42 ASMs at n = 4 go to the pool in chunks of 5
-        for n in ("3", "4"):
-            _, serial, _ = run(["verify", "theorem1", "--n", n])
-            _, parallel, _ = run(["verify", "theorem1", "--n", n, "--jobs", "2"])
+        for name, n in (("theorem1", "3"), ("theorem1", "4"), ("lattice", "4")):
+            _, serial, _ = run(["verify", name, "--n", n])
+            _, parallel, _ = run(["verify", name, "--n", n, "--jobs", "2"])
             assert serial == parallel
 
     @pytest.mark.slow
     def test_theorem1_n6_exhaustive(self):
         assert run(["verify", "theorem1", "--n", "6"]) == (0, "OK: 7436/7436 ASMs, both models\n", "")
+
+    @pytest.mark.parametrize("name", sorted(cli.VERIFIERS))
+    def test_jobs_reach_the_pool(self, monkeypatch, name):
+        seen = []
+        pmap = cli._pmap
+        monkeypatch.setattr(cli, "_pmap", lambda fn, items, jobs: seen.append(jobs) or pmap(fn, items, 1))
+        assert run(["verify", name, "--n", "2", "--jobs", "2"])[0] == 0
+        assert seen == [cli._bounded_jobs(2)]
+
+    @pytest.mark.slow
+    def test_lattice_n5_exhaustive(self):
+        assert run(["verify", "lattice", "--n", "5"]) == (
+            0, "OK: 429 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
+        )
 
     def test_failure_exits_2(self, monkeypatch):
         monkeypatch.setitem(cli.VERIFIERS, "theorem1", lambda n, jobs: (False, "0/7 ASMs"))
