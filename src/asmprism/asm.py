@@ -316,7 +316,8 @@ def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
     if not items:
         return identity_asm(n if n else 1)
     m = max(n or 1, max(a.n for a in items))
-    return asm_from_corner_sum(CornerSum(_entrywise_min([_corner_rows(_embed_to(a, m).entries) for a in items])))
+    mats = [_corner_rows(_embed_to(a, m).entries) for a in items]
+    return asm_from_corner_sum(CornerSum(_entrywise_min(mats)))
 
 
 def inversions(a: Asm) -> frozenset[Cell]:
@@ -488,7 +489,8 @@ def partial_asm_join(ps: Sequence[PartialAsm], n: int) -> PartialAsm:
     identity, the minimum of the order."""
     if not ps:
         return PartialAsm(identity_asm(n).entries)
-    return validate_partial_asm(_entries_from_corner_rows(_entrywise_min([partial_corner_rows(p) for p in ps])))
+    mats = [partial_corner_rows(p) for p in ps]
+    return validate_partial_asm(_entries_from_corner_rows(_entrywise_min(mats)))
 
 
 def asm_from_rank_conditions(r: Sequence[Sequence[int | None]]) -> PartialAsm:

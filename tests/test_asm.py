@@ -157,8 +157,6 @@ class TestOrderAndLattice:
         for a, b, c in itertools.product(list(enumerate_asms(3)), repeat=3):
             assert asm_join(asm_join(a, b), c) == asm_join(a, asm_join(b, c))
             assert asm_meet(asm_meet(a, b), c) == asm_meet(a, asm_meet(b, c))
-        import random
-
         rng = random.Random(11)
         for _ in range(300):
             a, b, c = (rng.choice(asms) for _ in range(3))
@@ -433,8 +431,6 @@ class TestRankConditions:
         assert canonical_completion(p) == noneqi
 
     def test_rank_locus_agrees_sampled(self):
-        import random
-
         rng = random.Random(7)
         n = 3
         for _ in range(40):
