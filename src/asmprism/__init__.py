@@ -47,7 +47,6 @@ from .prism import (
     Rssyt,
     asm_polynomial,
     bigrassmannian_model,
-    enumerate_all_prism,
     enumerate_rssyt,
     has_unstable_triple,
     parabolic_model,

@@ -138,9 +138,6 @@ class Polynomial:
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
-    def scale(self, k: int) -> Polynomial:
-        return Polynomial({m: k * c for m, c in self._terms.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -64,13 +64,6 @@ class Perm:
         w = self.one_line
         return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
-    def inverse(self) -> Perm:
-        w = self.one_line
-        inv = [0] * len(w)
-        for i, v in enumerate(w, start=1):
-            inv[v - 1] = i
-        return Perm(tuple(inv))
-
     def right_mul(self, i: int) -> Perm:
         """self * s_i: swap the values in positions i, i+1."""
         n = max(self.size, i + 1)

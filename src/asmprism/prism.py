@@ -16,10 +16,9 @@ cell per (label, antidiagonal) pair.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
@@ -189,13 +188,6 @@ class PrismTableau:
         return out
 
 
-def enumerate_all_prism(spec: PrismShapeSpec) -> Iterator[PrismTableau]:
-    """The cartesian product of the component fillings."""
-    pools = [list(enumerate_rssyt(lam, d)) for lam, d in zip(spec.lambdas, spec.ds)]
-    for combo in itertools.product(*pools):
-        yield PrismTableau(spec, tuple(combo))
-
-
 def _phi(components: Iterable[Rssyt]) -> frozenset[Cell]:
     return frozenset((v, a + b - v) for comp in components for a, b, v in comp.cells())
 
@@ -231,21 +223,17 @@ def _replacement_valid(t: Rssyt, q: int, b: int, new: int) -> bool:
     return True
 
 
-def has_unstable_triple(t: PrismTableau, require_two_colors: bool = True) -> bool:
+def has_unstable_triple(t: PrismTableau) -> bool:
     """Detect labels {l_c, l_d, l'_e} on one antidiagonal with l < l' such
-    that replacing the color-c copy of l by l' stays a prism tableau.
-
-    The default reading requires l to appear in two genuinely distinct
-    colors c != d.  Setting ``require_two_colors=False`` relaxes this to
-    only requiring the pair l < l' with a valid replacement.
-    """
+    that l appears in two distinct colors c != d and replacing the color-c
+    copy of l by l' stays a prism tableau."""
     for items in t.labels_by_antidiagonal().values():
         colors_of: dict[int, set[int]] = {}
         for v, c, _, _ in items:
             colors_of.setdefault(v, set()).add(c)
         values = sorted(colors_of)
         for v, c, a, b in items:
-            if require_two_colors and len(colors_of[v]) < 2:
+            if len(colors_of[v]) < 2:
                 continue
             comp = t.components[c - 1]
             q = comp.depth - a + 1
@@ -257,39 +245,72 @@ def has_unstable_triple(t: PrismTableau, require_two_colors: bool = True) -> boo
     return False
 
 
-def _minimal_fillings(spec: PrismShapeSpec) -> tuple[int, list[PrismTableau]]:
-    """The least degree of a filling of spec, and the fillings of that
-    degree in enumerate_all_prism order.
+Pool = list[tuple[Rssyt, frozenset[Cell]]]
+Filling = tuple[tuple[Rssyt, ...], frozenset[Cell]]
 
-    A depth-first branch and bound over the components.  The degree of a
-    filling is the number of its phi cells, and the union of phi cells
-    only grows as components are filled in, so a branch is dropped as soon
-    as its union is larger than the smallest complete filling seen so far.
-    Ties are kept, so the survivors come out in enumeration order."""
-    pools = [
+
+def _pools(spec: PrismShapeSpec) -> list[Pool]:
+    """Each component's fillings in enumerate_rssyt order, each with its
+    phi cells."""
+    return [
         [(f, _phi((f,))) for f in enumerate_rssyt(lam, d)]
         for lam, d in zip(spec.lambdas, spec.ds)
     ]
-    best = math.inf
-    found: list[PrismTableau] = []
+
+
+def _walk(pools: list[Pool], keep: Callable[[frozenset[Cell]], bool]) -> Iterator[Filling]:
+    """Depth-first over the product of the pools, in order: each complete
+    filling as its components and the union of their phi cells.  The union
+    only grows, and a branch goes on only while ``keep`` holds for it.  The
+    walk is lazy, so ``keep`` may read state the caller updates between
+    fillings."""
     chosen: list[Rssyt] = []
 
-    def walk(c: int, union: frozenset[Cell]) -> None:
-        nonlocal best, found
+    def walk(c: int, union: frozenset[Cell]) -> Iterator[Filling]:
         if c == len(pools):
-            if len(union) < best:
-                best, found = len(union), []
-            found.append(PrismTableau(spec, tuple(chosen)))
+            yield tuple(chosen), union
             return
         for f, cells in pools[c]:
             grown = union | cells
-            if len(grown) <= best:
+            if keep(grown):
                 chosen.append(f)
-                walk(c + 1, grown)
+                yield from walk(c + 1, grown)
                 chosen.pop()
 
-    walk(0, frozenset())
+    return walk(0, frozenset())
+
+
+def _minimal_fillings(spec: PrismShapeSpec) -> tuple[int, list[PrismTableau]]:
+    """The least degree of a filling of spec, and the fillings of that
+    degree in enumeration order.
+
+    A branch and bound: the degree of a filling is the number of its phi
+    cells, so a branch is dropped as soon as its union is larger than the
+    smallest complete filling seen so far.  Ties are kept, so the
+    survivors come out in enumeration order."""
+    best = math.inf
+    found: list[PrismTableau] = []
+    for components, union in _walk(_pools(spec), lambda union: len(union) <= best):
+        if len(union) < best:
+            best, found = len(union), []
+        found.append(PrismTableau(spec, components))
     return best, found
+
+
+def phi_fibers(
+    spec: PrismShapeSpec, images: Collection[frozenset[Cell]]
+) -> tuple[int, dict[frozenset[Cell], list[PrismTableau]]]:
+    """The number of fillings of spec, and the fillings whose phi image is
+    one of ``images``, grouped by image, each fiber in enumeration order.
+
+    A branch is dropped once its union lies inside no image, so only the
+    fibers are built, never the whole product of the component fillings."""
+    pools = _pools(spec)
+    fibers: dict[frozenset[Cell], list[PrismTableau]] = {}
+    for components, union in _walk(pools, lambda union: any(union <= cells for cells in images)):
+        if union in images:
+            fibers.setdefault(union, []).append(PrismTableau(spec, components))
+    return math.prod(map(len, pools)), fibers
 
 
 def prism_min_degree(spec: PrismShapeSpec) -> int:

@@ -163,14 +163,66 @@ def brute_force_prism_weight(t):
     return Monomial.from_powers({v: len(ads) for v, ads in diag_of.items()})
 
 
+def all_prism_tableaux(spec):
+    """AllPrism(spec): the cartesian product of the component fillings, in
+    enumeration order."""
+    from asmprism.prism import PrismTableau, enumerate_rssyt
+
+    pools = [list(enumerate_rssyt(lam, d)) for lam, d in zip(spec.lambdas, spec.ds)]
+    for combo in itertools.product(*pools):
+        yield PrismTableau(spec, tuple(combo))
+
+
 def brute_force_prism_set(spec):
     """The minimal stable prism tableaux by building the whole product of
     component fillings, in enumeration order."""
-    from asmprism.prism import enumerate_all_prism, has_unstable_triple
+    from asmprism.prism import has_unstable_triple
 
-    degrees = [(t, brute_force_prism_weight(t).total_degree) for t in enumerate_all_prism(spec)]
+    degrees = [(t, brute_force_prism_weight(t).total_degree) for t in all_prism_tableaux(spec)]
     lowest = min(d for _, d in degrees)
     return [t for t, d in degrees if d == lowest and not has_unstable_triple(t)]
+
+
+def brute_force_phi_image(t) -> frozenset[tuple[int, int]]:
+    """phi(t) by its definition: a label v on antidiagonal k puts a plus at
+    (v, k - v + 1)."""
+    return frozenset(
+        (v, k - v + 1) for k, items in t.labels_by_antidiagonal().items() for v, _, _, _ in items
+    )
+
+
+def brute_force_fibers(spec):
+    """The fibers of phi over the whole product of component fillings:
+    each image mapped to its tableaux, in enumeration order."""
+    fibers: dict = {}
+    for t in all_prism_tableaux(spec):
+        fibers.setdefault(brute_force_phi_image(t), []).append(t)
+    return fibers
+
+
+def relaxed_unstable_triple(t) -> bool:
+    """The relaxed reading of an unstable triple: labels l < l' on one
+    antidiagonal such that replacing some copy of l by l' leaves a prism
+    tableau, whether or not l appears in two colors.  Each replacement is
+    tested by rebuilding the component."""
+    from asmprism.prism import Rssyt
+
+    def replaced(comp, q: int, b: int, new: int) -> bool:
+        rows = [list(row) for row in comp.rows]
+        rows[q][b] = new
+        try:
+            Rssyt(comp.shape, comp.depth, tuple(tuple(row) for row in rows))
+        except ValueError:
+            return False
+        return True
+
+    for items in t.labels_by_antidiagonal().values():
+        values = {v for v, _, _, _ in items}
+        for v, c, a, b in items:
+            comp = t.components[c - 1]
+            if any(replaced(comp, comp.depth - a, b - 1, bigger) for bigger in values if bigger > v):
+                return True
+    return False
 
 
 def contains_reduced_word(letters: tuple[int, ...], w) -> bool:

@@ -38,7 +38,6 @@ from asmprism.prism import (
     PrismShapeSpec,
     asm_polynomial,
     bigrassmannian_model,
-    enumerate_all_prism,
     has_unstable_triple,
     parabolic_model,
     prism_set,
@@ -46,7 +45,7 @@ from asmprism.prism import (
 )
 from asmprism.ideal import initial_ideal, multidegree, stanley_reisner_facets
 
-from conftest import essential_by_corner_sums
+from conftest import all_prism_tableaux, essential_by_corner_sums
 
 
 ASMDIAG = validate_asm([[0, 0, 0, 1], [0, 1, 0, 0], [1, -1, 1, 0], [0, 1, 0, 0]])
@@ -93,7 +92,7 @@ def test_criterion_3_worked_examples():
         assert asm_polynomial(para) == expected
 
         assert len(prism_set(bigr)) == 2
-        all_para = list(enumerate_all_prism(para))
+        all_para = list(all_prism_tableaux(para))
         assert len(all_para) == 6
         minimal = [t for t in all_para if prism_weight(t).total_degree == 5]
         assert len(minimal) == 4
@@ -174,7 +173,7 @@ def test_criterion_8_deg_consistency():
             d = deg(a)
             for model in (bigrassmannian_model(a), parabolic_model(a)):
                 assert min(
-                    prism_weight(t).total_degree for t in enumerate_all_prism(model)) == d
+                    prism_weight(t).total_degree for t in all_prism_tableaux(model)) == d
         assert deg(DEG_EXAMPLE) == 4
         assert len(inversions(DEG_EXAMPLE)) == 5
         assert deg(DEG_EXAMPLE) < len(inversions(DEG_EXAMPLE))

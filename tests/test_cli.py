@@ -101,6 +101,14 @@ class TestVerify:
     def test_theorem1_n6_exhaustive(self):
         assert run(["verify", "theorem1", "--n", "6"]) == (0, "OK: 7436/7436 ASMs, both models\n", "")
 
+    @pytest.mark.slow
+    def test_bijection_n6_exhaustive(self):
+        assert run(["verify", "bijection", "--n", "6"]) == (0, "OK: 7436/7436 ASMs, both models\n", "")
+
+    @pytest.mark.slow
+    def test_groebner_n6_exhaustive(self):
+        assert run(["verify", "groebner", "--n", "6"]) == (0, "OK: 7436/7436 ASMs\n", "")
+
     @pytest.mark.parametrize("name", sorted(cli.VERIFIERS))
     def test_jobs_reach_the_pool(self, monkeypatch, name):
         seen = []

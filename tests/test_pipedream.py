@@ -3,11 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_pipe_dreams, contains_reduced_word
+from conftest import (
+    all_prism_tableaux,
+    brute_force_fibers,
+    brute_force_pipe_dreams,
+    brute_force_prism_weight,
+    contains_reduced_word,
+)
 
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, enumerate_asms, identity_asm
-from asmprism.perm import Perm, all_perms, bruhat_leq, perm_set, word_product
+from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, bruhat_leq, perm_set, word_product
 from asmprism.pipedream import (
     PlusDiagram,
     bottom_pipe_dream,
@@ -30,7 +36,9 @@ from asmprism.prism import (
     Rssyt,
     asm_polynomial,
     bigrassmannian_model,
+    has_unstable_triple,
     parabolic_model,
+    phi_fibers,
 )
 
 
@@ -232,17 +240,17 @@ class TestPhi:
         t1 = PrismTableau(spec, (Rssyt((2,), 1, ((1, 1),)), Rssyt((2,), 2, ((1, 1),))))
         assert phi(t1).cells == {(1, 1), (1, 2), (1, 3)}
 
-    def test_weight_preserving_on_stable_facets_asm3(self):
-        from asmprism.prism import enumerate_all_prism, has_unstable_triple, prism_weight
-
-        for a in enumerate_asms(3):
+    def test_weight_preserving_on_stable_facets_asm3_asm4(self):
+        # the antidiagonal definition of the prism weight against the
+        # row-count weight of the facet
+        for a in [*enumerate_asms(3), *enumerate_asms(4)]:
             for model in (bigrassmannian_model(a), parabolic_model(a)):
                 facet_cells = {f.cells for f in delta_facets(a)}
                 images = {}
-                for t in enumerate_all_prism(model):
+                for t in all_prism_tableaux(model):
                     p = phi(t)
                     if p.cells in facet_cells and not has_unstable_triple(t):
-                        assert prism_weight(t) == p.weight()
+                        assert brute_force_prism_weight(t) == p.weight()
                         assert p.cells not in images, "injectivity violated"
                         images[p.cells] = t
 
@@ -270,6 +278,60 @@ class TestVerifyBijection:
             for model in (bigrassmannian_model(a), parabolic_model(a)):
                 report = verify_bijection(model)
                 assert report.passed, report.summary()
+
+
+def assert_fibers_match_oracle(spec, a):
+    """The fiber search against the fibers of the whole product, and the
+    report's counts against counts taken from those fibers."""
+    facets = {f.cells for f in delta_facets(a)}
+    oracle = brute_force_fibers(spec)
+    _, fibers = phi_fibers(spec, facets)
+    assert set(fibers) <= facets
+    for cells in facets:
+        assert fibers.get(cells, []) == oracle.get(cells, [])
+    lowest = min(map(len, oracle))
+    expected = {
+        "all_prism": sum(map(len, oracle.values())),
+        "facets": len(facets),
+        "fmax": len(delta_fmax(a)),
+        "stable_facet": sum(
+            not has_unstable_triple(t) for cells in facets for t in oracle.get(cells, [])),
+        "prism": sum(
+            not has_unstable_triple(t)
+            for cells, fib in oracle.items() if len(cells) == lowest for t in fib),
+    }
+    report = verify_bijection(spec)
+    assert report.passed, report.summary()
+    assert report.counts == expected
+    return expected
+
+
+class TestFiberSearch:
+    """The pruned fiber search inside verify_bijection against the fibers
+    of the whole product of component fillings."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_asm(self, n):
+        for a in enumerate_asms(n):
+            assert_fibers_match_oracle(bigrassmannian_model(a), a)
+            assert_fibers_match_oracle(parabolic_model(a), a)
+
+    def test_asm6_sample(self):
+        asms = list(enumerate_asms(6))
+        # ASM 278's biGrassmannian spec has 48,000 fillings
+        for a in asms[::500] + [asms[278]]:
+            assert_fibers_match_oracle(bigrassmannian_model(a), a)
+            assert_fibers_match_oracle(parabolic_model(a), a)
+
+    @pytest.mark.parametrize("spec,count", [
+        (bigrassmannian_model(identity_asm(6)), 1),
+        (parabolic_model(identity_asm(6)), 1),
+        (PrismShapeSpec(((),), (4,)), 1),
+        (PrismShapeSpec(((), (2, 1), ()), (1, 3, 2)), 8),
+    ])
+    def test_edge_cases(self, spec, count):
+        a = asm_from_shape_tuple(spec.lambdas, spec.ds)
+        assert set(assert_fibers_match_oracle(spec, a).values()) == {count}
 
 
 @st.composite

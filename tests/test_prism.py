@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from conftest import brute_force_prism_set, brute_force_prism_weight
+from conftest import (
+    all_prism_tableaux,
+    brute_force_prism_set,
+    brute_force_prism_weight,
+    relaxed_unstable_triple,
+)
 
 from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, lambda_row
@@ -12,7 +17,6 @@ from asmprism.prism import (
     Rssyt,
     asm_polynomial,
     bigrassmannian_model,
-    enumerate_all_prism,
     enumerate_rssyt,
     has_unstable_triple,
     parabolic_model,
@@ -130,7 +134,7 @@ class TestWeight:
 
     def test_empty_spec_weight_one(self):
         spec = PrismShapeSpec((), ())
-        (t,) = list(enumerate_all_prism(spec))
+        (t,) = list(all_prism_tableaux(spec))
         assert prism_weight(t) == Monomial.one()
 
     def test_component_order_irrelevant(self):
@@ -167,7 +171,7 @@ class TestPrismSet:
     def test_bigr_model_of_asmdiag(self, asmdiag):
         model = bigrassmannian_model(asmdiag)
         assert model == BIGR_SPEC
-        tableaux = list(enumerate_all_prism(model))
+        tableaux = list(all_prism_tableaux(model))
         assert len(tableaux) == 3
         assert set(tableaux) == {T1, T2, T3}
         chosen = prism_set(model)
@@ -179,7 +183,7 @@ class TestPrismSet:
         model = parabolic_model(asmdiag)
         assert model.lambdas == ((3,), (2, 1), (1, 1))
         assert model.ds == (1, 2, 3)
-        tableaux = list(enumerate_all_prism(model))
+        tableaux = list(all_prism_tableaux(model))
         assert len(tableaux) == 6
         weights = sorted(prism_weight(t).render() for t in tableaux)
         assert weights == sorted([
@@ -250,7 +254,7 @@ class TestPrismSetOracle:
     def test_weight_is_the_antidiagonal_count(self):
         for a in enumerate_asms(4):
             for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                for t in enumerate_all_prism(spec):
+                for t in all_prism_tableaux(spec):
                     assert prism_weight(t) == brute_force_prism_weight(t)
 
 
@@ -294,12 +298,12 @@ class TestReadingToggle:
         for n in (3, 4):
             for a in enumerate_asms(n):
                 for model in (bigrassmannian_model(a), parabolic_model(a)):
-                    tableaux = list(enumerate_all_prism(model))
+                    tableaux = list(all_prism_tableaux(model))
                     lowest = min(prism_weight(t).total_degree for t in tableaux)
                     relaxed = [
                         t for t in tableaux
                         if prism_weight(t).total_degree == lowest
-                        and not has_unstable_triple(t, require_two_colors=False)
+                        and not relaxed_unstable_triple(t)
                     ]
                     assert prism_set(model) == relaxed
 
@@ -307,8 +311,8 @@ class TestReadingToggle:
         differs = 0
         for a in enumerate_asms(4):
             for model in (bigrassmannian_model(a), parabolic_model(a)):
-                for t in enumerate_all_prism(model):
-                    if has_unstable_triple(t, True) != has_unstable_triple(t, False):
+                for t in all_prism_tableaux(model):
+                    if has_unstable_triple(t) != relaxed_unstable_triple(t):
                         differs += 1
         assert differs > 0
 
