@@ -24,6 +24,7 @@ from .asm import (
     inversions,
     monotone_triangle,
     lambda_row,
+    rank_conditions,
     validate_asm,
     validate_partial_asm,
 )
@@ -32,7 +33,6 @@ from .perm import (
     asm_from_shape_tuple,
     bigr_of,
     bigrassmannian_encode,
-    bruhat_leq,
     deg,
     demazure_product,
     grassmannian_encode,

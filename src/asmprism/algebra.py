@@ -8,6 +8,7 @@ nothing ever overflows.  All values are immutable and safe to share.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -51,6 +52,12 @@ class Monomial:
         for i, e in powers.items():
             exps[i - 1] = e
         return cls(tuple(exps))
+
+    @classmethod
+    def counting(cls, indices: Iterable[int]) -> Monomial:
+        """The row-count weight: x_i to the number of times i occurs in
+        ``indices`` (1-based)."""
+        return cls.from_powers(Counter(indices))
 
     @property
     def total_degree(self) -> int:

@@ -225,26 +225,6 @@ def corner_sum(a: Asm) -> CornerSum:
     return CornerSum(_corner_rows(a.entries))
 
 
-def corner_sum_from_rows(rows: Sequence[Sequence[int]]) -> CornerSum:
-    """Validate the Robbins-Rumsey characterization (R1, R2) and wrap."""
-    rs = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(rs)
-    if any(len(row) != n for row in rs):
-        raise ValueError("corner sum matrix must be square")
-
-    def r(i: int, j: int) -> int:
-        return rs[i - 1][j - 1] if i >= 1 and j >= 1 else 0
-
-    for i in range(1, n + 1):
-        if r(i, n) != i or r(n, i) != i:
-            raise ValueError(f"R1 fails at index {i}: boundary corner sums must equal the index")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if r(i, j) - r(i - 1, j) not in (0, 1) or r(i, j) - r(i, j - 1) not in (0, 1):
-                raise ValueError(f"R2 fails at ({i},{j}): consecutive difference outside {{0,1}}")
-    return CornerSum(rs)
-
-
 def asm_from_corner_sum(r: CornerSum) -> Asm:
     """Inverse of :func:`corner_sum` via inclusion-exclusion of r.
 
@@ -344,6 +324,13 @@ def essential_set(a: Asm) -> frozenset[Cell]:
     return frozenset((i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d)
 
 
+def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
+    """Fulton's rank conditions of A: (i, j, r_A(i, j)) for each (i, j) in
+    Ess(A), in increasing order of (i, j).  They determine A."""
+    rows = _corner_rows(a.entries)
+    return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(essential_set(a))]
+
+
 def monotone_triangle(a: Asm) -> MonotoneTriangle:
     n = a.n
     rows = []
@@ -418,19 +405,6 @@ def enumerate_asms(n: int) -> Iterator[Asm]:
     """Every element of ASM(n) exactly once, via monotone triangles."""
     for mt in enumerate_monotone_triangles(n):
         yield asm_from_monotone_triangle(mt)
-
-
-def asm_count_formula(n: int) -> int:
-    """prod_{j=0}^{n-1} (3j+1)! / (n+j)!"""
-    from math import factorial
-
-    num = 1
-    den = 1
-    for j in range(n):
-        num *= factorial(3 * j + 1)
-        den *= factorial(n + j)
-    assert num % den == 0
-    return num // den
 
 
 def canonical_completion(p: PartialAsm) -> Asm:
@@ -521,10 +495,6 @@ def asm_from_rank_conditions(r: Sequence[Sequence[int | None]]) -> PartialAsm:
 def render_asm(entries_owner: Asm | PartialAsm) -> str:
     """Text format: n lines of n space-separated integers."""
     return "\n".join(" ".join(str(x) for x in row) for row in entries_owner.entries)
-
-
-def render_corner_sum(r: CornerSum) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in r.rows)
 
 
 def parse_matrix_text(text: str) -> list[list[int]]:

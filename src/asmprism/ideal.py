@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
-from .asm import Asm, Cell, corner_sum, essential_set
+from .asm import Asm, Cell, rank_conditions
 
 
 @dataclass(frozen=True)
@@ -68,34 +68,15 @@ class SRComplexFacets:
     n: int
     facets: frozenset[frozenset[Cell]]
 
-    def max_dimension_facets(self) -> frozenset[frozenset[Cell]]:
-        top = max((len(f) for f in self.facets), default=0)
-        return frozenset(f for f in self.facets if len(f) == top)
-
-
-def _generators_at(a: Asm, cells: Iterable[Cell]) -> frozenset[MinorSpec]:
-    r = corner_sum(a)
-    out = set()
-    for (i, j) in cells:
-        k = r.value(i, j) + 1
-        if k > min(i, j):
-            continue
-        for rows in itertools.combinations(range(1, i + 1), k):
-            for cols in itertools.combinations(range(1, j + 1), k):
-                out.add(MinorSpec(rows, cols, (i, j)))
-    return frozenset(out)
-
 
 def essential_generators(a: Asm) -> frozenset[MinorSpec]:
     """All (r_A(i,j)+1)-minors of Z_{[i],[j]} over the essential cells."""
-    return _generators_at(a, sorted(essential_set(a)))
-
-
-def defining_generators(a: Asm) -> frozenset[MinorSpec]:
-    """The full generating set, one family per grid cell.  Cells whose rank
-    bound is vacuous (r = min(i,j)) contribute nothing."""
-    n = a.n
-    return _generators_at(a, ((i, j) for i in range(1, n + 1) for j in range(1, n + 1)))
+    return frozenset(
+        MinorSpec(rows, cols, (i, j))
+        for i, j, r in rank_conditions(a)
+        for rows in itertools.combinations(range(1, i + 1), r + 1)
+        for cols in itertools.combinations(range(1, j + 1), r + 1)
+    )
 
 
 def antidiagonal_init(m: MinorSpec) -> SquareFreeMonomial:
@@ -166,14 +147,11 @@ def stanley_reisner_facets(gens: Iterable[SquareFreeMonomial], n: int) -> SRComp
 
 def multidegree(a: Asm) -> Polynomial:
     """Multidegree of the ASM variety under the row grading d(z_ij) = x_i:
-    the sum over maximal-dimension Stanley-Reisner facets of the product
-    of x_i over the complement cells."""
-    facets = stanley_reisner_facets(initial_ideal(a), a.n)
-    grid = frozenset((i, j) for i in range(1, a.n + 1) for j in range(1, a.n + 1))
-    monomials = []
-    for f in facets.max_dimension_facets():
-        counts: dict[int, int] = {}
-        for (i, _) in grid - f:
-            counts[i] = counts.get(i, 0) + 1
-        monomials.append(Monomial.from_powers(counts))
-    return poly_from_monomials(monomials)
+    the sum, over the minimum-size minimal hitting sets of the initial
+    ideal's supports, of the product of x_i over their cells.  Those sets
+    are the complements of the maximal-dimension Stanley-Reisner facets."""
+    transversals = minimal_hitting_sets(g.support for g in initial_ideal(a))
+    low = min(map(len, transversals))
+    return poly_from_monomials(
+        Monomial.counting(i for i, _ in h) for h in transversals if len(h) == low
+    )

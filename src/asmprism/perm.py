@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
-from .asm import Asm, asm_leq, bigrassmannian_one_line, corner_sum, essential_set, join_all
+from .asm import Asm, bigrassmannian_one_line, join_all, rank_conditions
 
 Word = tuple[int, ...]
 
@@ -126,12 +126,6 @@ def reduced_words(w: Perm) -> Iterator[Word]:
             yield rw + (i,)
 
 
-def bruhat_leq(v: Perm, w: Perm) -> bool:
-    """v <= w in Bruhat order, via corner sums of the permutation matrices."""
-    n = max(v.size, w.size, 1)
-    return asm_leq(v.matrix(n), w.matrix(n))
-
-
 def grassmannian_encode(lam: Sequence[int], d: int, n: int) -> Perm:
     """The Grassmannian permutation [lam, d]_g in S_n: unique descent at d,
     shape lam.  The empty shape encodes the identity."""
@@ -178,15 +172,6 @@ def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:
     return Perm(bigrassmannian_one_line(i, j, r, n))
 
 
-def all_bigrassmannians(n: int) -> Iterator[Perm]:
-    """Every non-identity biGrassmannian in S_n, once each."""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for r in range(0, min(i, j)):
-                if i + j - r <= n:
-                    yield bigrassmannian_encode(i, j, r, n)
-
-
 def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int], n: int | None = None) -> Asm:
     """A_{lambda, d}: the join of the Grassmannian permutation matrices
     [lam^(i), d_i]_g in ASM(n).  When n is omitted the smallest ambient
@@ -206,10 +191,7 @@ def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int], n: in
 def bigr_of(a: Asm) -> frozenset[Perm]:
     """biGr(A) = {[i, j, r_A(i,j)]_b : (i, j) essential}; the unique
     antichain of biGrassmannians whose join is A."""
-    r = corner_sum(a)
-    return frozenset(
-        bigrassmannian_encode(i, j, r.value(i, j), a.n) for (i, j) in essential_set(a)
-    )
+    return frozenset(bigrassmannian_encode(i, j, r, a.n) for i, j, r in rank_conditions(a))
 
 
 def _perms_above(a: Asm) -> set[tuple[int, ...]]:
@@ -219,10 +201,9 @@ def _perms_above(a: Asm) -> set[tuple[int, ...]]:
     r_w(i, j) <= r_A(i, j) at every (i, j) in Ess(A).  The prefix w(1..i)
     fixes r_w(i, j), so a prefix is dropped as soon as one test fails."""
     n = a.n
-    r = corner_sum(a)
     tests: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for (i, j) in essential_set(a):
-        tests[i].append((j, r.value(i, j)))
+    for i, j, r in rank_conditions(a):
+        tests[i].append((j, r))
     out: set[tuple[int, ...]] = set()
 
     def extend(prefix: tuple[int, ...]) -> None:

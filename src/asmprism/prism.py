@@ -17,12 +17,11 @@ cell per (label, antidiagonal) pair.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
-from .asm import Asm, Cell, corner_sum, essential_set, lambda_row
+from .asm import Asm, Cell, essential_set, lambda_row, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -76,15 +75,6 @@ class PrismShapeSpec:
     def ambient_size(self) -> int:
         """Smallest n with every shape inside d_i x (n - d_i)."""
         return max([d + lam[0] for lam, d in zip(self.lambdas, self.ds) if lam], default=1)
-
-    def component_cells(self, c: int) -> list[Cell]:
-        """Grid cells of component c (0-based), row-major."""
-        lam, d = self.lambdas[c], self.ds[c]
-        return [
-            (d - q + 1, b)
-            for q in range(len(lam), 0, -1)
-            for b in range(1, lam[q - 1] + 1)
-        ]
 
 
 @dataclass(frozen=True)
@@ -202,7 +192,7 @@ def phi_cells(t: PrismTableau) -> frozenset[Cell]:
 def prism_weight(t: PrismTableau) -> Monomial:
     """The row-count weight of phi(t): x_v counts the antidiagonals that
     carry the label v."""
-    return Monomial.from_powers(Counter(v for v, _ in phi_cells(t)))
+    return Monomial.counting(v for v, _ in phi_cells(t))
 
 
 def _replacement_valid(t: Rssyt, q: int, b: int, new: int) -> bool:
@@ -331,15 +321,11 @@ def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:
 
 def bigrassmannian_model(a: Asm) -> PrismShapeSpec:
     """One rectangle (i - r) x (j - r) with depth i per essential cell."""
-    r = corner_sum(a)
-    ess = sorted(essential_set(a))
-    lams = []
-    ds = []
-    for (i, j) in ess:
-        rij = r.value(i, j)
-        lams.append(rectangle(i - rij, j - rij))
-        ds.append(i)
-    return PrismShapeSpec(tuple(lams), tuple(ds))
+    conds = rank_conditions(a)
+    return PrismShapeSpec(
+        tuple(rectangle(i - r, j - r) for i, j, r in conds),
+        tuple(i for i, _, _ in conds),
+    )
 
 
 def parabolic_model(a: Asm) -> PrismShapeSpec:
@@ -366,11 +352,7 @@ def schur_polynomial_ssyt(lam: Sequence[int], d: int) -> Polynomial:
 
     def fill_row(q: int) -> None:
         if q == len(lam):
-            counts: dict[int, int] = {}
-            for row in rows:
-                for v in row:
-                    counts[v] = counts.get(v, 0) + 1
-            monomials.append(Monomial.from_powers(counts))
+            monomials.append(Monomial.counting(v for row in rows for v in row))
             return
         width = lam[q]
 

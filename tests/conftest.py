@@ -138,11 +138,48 @@ def brute_force_pipe_dreams(w, n: int) -> frozenset[frozenset[tuple[int, int]]]:
     return frozenset(out)
 
 
+def asm_count_formula(n: int) -> int:
+    """|ASM(n)| by the product formula prod_{j=0}^{n-1} (3j+1)! / (n+j)!."""
+    from math import factorial
+
+    num = 1
+    den = 1
+    for j in range(n):
+        num *= factorial(3 * j + 1)
+        den *= factorial(n + j)
+    assert num % den == 0
+    return num // den
+
+
+def render_corner_sum(r) -> str:
+    """A corner sum matrix in the ASM text format."""
+    return "\n".join(" ".join(str(x) for x in row) for row in r.rows)
+
+
+def bruhat_leq(v, w) -> bool:
+    """v <= w in Bruhat order, via corner sums of the permutation matrices."""
+    from asmprism.asm import asm_leq
+
+    n = max(v.size, w.size, 1)
+    return asm_leq(v.matrix(n), w.matrix(n))
+
+
+def all_bigrassmannians(n: int):
+    """Every non-identity biGrassmannian in S_n, once each."""
+    from asmprism.perm import bigrassmannian_encode
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for r in range(0, min(i, j)):
+                if i + j - r <= n:
+                    yield bigrassmannian_encode(i, j, r, n)
+
+
 def brute_force_perm_set(a: Asm):
     """Perm(A) by scanning S_n: every w with A <= w, minus those lying
     above another such w."""
     from asmprism.asm import asm_leq
-    from asmprism.perm import all_perms, bruhat_leq
+    from asmprism.perm import all_perms
 
     above = [w for w in all_perms(a.n) if asm_leq(a, w.matrix(a.n))]
     return frozenset(
@@ -161,6 +198,16 @@ def brute_force_prism_weight(t):
         for v, _, _, _ in items:
             diag_of.setdefault(v, set()).add(ad)
     return Monomial.from_powers({v: len(ads) for v, ads in diag_of.items()})
+
+
+def component_cells(spec, c: int) -> list[tuple[int, int]]:
+    """Grid cells of component c (0-based) of a prism shape, row-major."""
+    lam, d = spec.lambdas[c], spec.ds[c]
+    return [
+        (d - q + 1, b)
+        for q in range(len(lam), 0, -1)
+        for b in range(1, lam[q - 1] + 1)
+    ]
 
 
 def all_prism_tableaux(spec):
@@ -198,6 +245,34 @@ def brute_force_fibers(spec):
     for t in all_prism_tableaux(spec):
         fibers.setdefault(brute_force_phi_image(t), []).append(t)
     return fibers
+
+
+def brute_force_fiber_max(fib):
+    """The entrywise maximum of a fiber of prism tableaux, rebuilt as a
+    prism tableau, if it lies in the fiber; else None."""
+    from asmprism.prism import PrismTableau, Rssyt
+
+    best = fib[0]
+    spec = best.spec
+    rows_max = [
+        [list(row) for row in comp.rows] for comp in best.components
+    ]
+    for t in fib[1:]:
+        for c, comp in enumerate(t.components):
+            for qi, row in enumerate(comp.rows):
+                for bi, v in enumerate(row):
+                    rows_max[c][qi][bi] = max(rows_max[c][qi][bi], v)
+    try:
+        candidate = PrismTableau(
+            spec,
+            tuple(
+                Rssyt(spec.lambdas[c], spec.ds[c], tuple(tuple(r) for r in rows_max[c]))
+                for c in range(spec.k)
+            ),
+        )
+    except ValueError:
+        return None
+    return candidate if candidate in fib else None
 
 
 def relaxed_unstable_triple(t) -> bool:
@@ -252,6 +327,45 @@ def essential_by_corner_sums(a: Asm) -> frozenset[tuple[int, int]]:
             if r.value(i, j) + 1 == r.value(i + 1, j) == r.value(i, j + 1):
                 out.add((i, j))
     return frozenset(out)
+
+
+def defining_generators(a: Asm):
+    """The full generating set of I_A: the (r_A(i,j)+1)-minors of
+    Z_{[i],[j]} at every grid cell, not only the essential ones.  Cells
+    whose rank bound is vacuous (r = min(i,j)) contribute nothing."""
+    from asmprism.asm import corner_sum
+    from asmprism.ideal import MinorSpec
+
+    r = corner_sum(a)
+    out = set()
+    for i in range(1, a.n + 1):
+        for j in range(1, a.n + 1):
+            k = r.value(i, j) + 1
+            for rows in itertools.combinations(range(1, i + 1), k):
+                for cols in itertools.combinations(range(1, j + 1), k):
+                    out.add(MinorSpec(rows, cols, (i, j)))
+    return frozenset(out)
+
+
+def multidegree_from_sr_facets(a: Asm):
+    """The multidegree through the Stanley-Reisner complex: its facets,
+    then the maximal-dimension ones, then the row counts of their
+    complements in the grid."""
+    from asmprism.algebra import Monomial, poly_from_monomials
+    from asmprism.ideal import initial_ideal, stanley_reisner_facets
+
+    facets = stanley_reisner_facets(initial_ideal(a), a.n).facets
+    top = max(len(f) for f in facets)
+    grid = frozenset((i, j) for i in range(1, a.n + 1) for j in range(1, a.n + 1))
+    monomials = []
+    for f in facets:
+        if len(f) != top:
+            continue
+        counts: dict[int, int] = {}
+        for (i, _) in grid - f:
+            counts[i] = counts.get(i, 0) + 1
+        monomials.append(Monomial.from_powers(counts))
+    return poly_from_monomials(monomials)
 
 
 def matrix_rank(rows: list[list[int]]) -> int:

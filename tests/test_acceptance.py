@@ -24,7 +24,6 @@ from asmprism.perm import (
     all_perms,
     bigr_of,
     bigrassmannian_encode,
-    bruhat_leq,
     deg,
 )
 from asmprism.pipedream import (
@@ -45,7 +44,7 @@ from asmprism.prism import (
 )
 from asmprism.ideal import initial_ideal, multidegree, stanley_reisner_facets
 
-from conftest import all_prism_tableaux, essential_by_corner_sums
+from conftest import all_prism_tableaux, bruhat_leq, essential_by_corner_sums
 
 
 ASMDIAG = validate_asm([[0, 0, 0, 1], [0, 1, 0, 0], [1, -1, 1, 0], [0, 1, 0, 0]])

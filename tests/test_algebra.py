@@ -23,6 +23,12 @@ def test_monomial_rejects_negative_exponents():
         Monomial((1, -1))
 
 
+def test_monomial_counting_counts_each_index():
+    assert Monomial.counting([3, 1, 3, 1, 2, 1]) == X1X1X2X3 * Monomial.variable(3)
+    assert Monomial.counting([2, 2]) == Monomial((0, 2))
+    assert Monomial.counting([]) == Monomial.one()
+
+
 def test_monomial_product_and_accessors():
     m = Monomial.variable(1, 3) * Monomial.variable(2) * Monomial.variable(3)
     assert m == X1X1X2X3

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from conftest import (
+    asm_count_formula,
     brute_force_asms,
     brute_force_join,
     brute_force_leq,
     brute_force_meet,
     essential_by_corner_sums,
     matrix_rank,
+    render_corner_sum,
 )
 
 from asmprism.asm import (
@@ -18,7 +20,6 @@ from asmprism.asm import (
     CornerSum,
     MatrixParseError,
     MonotoneTriangle,
-    asm_count_formula,
     asm_from_corner_sum,
     asm_from_monotone_triangle,
     asm_from_rank_conditions,
@@ -27,7 +28,6 @@ from asmprism.asm import (
     asm_meet,
     canonical_completion,
     corner_sum,
-    corner_sum_from_rows,
     embed,
     enumerate_asms,
     essential_set,
@@ -39,6 +39,7 @@ from asmprism.asm import (
     parse_matrix_text,
     partial_bigrassmannian,
     partial_corner_rows,
+    rank_conditions,
     render_asm,
     validate_asm,
     validate_partial_asm,
@@ -93,14 +94,6 @@ class TestCornerSum:
     def test_round_trip_all_asm4(self):
         for a in enumerate_asms(4):
             assert asm_from_corner_sum(corner_sum(a)) == a
-
-    def test_r1_violation_rejected(self):
-        with pytest.raises(ValueError, match="R1"):
-            corner_sum_from_rows([[0, 0], [0, 2]])
-
-    def test_r2_violation_rejected(self):
-        with pytest.raises(ValueError, match="R2"):
-            corner_sum_from_rows([[2, 1], [1, 2]])
 
     @pytest.mark.parametrize(
         "rows, match",
@@ -271,6 +264,25 @@ class TestDiagram:
     def test_essential_double_characterization_asm4(self):
         for a in enumerate_asms(4):
             assert essential_set(a) == essential_by_corner_sums(a)
+
+
+class TestEssentialRankConditions:
+    """rank_conditions against the rank characterization of Ess(A) and
+    the corner sum there."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_asm(self, n):
+        for a in enumerate_asms(n):
+            r = corner_sum(a)
+            expected = sorted((i, j, r.value(i, j)) for (i, j) in essential_by_corner_sums(a))
+            assert rank_conditions(a) == expected
+
+    def test_identity_has_none(self):
+        assert rank_conditions(identity_asm(6)) == []
+        assert rank_conditions(identity_asm(1)) == []
+
+    def test_asmdiag(self, asmdiag):
+        assert rank_conditions(asmdiag) == [(1, 3, 0), (2, 1, 0), (3, 2, 1)]
 
 
 class TestMonotoneTriangle:
@@ -472,8 +484,6 @@ class TestTextFormat:
         assert validate_asm(parse_matrix_text(text)) == asmdiag
 
     def test_render_corner_sum(self, asmdiag):
-        from asmprism.asm import render_corner_sum
-
         assert render_corner_sum(corner_sum(asmdiag)).splitlines()[0] == "0 0 0 1"
 
     def test_parse_reports_position(self):

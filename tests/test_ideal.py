@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
+from conftest import defining_generators, multidegree_from_sr_facets
+
 from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import enumerate_asms, identity_asm
 from asmprism.ideal import (
     MinorSpec,
-    SRComplexFacets,
     SquareFreeMonomial,
     antidiagonal_init,
-    defining_generators,
     essential_generators,
     initial_ideal,
     minimal_hitting_sets,
@@ -134,9 +134,6 @@ class TestStanleyReisner:
         sr = stanley_reisner_facets([sq((1, 1))], 2)
         assert sr.facets == {frozenset({(1, 2), (2, 1), (2, 2)})}
 
-    def test_max_dimension_facets_of_empty_complex(self):
-        assert SRComplexFacets(2, frozenset()).max_dimension_facets() == frozenset()
-
     def test_facets_match_subword_complement_noneqi(self, noneqi):
         sr = stanley_reisner_facets(initial_ideal(noneqi), 4)
         assert sr.facets == frozenset(f.complement_cells() for f in delta_facets(noneqi))
@@ -167,6 +164,15 @@ class TestMultidegree:
 
     def test_asmdiag(self, asmdiag):
         assert multidegree(asmdiag).render() == "x1^3*x2^2 + x1^3*x2*x3"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_sr_facet_oracle(self, n):
+        for a in enumerate_asms(n):
+            assert multidegree(a) == multidegree_from_sr_facets(a)
+
+    def test_matches_sr_facet_oracle_asm6_sample(self):
+        for a in [identity_asm(6)] + list(enumerate_asms(6))[::500]:
+            assert multidegree(a) == multidegree_from_sr_facets(a)
 
     def test_matches_prism_polynomials_asm3(self):
         for a in enumerate_asms(3):

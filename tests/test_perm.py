@@ -2,17 +2,15 @@ import itertools
 
 import pytest
 
-from conftest import brute_force_perm_set, contains_reduced_word
+from conftest import all_bigrassmannians, brute_force_perm_set, bruhat_leq, contains_reduced_word
 
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, join_all, validate_asm
 from asmprism.perm import (
     Perm,
-    all_bigrassmannians,
     all_perms,
     asm_from_shape_tuple,
     bigr_of,
     bigrassmannian_encode,
-    bruhat_leq,
     deg,
     demazure_product,
     grassmannian_decode,

@@ -5,15 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_prism_tableaux,
+    brute_force_fiber_max,
     brute_force_fibers,
     brute_force_pipe_dreams,
     brute_force_prism_weight,
+    bruhat_leq,
     contains_reduced_word,
 )
 
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, enumerate_asms, identity_asm
-from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, bruhat_leq, perm_set, word_product
+from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set, word_product
 from asmprism.pipedream import (
     PlusDiagram,
     bottom_pipe_dream,
@@ -22,6 +24,7 @@ from asmprism.pipedream import (
     diagram_demazure,
     diagram_word,
     divided_difference,
+    dominates_fiber,
     min_perm_schubert_sum,
     phi,
     pipe_dreams_of,
@@ -332,6 +335,24 @@ class TestFiberSearch:
     def test_edge_cases(self, spec, count):
         a = asm_from_shape_tuple(spec.lambdas, spec.ds)
         assert set(assert_fibers_match_oracle(spec, a).values()) == {count}
+
+
+class TestFiberDominance:
+    """The dominance check of verify_bijection against the entrywise
+    maximum of the fiber, rebuilt as a prism tableau."""
+
+    def test_dominates_exactly_the_fiber_max(self):
+        non_max = 0
+        for n in (1, 2, 3, 4):
+            for a in enumerate_asms(n):
+                facets = {f.cells for f in delta_facets(a)}
+                for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                    for fib in phi_fibers(spec, facets)[1].values():
+                        maxi = brute_force_fiber_max(fib)
+                        for s in fib:
+                            assert dominates_fiber(s, fib) == (s == maxi)
+                            non_max += s != maxi
+        assert non_max > 0
 
 
 @st.composite

@@ -6,6 +6,7 @@ from conftest import (
     all_prism_tableaux,
     brute_force_prism_set,
     brute_force_prism_weight,
+    component_cells,
     relaxed_unstable_triple,
 )
 
@@ -111,7 +112,7 @@ class TestRssyt:
     def test_fillings_occupy_the_spec_shape(self):
         spec = PrismShapeSpec(((3, 1), (2, 2)), (2, 3))
         for c in range(spec.k):
-            shape_cells = set(spec.component_cells(c))
+            shape_cells = set(component_cells(spec, c))
             for t in enumerate_rssyt(spec.lambdas[c], spec.ds[c]):
                 assert {(a, b) for a, b, _ in t.cells()} == shape_cells
 
