@@ -100,16 +100,11 @@ class Asm:
 
     def canonical(self) -> Asm:
         """Strip trailing [A|0; 0|1] blocks; representative of the iota class."""
-        rows = [list(r) for r in self.entries]
+        rows = self.entries
         n = len(rows)
-        while n > 1:
-            last_row_ok = rows[n - 1][n - 1] == 1 and all(rows[n - 1][j] == 0 for j in range(n - 1))
-            last_col_ok = all(rows[i][n - 1] == 0 for i in range(n - 1))
-            if not (last_row_ok and last_col_ok):
-                break
-            rows = [r[: n - 1] for r in rows[: n - 1]]
+        while n > 1 and rows[n - 1][:n] == (0,) * (n - 1) + (1,) and not any(r[n - 1] for r in rows[: n - 1]):
             n -= 1
-        return Asm(tuple(tuple(r) for r in rows))
+        return self if n == len(rows) else Asm(tuple(r[:n] for r in rows[:n]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Asm):
@@ -170,6 +165,14 @@ class MonotoneTriangle:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    def partition(self, ell: int) -> tuple[int, ...]:
+        """The partition recorded by row ell:
+        (m(ell, ell) - ell, m(ell, ell-1) - (ell-1), ..., m(ell, 1) - 1)."""
+        if not 1 <= ell <= self.n:
+            raise ValueError(f"row index {ell} out of range for n={self.n}")
+        row = self.rows[ell - 1]
+        return tuple(p for p in (row[k - 1] - k for k in range(ell, 0, -1)) if p > 0)
 
 
 def validate_asm(m: Sequence[Sequence[int]]) -> Asm:
@@ -356,13 +359,8 @@ def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
 
 
 def lambda_row(a: Asm, ell: int) -> tuple[int, ...]:
-    """The partition recorded by row ell of the monotone triangle:
-    (m(ell, ell) - ell, m(ell, ell-1) - (ell-1), ..., m(ell, 1) - 1)."""
-    if not 1 <= ell <= a.n:
-        raise ValueError(f"row index {ell} out of range for n={a.n}")
-    row = monotone_triangle(a).rows[ell - 1]
-    parts = tuple(row[k - 1] - k for k in range(ell, 0, -1))
-    return tuple(p for p in parts if p > 0)
+    """The partition recorded by row ell of the monotone triangle of A."""
+    return monotone_triangle(a).partition(ell)
 
 
 def enumerate_monotone_triangles(n: int) -> Iterator[MonotoneTriangle]:

@@ -84,6 +84,7 @@ def _check_theorem1(a: Asm) -> bool:
     return (
         prism_mod.asm_polynomial(prism_mod.bigrassmannian_model(a)) == target
         and prism_mod.asm_polynomial(prism_mod.parabolic_model(a)) == target
+        and ideal_mod.multidegree(a) == target
     )
 
 

@@ -12,7 +12,7 @@ minimal hitting sets of the generator supports.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
@@ -102,33 +102,25 @@ def initial_ideal(a: Asm) -> frozenset[SquareFreeMonomial]:
 
 
 def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[frozenset[Cell]]:
-    """All inclusion-minimal sets meeting every support, by branching on
-    the first unhit support.  Leaves are kept only when every chosen
-    vertex has a private support (the minimality certificate)."""
+    """All inclusion-minimal sets meeting every support, by exclusion
+    branching on the first unhit support: branch k takes its k-th allowed
+    vertex and bans the earlier ones, so each minimal set is reached once.
+    A leaf is kept when every chosen vertex has a private support."""
     edges = sorted({frozenset(s) for s in supports}, key=lambda e: (len(e), sorted(e)))
     if any(not e for e in edges):
         raise ValueError("empty support cannot be hit")
-    # a support containing another is hit whenever the smaller one is
-    edges = [e for e in edges if not any(f < e for f in edges)]
-    found: set[frozenset[Cell]] = set()
 
-    def minimal(chosen: frozenset[Cell]) -> bool:
-        for v in chosen:
-            if not any(e & chosen == {v} for e in edges):
-                return False
-        return True
-
-    def branch(chosen: frozenset[Cell]) -> None:
+    def branch(chosen: frozenset[Cell], banned: frozenset[Cell]) -> Iterator[frozenset[Cell]]:
         for e in edges:
             if not (e & chosen):
-                for v in sorted(e):
-                    branch(chosen | {v})
+                for v in sorted(e - banned):
+                    yield from branch(chosen | {v}, banned)
+                    banned = banned | {v}
                 return
-        if minimal(chosen):
-            found.add(chosen)
+        if all(any(e & chosen == {v} for e in edges) for v in chosen):
+            yield chosen
 
-    branch(frozenset())
-    return frozenset(found)
+    return frozenset(branch(frozenset(), frozenset()))
 
 
 def stanley_reisner_facets(gens: Iterable[SquareFreeMonomial], n: int) -> SRComplexFacets:
@@ -139,8 +131,6 @@ def stanley_reisner_facets(gens: Iterable[SquareFreeMonomial], n: int) -> SRComp
     for g in gens:
         if not g.support <= grid:
             raise ValueError(f"generator {g.render()} leaves the {n}x{n} grid")
-    if not gens:
-        return SRComplexFacets(n, frozenset({grid}))
     transversals = minimal_hitting_sets(g.support for g in gens)
     return SRComplexFacets(n, frozenset(grid - h for h in transversals))
 

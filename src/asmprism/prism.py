@@ -21,7 +21,7 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
-from .asm import Asm, Cell, essential_set, lambda_row, rank_conditions
+from .asm import Asm, Cell, essential_set, monotone_triangle, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -331,10 +331,8 @@ def bigrassmannian_model(a: Asm) -> PrismShapeSpec:
 def parabolic_model(a: Asm) -> PrismShapeSpec:
     """One monotone-triangle shape per essential row."""
     ess_rows = sorted({i for (i, _) in essential_set(a)})
-    return PrismShapeSpec(
-        tuple(lambda_row(a, i) for i in ess_rows),
-        tuple(ess_rows),
-    )
+    mt = monotone_triangle(a)
+    return PrismShapeSpec(tuple(mt.partition(i) for i in ess_rows), tuple(ess_rows))
 
 
 def schur_polynomial_ssyt(lam: Sequence[int], d: int) -> Polynomial:

@@ -347,16 +347,49 @@ def defining_generators(a: Asm):
     return frozenset(out)
 
 
-def multidegree_from_sr_facets(a: Asm):
-    """The multidegree through the Stanley-Reisner complex: its facets,
-    then the maximal-dimension ones, then the row counts of their
-    complements in the grid."""
-    from asmprism.algebra import Monomial, poly_from_monomials
-    from asmprism.ideal import initial_ideal, stanley_reisner_facets
+def brute_force_minimal_hitting_sets(supports) -> frozenset[frozenset[tuple[int, int]]]:
+    """All inclusion-minimal sets meeting every support, by branching on
+    every vertex of the first unhit support.  A set can be reached along
+    several orders of its vertices, so the leaves are deduplicated; a leaf is kept
+    when every chosen vertex has a private support."""
+    edges = sorted({frozenset(s) for s in supports}, key=lambda e: (len(e), sorted(e)))
+    if any(not e for e in edges):
+        raise ValueError("empty support cannot be hit")
+    # a support containing another is hit whenever the smaller one is
+    edges = [e for e in edges if not any(f < e for f in edges)]
+    found: set[frozenset[tuple[int, int]]] = set()
 
-    facets = stanley_reisner_facets(initial_ideal(a), a.n).facets
-    top = max(len(f) for f in facets)
+    def minimal(chosen) -> bool:
+        for v in chosen:
+            if not any(e & chosen == {v} for e in edges):
+                return False
+        return True
+
+    def branch(chosen) -> None:
+        for e in edges:
+            if not (e & chosen):
+                for v in sorted(e):
+                    branch(chosen | {v})
+                return
+        if minimal(chosen):
+            found.add(chosen)
+
+    branch(frozenset())
+    return frozenset(found)
+
+
+def multidegree_from_sr_facets(a: Asm):
+    """The multidegree through the Stanley-Reisner complex: its facets
+    (grid complements of the brute-force minimal hitting sets of the
+    initial ideal's supports), then the maximal-dimension ones, then the
+    row counts of their complements in the grid."""
+    from asmprism.algebra import Monomial, poly_from_monomials
+    from asmprism.ideal import initial_ideal
+
     grid = frozenset((i, j) for i in range(1, a.n + 1) for j in range(1, a.n + 1))
+    transversals = brute_force_minimal_hitting_sets(g.support for g in initial_ideal(a))
+    facets = [grid - h for h in transversals]
+    top = max(len(f) for f in facets)
     monomials = []
     for f in facets:
         if len(f) != top:

@@ -7,6 +7,7 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from asmprism import cli
+from asmprism.algebra import Polynomial
 from asmprism.asm import render_asm, validate_asm
 
 
@@ -122,6 +123,12 @@ class TestVerify:
         assert run(["verify", "lattice", "--n", "5"]) == (
             0, "OK: 429 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
         )
+
+    def test_theorem1_checks_the_multidegree(self, monkeypatch):
+        monkeypatch.setattr("asmprism.ideal.multidegree", lambda a: Polynomial.zero())
+        code, out, _ = run(["verify", "theorem1", "--n", "3"])
+        assert code == 2
+        assert out.startswith("FAIL")
 
     def test_failure_exits_2(self, monkeypatch):
         monkeypatch.setitem(cli.VERIFIERS, "theorem1", lambda n, jobs: (False, "0/7 ASMs"))

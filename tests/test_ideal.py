@@ -2,7 +2,11 @@ import itertools
 
 import pytest
 
-from conftest import defining_generators, multidegree_from_sr_facets
+from conftest import (
+    brute_force_minimal_hitting_sets,
+    defining_generators,
+    multidegree_from_sr_facets,
+)
 
 from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import enumerate_asms, identity_asm
@@ -123,6 +127,35 @@ class TestHittingSets:
     def test_empty_edge_rejected(self):
         with pytest.raises(ValueError):
             minimal_hitting_sets([frozenset()])
+
+    def test_three_disjoint_pairs(self):
+        pairs = [[(k, 1), (k, 2)] for k in (1, 2, 3)]
+        hs = minimal_hitting_sets(pairs)
+        assert len(hs) == 8
+        assert hs == {frozenset(cells) for cells in itertools.product(*pairs)}
+
+    @pytest.mark.parametrize("supports", [
+        [],
+        [[(1, 1)], [(1, 1), (2, 2)]],
+        # repeated supports, given as lists in either order
+        [[(1, 1), (2, 2)], [(1, 1), (2, 2)], [(2, 2), (1, 1)]],
+        [[(1, 1), (1, 2)], [(1, 2), (2, 1)], [(2, 1), (1, 1)]],
+        [[(k, 1), (k, 2)] for k in (1, 2, 3)],
+        [[(1, 1), (1, 2), (1, 3)], [(1, 3), (2, 3), (3, 3)], [(1, 1), (2, 2), (3, 3)]],
+    ])
+    def test_hand_made_families_match_brute_force(self, supports):
+        assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_brute_force_asm(self, n):
+        for a in enumerate_asms(n):
+            supports = [g.support for g in initial_ideal(a)]
+            assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
+
+    def test_matches_brute_force_asm6_sample(self):
+        for a in [identity_asm(6)] + list(enumerate_asms(6))[::500]:
+            supports = [g.support for g in initial_ideal(a)]
+            assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
 
 
 class TestStanleyReisner:

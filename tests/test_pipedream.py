@@ -15,6 +15,7 @@ from conftest import (
 
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, enumerate_asms, identity_asm
+from asmprism.ideal import multidegree
 from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set, word_product
 from asmprism.pipedream import (
     PlusDiagram,
@@ -377,6 +378,7 @@ class TestWeightedSums:
         target = min_perm_schubert_sum(a)
         assert asm_polynomial(bigrassmannian_model(a)) == target
         assert asm_polynomial(parabolic_model(a)) == target
+        assert multidegree(a) == target
 
     def test_facet_sum_is_schubert_sum_asm4(self):
         # over all facets and over the maximal-dimension ones
