@@ -105,7 +105,8 @@ def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[froze
     """All inclusion-minimal sets meeting every support, by exclusion
     branching on the first unhit support: branch k takes its k-th allowed
     vertex and bans the earlier ones, so each minimal set is reached once.
-    A leaf is kept when every chosen vertex has a private support."""
+    A leaf is kept when every chosen vertex has a private support: one
+    pass over the supports collects the vertex of each support hit once."""
     edges = sorted({frozenset(s) for s in supports}, key=lambda e: (len(e), sorted(e)))
     if any(not e for e in edges):
         raise ValueError("empty support cannot be hit")
@@ -117,7 +118,12 @@ def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[froze
                     yield from branch(chosen | {v}, banned)
                     banned = banned | {v}
                 return
-        if all(any(e & chosen == {v} for e in edges) for v in chosen):
+        private: set[Cell] = set()
+        for e in edges:
+            hit = e & chosen
+            if len(hit) == 1:
+                private |= hit
+        if len(private) == len(chosen):
             yield chosen
 
     return frozenset(branch(frozenset(), frozenset()))

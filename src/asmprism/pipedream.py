@@ -18,14 +18,7 @@ from functools import lru_cache
 from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import Asm, Cell
 from .perm import Perm, asm_from_shape_tuple, demazure_product, min_perm_set, perm_set, shortest
-from .prism import (
-    PrismShapeSpec,
-    PrismTableau,
-    has_unstable_triple,
-    phi_cells,
-    phi_fibers,
-    prism_set,
-)
+from .prism import PrismShapeSpec, PrismTableau, _cells, _Fillings, _unstable, phi_cells
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,8 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     dreams = {w: pipe_dreams_of(w, a.n) for w in perm_set(a)}
     facet_cells = {p.cells for ps in dreams.values() for p in ps}
     fmax_cells = {p.cells for w in shortest(dreams.keys()) for p in dreams[w]}
-    all_prism, fibers = phi_fibers(spec, facet_cells)
+    fillings = _Fillings(spec)
+    fibers = fillings.fibers(facet_cells)
 
     checks: dict[str, bool] = {}
     failure: str | None = None
@@ -289,26 +283,26 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     stable_count = 0
     for cells in facet_cells:
         fib = fibers.get(cells, [])
-        stable = [t for t in fib if not has_unstable_triple(t)]
+        stable = [f for f in fib if not _unstable(f)]
         stable_count += len(stable)
         if len(stable) != 1:
             fiber_ok = False
             fail(f"facet {sorted(cells)} has {len(stable)} stable tableaux in its fiber")
             continue
-        if not dominates_fiber(stable[0], fib):
+        if not dominates_fiber(fillings.tableau(stable[0]), [fillings.tableau(f) for f in fib]):
             fiber_ok = False
             fail(f"stable tableau in fiber of {sorted(cells)} is not the fiber maximum")
     checks["unique_stable_per_fiber"] = fiber_ok
 
-    prism = prism_set(spec)
-    prism_images = {phi_cells(t) for t in prism}
+    prism = fillings.prism()
+    prism_images = {_cells(union, fillings.stride) for _, union in prism}
     dmatch = prism_images == fmax_cells and len(prism) == len(fmax_cells)
     if not dmatch:
         fail("prism set does not biject with the maximal-dimension facets")
     checks["prism_matches_fmax"] = dmatch
 
     counts = {
-        "all_prism": all_prism,
+        "all_prism": fillings.count(),
         "facets": len(facet_cells),
         "fmax": len(fmax_cells),
         "stable_facet": stable_count,

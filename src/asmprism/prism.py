@@ -11,13 +11,14 @@ tableau is prod x_v^{n_v} where n_v counts the antidiagonals containing
 the label v in any color; a label repeated across colors on one
 antidiagonal counts once.  It is computed as the row-count weight of the
 tableau's image under the overlay map phi (``phi_cells``), which has one
-cell per (label, antidiagonal) pair.
+cell per (label, antidiagonal) pair.  The searches carry those pairs as
+int bitmasks, built once per component filling (see ``_entry``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
@@ -106,6 +107,16 @@ class Rssyt:
                 if q and rows[q - 1][b] <= v:
                     raise ValueError("columns must strictly decrease bottom to top")
 
+    @classmethod
+    def _trusted(cls, shape: Partition, depth: int, rows: tuple[tuple[int, ...], ...]) -> Rssyt:
+        """A filling that enumerate_rssyt built valid, made without the
+        checks of __post_init__."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "depth", depth)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     def grid_row(self, q: int) -> int:
         """Grid row of 1-based filling row q (row 1 is the bottom row)."""
         return self.depth - q + 1
@@ -124,14 +135,14 @@ def enumerate_rssyt(lam: Sequence[int], d: int) -> Iterator[Rssyt]:
     if len(lam) > d:
         raise ValueError(f"shape {lam} needs depth >= {len(lam)}, got {d}")
     if not lam:
-        yield Rssyt((), d, ())
+        yield Rssyt._trusted((), d, ())
         return
 
     rows: list[list[int]] = []
 
     def fill_row(q: int) -> Iterator[Rssyt]:
         if q == len(lam):
-            yield Rssyt(lam, d, tuple(tuple(r) for r in rows))
+            yield Rssyt._trusted(lam, d, tuple(tuple(r) for r in rows))
             return
         width = lam[q]
 
@@ -168,155 +179,206 @@ class PrismTableau:
             if t.shape != self.spec.lambdas[c] or t.depth != self.spec.ds[c]:
                 raise ValueError(f"component {c + 1} does not match its declared shape and depth")
 
-    def labels_by_antidiagonal(self) -> dict[int, list[tuple[int, int, int, int]]]:
-        """Map antidiagonal index -> list of (value, color, grid row, grid col),
-        colors 1-based in spec order."""
-        out: dict[int, list[tuple[int, int, int, int]]] = {}
-        for c, t in enumerate(self.components, start=1):
-            for a, b, v in t.cells():
-                out.setdefault(a + b - 1, []).append((v, c, a, b))
-        return out
+
+Entry = tuple[Rssyt, int, tuple[tuple[int, int], ...]]
+Filling = tuple[tuple[Entry, ...], int]
 
 
-def _phi(components: Iterable[Rssyt]) -> frozenset[Cell]:
-    return frozenset((v, a + b - v) for comp in components for a, b, v in comp.cells())
+def _entry(f: Rssyt, stride: int) -> Entry:
+    """f with its phi cells and its replacement candidates, as bitmasks.
+
+    The label v on antidiagonal D is bit (v - 1) * stride + D - 1; the
+    stride is the spec's ambient size, larger than any antidiagonal of
+    its cells, so no two pairs share a bit.  A cell
+    with label v on D may take any label v' with v < v' <= hi and stay
+    reverse semistandard, where hi is the smallest of the depth, the entry
+    to its left and the entry below it less one; its candidate is the
+    bit of (v, D) with the mask of every such (v', D)."""
+    cells = 0
+    candidates = []
+    below: tuple[int, ...] = ()
+    for q, row in enumerate(f.rows):
+        a = f.depth - q
+        for b, v in enumerate(row):
+            bit = 1 << ((v - 1) * stride + a + b - 1)
+            cells |= bit
+            hi = row[b - 1] if b else f.depth
+            if q:
+                hi = min(hi, below[b] - 1)
+            higher = 0
+            for _ in range(hi - v):
+                higher = (higher | bit) << stride
+            if higher:
+                candidates.append((bit, higher))
+        below = row
+    return f, cells, tuple(candidates)
+
+
+def _unstable(filling: Filling) -> bool:
+    """Does the filling have an unstable triple?  A label sits at most once
+    on an antidiagonal of one component, so ``twice`` holds the (label,
+    antidiagonal) pairs in two colors.  The triple exists when one such
+    copy can take a larger label found on its antidiagonal."""
+    entries, union = filling
+    seen = twice = 0
+    for _, cells, _ in entries:
+        twice |= seen & cells
+        seen |= cells
+    return bool(twice) and any(
+        bit & twice and higher & union
+        for _, _, candidates in entries
+        for bit, higher in candidates
+    )
+
+
+def _cells(union: int, stride: int) -> frozenset[Cell]:
+    """The phi cells of a union: (v, D) is the plus (v, D - v + 1)."""
+    out = []
+    while union:
+        low = union & -union
+        v, d = divmod(low.bit_length() - 1, stride)
+        out.append((v + 1, d - v + 1))
+        union ^= low
+    return frozenset(out)
+
+
+def _weight(union: int, stride: int) -> Monomial:
+    """x_v to the number of antidiagonals that carry v: the popcount of
+    label v's stretch of the union."""
+    full = (1 << stride) - 1
+    labels = -(-union.bit_length() // stride)
+    return Monomial(tuple((union >> (v * stride) & full).bit_count() for v in range(labels)))
+
+
+def _filling(t: PrismTableau) -> Filling:
+    """t's components as entries, with the union of their phi cells."""
+    stride = t.spec.ambient_size
+    entries = tuple(_entry(comp, stride) for comp in t.components)
+    union = 0
+    for _, cells, _ in entries:
+        union |= cells
+    return entries, union
 
 
 def phi_cells(t: PrismTableau) -> frozenset[Cell]:
     """The cells of the overlay map phi: a label v in grid cell (a, b)
     places a plus at (v, a + b - v); the components are unioned.  Each
     cell is one (label, antidiagonal) pair of t."""
-    return _phi(t.components)
+    return _cells(_filling(t)[1], t.spec.ambient_size)
 
 
 def prism_weight(t: PrismTableau) -> Monomial:
     """The row-count weight of phi(t): x_v counts the antidiagonals that
     carry the label v."""
-    return Monomial.counting(v for v, _ in phi_cells(t))
-
-
-def _replacement_valid(t: Rssyt, q: int, b: int, new: int) -> bool:
-    """Would setting filling row q (1-based, bottom first), column b to
-    ``new`` leave a valid Rssyt?  Only the changed cell's neighbors in its
-    own color need checking."""
-    if new > t.depth:
-        return False
-    row = t.rows[q - 1]
-    if b > 1 and row[b - 2] < new:
-        return False
-    if b < len(row) and row[b] > new:
-        return False
-    if q > 1 and t.rows[q - 2][b - 1] <= new:
-        return False
-    if q < len(t.rows) and len(t.rows[q]) >= b and t.rows[q][b - 1] >= new:
-        return False
-    return True
+    return _weight(_filling(t)[1], t.spec.ambient_size)
 
 
 def has_unstable_triple(t: PrismTableau) -> bool:
     """Detect labels {l_c, l_d, l'_e} on one antidiagonal with l < l' such
     that l appears in two distinct colors c != d and replacing the color-c
     copy of l by l' stays a prism tableau."""
-    for items in t.labels_by_antidiagonal().values():
-        colors_of: dict[int, set[int]] = {}
-        for v, c, _, _ in items:
-            colors_of.setdefault(v, set()).add(c)
-        values = sorted(colors_of)
-        for v, c, a, b in items:
-            if len(colors_of[v]) < 2:
-                continue
-            comp = t.components[c - 1]
-            q = comp.depth - a + 1
-            for bigger in values:
-                if bigger <= v:
-                    continue
-                if _replacement_valid(comp, q, b, bigger):
-                    return True
-    return False
+    return _unstable(_filling(t))
 
 
-Pool = list[tuple[Rssyt, frozenset[Cell]]]
-Filling = tuple[tuple[Rssyt, ...], frozenset[Cell]]
+class _Fillings:
+    """The fillings of one spec: each component's fillings in
+    enumerate_rssyt order, built once as entries (see _entry), with the
+    walks over their product."""
 
+    def __init__(self, spec: PrismShapeSpec) -> None:
+        self.spec = spec
+        self.stride = spec.ambient_size
+        self.pools = [
+            [_entry(f, self.stride) for f in enumerate_rssyt(lam, d)]
+            for lam, d in zip(spec.lambdas, spec.ds)
+        ]
 
-def _pools(spec: PrismShapeSpec) -> list[Pool]:
-    """Each component's fillings in enumerate_rssyt order, each with its
-    phi cells."""
-    return [
-        [(f, _phi((f,))) for f in enumerate_rssyt(lam, d)]
-        for lam, d in zip(spec.lambdas, spec.ds)
-    ]
+    def count(self) -> int:
+        return math.prod(map(len, self.pools))
 
+    def tableau(self, filling: Filling) -> PrismTableau:
+        return PrismTableau(self.spec, tuple(f for f, _, _ in filling[0]))
 
-def _walk(pools: list[Pool], keep: Callable[[frozenset[Cell]], bool]) -> Iterator[Filling]:
-    """Depth-first over the product of the pools, in order: each complete
-    filling as its components and the union of their phi cells.  The union
-    only grows, and a branch goes on only while ``keep`` holds for it.  The
-    walk is lazy, so ``keep`` may read state the caller updates between
-    fillings."""
-    chosen: list[Rssyt] = []
+    def walk(self, keep: Callable[[int], bool]) -> Iterator[Filling]:
+        """Depth-first over the product of the pools, in order: each
+        complete filling as its entries and the union of their phi cells.
+        The union only grows, and a branch goes on only while ``keep``
+        holds for it.  The walk is lazy, so ``keep`` may read state the
+        caller updates between fillings."""
+        pools = self.pools
+        chosen: list[Entry] = []
 
-    def walk(c: int, union: frozenset[Cell]) -> Iterator[Filling]:
-        if c == len(pools):
-            yield tuple(chosen), union
-            return
-        for f, cells in pools[c]:
-            grown = union | cells
-            if keep(grown):
-                chosen.append(f)
-                yield from walk(c + 1, grown)
-                chosen.pop()
+        def walk(c: int, union: int) -> Iterator[Filling]:
+            if c == len(pools):
+                yield tuple(chosen), union
+                return
+            for entry in pools[c]:
+                grown = union | entry[1]
+                if keep(grown):
+                    chosen.append(entry)
+                    yield from walk(c + 1, grown)
+                    chosen.pop()
 
-    return walk(0, frozenset())
+        return walk(0, 0)
 
+    def minimal(self) -> tuple[int, list[Filling]]:
+        """The least degree of a filling, and the fillings of that degree
+        in enumeration order.
 
-def _minimal_fillings(spec: PrismShapeSpec) -> tuple[int, list[PrismTableau]]:
-    """The least degree of a filling of spec, and the fillings of that
-    degree in enumeration order.
+        A branch and bound: the degree of a filling is the number of its
+        phi cells, so a branch is dropped as soon as its union is larger
+        than the smallest complete filling seen so far.  Ties are kept, so
+        the survivors come out in enumeration order."""
+        best = math.inf
+        found: list[Filling] = []
+        for filling in self.walk(lambda union: union.bit_count() <= best):
+            size = filling[1].bit_count()
+            if size < best:
+                best, found = size, []
+            found.append(filling)
+        return best, found
 
-    A branch and bound: the degree of a filling is the number of its phi
-    cells, so a branch is dropped as soon as its union is larger than the
-    smallest complete filling seen so far.  Ties are kept, so the
-    survivors come out in enumeration order."""
-    best = math.inf
-    found: list[PrismTableau] = []
-    for components, union in _walk(_pools(spec), lambda union: len(union) <= best):
-        if len(union) < best:
-            best, found = len(union), []
-        found.append(PrismTableau(spec, components))
-    return best, found
+    def prism(self) -> list[Filling]:
+        """The minimal fillings with no unstable triple, in enumeration
+        order: prism_set as fillings."""
+        return [f for f in self.minimal()[1] if not _unstable(f)]
 
+    def fibers(self, images: Collection[frozenset[Cell]]) -> dict[frozenset[Cell], list[Filling]]:
+        """The fillings whose phi image is one of ``images``, grouped by
+        image, each fiber in enumeration order.
 
-def phi_fibers(
-    spec: PrismShapeSpec, images: Collection[frozenset[Cell]]
-) -> tuple[int, dict[frozenset[Cell], list[PrismTableau]]]:
-    """The number of fillings of spec, and the fillings whose phi image is
-    one of ``images``, grouped by image, each fiber in enumeration order.
-
-    A branch is dropped once its union lies inside no image, so only the
-    fibers are built, never the whole product of the component fillings."""
-    pools = _pools(spec)
-    fibers: dict[frozenset[Cell], list[PrismTableau]] = {}
-    for components, union in _walk(pools, lambda union: any(union <= cells for cells in images)):
-        if union in images:
-            fibers.setdefault(union, []).append(PrismTableau(spec, components))
-    return math.prod(map(len, pools)), fibers
+        A branch is dropped once its union lies inside no image, so only
+        the fibers are built.  An image with a plus off the stride's
+        antidiagonals is no union, so it is left out."""
+        targets: dict[int, frozenset[Cell]] = {}
+        for image in images:
+            if all(0 < v and 0 < v + col - 1 <= self.stride for v, col in image):
+                targets[sum(1 << ((v - 1) * self.stride + v + col - 2) for v, col in image)] = image
+        outside = [~mask for mask in targets]
+        fibers: dict[frozenset[Cell], list[Filling]] = {}
+        for filling in self.walk(lambda union: any(not union & out for out in outside)):
+            image = targets.get(filling[1])
+            if image is not None:
+                fibers.setdefault(image, []).append(filling)
+        return fibers
 
 
 def prism_min_degree(spec: PrismShapeSpec) -> int:
     """deg(lambda, d): minimum weight degree over all prism fillings."""
-    return _minimal_fillings(spec)[0]
+    return _Fillings(spec).minimal()[0]
 
 
 def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:
     """The minimal prism tableaux with no unstable triples, in enumeration
     order."""
-    return [t for t in _minimal_fillings(spec)[1] if not has_unstable_triple(t)]
+    fillings = _Fillings(spec)
+    return [fillings.tableau(f) for f in fillings.prism()]
 
 
 def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:
     """The weighted sum over prism_set(spec)."""
-    return poly_from_monomials(prism_weight(t) for t in prism_set(spec))
+    fillings = _Fillings(spec)
+    return poly_from_monomials(_weight(union, fillings.stride) for _, union in fillings.prism())
 
 
 def bigrassmannian_model(a: Asm) -> PrismShapeSpec:

@@ -188,13 +188,64 @@ def brute_force_perm_set(a: Asm):
     )
 
 
+def labels_by_antidiagonal(t) -> dict[int, list[tuple[int, int, int, int]]]:
+    """Map antidiagonal index -> list of (value, color, grid row, grid col)
+    of a prism tableau, colors 1-based in spec order."""
+    out: dict[int, list[tuple[int, int, int, int]]] = {}
+    for c, comp in enumerate(t.components, start=1):
+        for a, b, v in comp.cells():
+            out.setdefault(a + b - 1, []).append((v, c, a, b))
+    return out
+
+
+def _replacement_valid(t, q: int, b: int, new: int) -> bool:
+    """Would setting filling row q (1-based, bottom first), column b to
+    ``new`` leave a valid Rssyt?  Only the changed cell's neighbors in its
+    own color need checking."""
+    if new > t.depth:
+        return False
+    row = t.rows[q - 1]
+    if b > 1 and row[b - 2] < new:
+        return False
+    if b < len(row) and row[b] > new:
+        return False
+    if q > 1 and t.rows[q - 2][b - 1] <= new:
+        return False
+    if q < len(t.rows) and len(t.rows[q]) >= b and t.rows[q][b - 1] >= new:
+        return False
+    return True
+
+
+def brute_force_unstable_triple(t) -> bool:
+    """Unstable triples by their definition, one antidiagonal at a time:
+    labels {l_c, l_d, l'_e} with l < l' such that l appears in two
+    distinct colors c != d and replacing the color-c copy of l by l' stays
+    a prism tableau."""
+    for items in labels_by_antidiagonal(t).values():
+        colors_of: dict[int, set[int]] = {}
+        for v, c, _, _ in items:
+            colors_of.setdefault(v, set()).add(c)
+        values = sorted(colors_of)
+        for v, c, a, b in items:
+            if len(colors_of[v]) < 2:
+                continue
+            comp = t.components[c - 1]
+            q = comp.depth - a + 1
+            for bigger in values:
+                if bigger <= v:
+                    continue
+                if _replacement_valid(comp, q, b, bigger):
+                    return True
+    return False
+
+
 def brute_force_prism_weight(t):
     """The weight by its antidiagonal definition: x_v to the number of
     antidiagonals that carry the label v in some color."""
     from asmprism.algebra import Monomial
 
     diag_of: dict[int, set[int]] = {}
-    for ad, items in t.labels_by_antidiagonal().items():
+    for ad, items in labels_by_antidiagonal(t).items():
         for v, _, _, _ in items:
             diag_of.setdefault(v, set()).add(ad)
     return Monomial.from_powers({v: len(ads) for v, ads in diag_of.items()})
@@ -220,21 +271,32 @@ def all_prism_tableaux(spec):
         yield PrismTableau(spec, tuple(combo))
 
 
+def phi_fibers(spec, images):
+    """The fiber search inside verify_bijection, with its fillings as
+    prism tableaux: the number of fillings of spec, and the fibers over
+    ``images`` in enumeration order."""
+    from asmprism.prism import _Fillings
+
+    fillings = _Fillings(spec)
+    fibers = {
+        image: [fillings.tableau(f) for f in fib] for image, fib in fillings.fibers(images).items()
+    }
+    return fillings.count(), fibers
+
+
 def brute_force_prism_set(spec):
     """The minimal stable prism tableaux by building the whole product of
     component fillings, in enumeration order."""
-    from asmprism.prism import has_unstable_triple
-
     degrees = [(t, brute_force_prism_weight(t).total_degree) for t in all_prism_tableaux(spec)]
     lowest = min(d for _, d in degrees)
-    return [t for t, d in degrees if d == lowest and not has_unstable_triple(t)]
+    return [t for t, d in degrees if d == lowest and not brute_force_unstable_triple(t)]
 
 
 def brute_force_phi_image(t) -> frozenset[tuple[int, int]]:
     """phi(t) by its definition: a label v on antidiagonal k puts a plus at
     (v, k - v + 1)."""
     return frozenset(
-        (v, k - v + 1) for k, items in t.labels_by_antidiagonal().items() for v, _, _, _ in items
+        (v, k - v + 1) for k, items in labels_by_antidiagonal(t).items() for v, _, _, _ in items
     )
 
 
@@ -291,7 +353,7 @@ def relaxed_unstable_triple(t) -> bool:
             return False
         return True
 
-    for items in t.labels_by_antidiagonal().values():
+    for items in labels_by_antidiagonal(t).values():
         values = {v for v, _, _, _ in items}
         for v, c, a, b in items:
             comp = t.components[c - 1]

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import (
     all_prism_tableaux,
+    brute_force_phi_image,
     brute_force_prism_set,
     brute_force_prism_weight,
+    brute_force_unstable_triple,
     component_cells,
     relaxed_unstable_triple,
 )
@@ -16,6 +18,8 @@ from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
     Rssyt,
+    _Fillings,
+    _unstable,
     asm_polynomial,
     bigrassmannian_model,
     enumerate_rssyt,
@@ -23,9 +27,11 @@ from asmprism.prism import (
     parabolic_model,
     partition,
     partition_leq,
+    phi_cells,
     prism_min_degree,
     prism_set,
     prism_weight,
+    rectangle,
     schur_polynomial_ssyt,
     serialize_prism_tableau,
 )
@@ -116,6 +122,21 @@ class TestRssyt:
             for t in enumerate_rssyt(spec.lambdas[c], spec.ds[c]):
                 assert {(a, b) for a, b, _ in t.cells()} == shape_cells
 
+    def test_generated_fillings_pass_validation(self):
+        # enumerate_rssyt skips the checks of Rssyt(...); rebuilding each
+        # filling through them must give the same filling
+        shapes = {
+            (lam, d)
+            for n in range(1, 6)
+            for a in enumerate_asms(n)
+            for spec in (bigrassmannian_model(a), parabolic_model(a))
+            for lam, d in zip(spec.lambdas, spec.ds)
+        }
+        shapes |= {(rectangle(r, c), 6) for r in (1, 2, 3) for c in (1, 2, 3)}
+        for lam, d in shapes:
+            for t in enumerate_rssyt(lam, d):
+                assert Rssyt(t.shape, t.depth, t.rows) == t
+
 
 class TestWeight:
     def test_seven_by_seven_example(self):
@@ -166,6 +187,30 @@ class TestUnstableTriples:
         for t in enumerate_rssyt((2, 1), 3):
             pt = PrismTableau(PrismShapeSpec(((2, 1),), (3,)), (t,))
             assert not has_unstable_triple(pt)
+
+
+class TestUnstableTripleKernel:
+    """The bitmask kernel against the per-antidiagonal oracle."""
+
+    def test_every_tableau_asm4(self):
+        for n in (1, 2, 3, 4):
+            for a in enumerate_asms(n):
+                for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                    for t in all_prism_tableaux(spec):
+                        assert has_unstable_triple(t) == brute_force_unstable_triple(t)
+                        assert phi_cells(t) == brute_force_phi_image(t)
+
+    def test_minimal_fillings_asm5_and_asm6_sample(self):
+        asms = list(enumerate_asms(5)) + list(enumerate_asms(6))[::500]
+        unstable = 0
+        for a in asms:
+            for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                fillings = _Fillings(spec)
+                for f in fillings.minimal()[1]:
+                    t = fillings.tableau(f)
+                    assert _unstable(f) == has_unstable_triple(t) == brute_force_unstable_triple(t)
+                    unstable += _unstable(f)
+        assert unstable > 0
 
 
 class TestPrismSet:
