@@ -250,7 +250,7 @@ def _weight(union: int, stride: int) -> Monomial:
     return Monomial(tuple((union >> (v * stride) & full).bit_count() for v in range(labels)))
 
 
-def _filling(t: PrismTableau) -> Filling:
+def _as_filling(t: PrismTableau) -> Filling:
     """t's components as entries, with the union of their phi cells."""
     stride = t.spec.ambient_size
     entries = tuple(_entry(comp, stride) for comp in t.components)
@@ -264,20 +264,20 @@ def phi_cells(t: PrismTableau) -> frozenset[Cell]:
     """The cells of the overlay map phi: a label v in grid cell (a, b)
     places a plus at (v, a + b - v); the components are unioned.  Each
     cell is one (label, antidiagonal) pair of t."""
-    return _cells(_filling(t)[1], t.spec.ambient_size)
+    return _cells(_as_filling(t)[1], t.spec.ambient_size)
 
 
 def prism_weight(t: PrismTableau) -> Monomial:
     """The row-count weight of phi(t): x_v counts the antidiagonals that
     carry the label v."""
-    return _weight(_filling(t)[1], t.spec.ambient_size)
+    return _weight(_as_filling(t)[1], t.spec.ambient_size)
 
 
 def has_unstable_triple(t: PrismTableau) -> bool:
     """Detect labels {l_c, l_d, l'_e} on one antidiagonal with l < l' such
     that l appears in two distinct colors c != d and replacing the color-c
     copy of l by l' stays a prism tableau."""
-    return _unstable(_filling(t))
+    return _unstable(_as_filling(t))
 
 
 class _Fillings:
