@@ -90,8 +90,8 @@ def _check_theorem1(a: Asm) -> bool:
 
 def _check_bijection(a: Asm) -> bool:
     return (
-        pd_mod.verify_bijection(prism_mod.bigrassmannian_model(a)).passed
-        and pd_mod.verify_bijection(prism_mod.parabolic_model(a)).passed
+        pd_mod.verify_bijection(prism_mod.bigrassmannian_model(a), a).passed
+        and pd_mod.verify_bijection(prism_mod.parabolic_model(a), a).passed
     )
 
 

@@ -5,8 +5,9 @@ northwest (i, j) blocks of a generic matrix; the essential cells suffice.
 Minors are carried as row/column index sets only.  Under any antidiagonal
 term order the lead term of a minor is the product of its antidiagonal,
 so the initial ideal is assembled directly from those square-free
-supports and minimalized.  Its Stanley-Reisner facets are complements of
-minimal hitting sets of the generator supports.
+supports and minimalized, with no minor object built on the way.  Its
+Stanley-Reisner facets are complements of minimal hitting sets of the
+generator supports.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ class SquareFreeMonomial:
         if not self.support:
             raise ValueError("empty support (unit monomial) is not allowed here")
 
+    @classmethod
+    def _trusted(cls, support: frozenset[Cell]) -> SquareFreeMonomial:
+        """A monomial on a nonempty support of int cells that initial_ideal
+        built, made without the checks of __post_init__."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "support", support)
+        return m
+
     def divides(self, other: SquareFreeMonomial) -> bool:
         return self.support <= other.support
 
@@ -86,19 +95,34 @@ def antidiagonal_init(m: MinorSpec) -> SquareFreeMonomial:
     return SquareFreeMonomial(frozenset((m.rows[t], m.cols[k - 1 - t]) for t in range(k)))
 
 
+def _minimal_supports(supports: Iterable[frozenset[Cell]]) -> list[frozenset[Cell]]:
+    """The inclusion-minimal supports.  A support is kept unless a kept one
+    lies inside it; in order of size, every smaller one is seen first."""
+    kept: list[frozenset[Cell]] = []
+    for s in sorted(set(supports), key=len):
+        if not any(h <= s for h in kept):
+            kept.append(s)
+    return kept
+
+
 def minimalize(gens: Iterable[SquareFreeMonomial]) -> frozenset[SquareFreeMonomial]:
     """Keep only divisibility-minimal generators (an antichain of supports)."""
-    items = sorted(set(gens), key=lambda g: (len(g.support), sorted(g.support)))
-    kept: list[SquareFreeMonomial] = []
-    for g in items:
-        if not any(h.divides(g) for h in kept):
-            kept.append(g)
-    return frozenset(kept)
+    by_support = {g.support: g for g in gens}
+    return frozenset(by_support[s] for s in _minimal_supports(by_support))
 
 
 def initial_ideal(a: Asm) -> frozenset[SquareFreeMonomial]:
-    """Minimal generators of the antidiagonal initial ideal of I_A."""
-    return minimalize(antidiagonal_init(g) for g in essential_generators(a))
+    """Minimal generators of the antidiagonal initial ideal of I_A.  Each
+    antidiagonal support is read straight off a minor's rows and columns,
+    as ``antidiagonal_init`` of ``essential_generators`` would give it,
+    and only the minimal supports become monomials."""
+    supports = (
+        frozenset(zip(rows, reversed(cols)))
+        for i, j, r in rank_conditions(a)
+        for rows in itertools.combinations(range(1, i + 1), r + 1)
+        for cols in itertools.combinations(range(1, j + 1), r + 1)
+    )
+    return frozenset(SquareFreeMonomial._trusted(s) for s in _minimal_supports(supports))
 
 
 def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[frozenset[Cell]]:

@@ -11,6 +11,7 @@ i and i+1 of the one-line word.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -194,32 +195,47 @@ def bigr_of(a: Asm) -> frozenset[Perm]:
     return frozenset(bigrassmannian_encode(i, j, r, a.n) for i, j, r in rank_conditions(a))
 
 
-def _perms_above(a: Asm) -> set[tuple[int, ...]]:
-    """One-line words of every w in S_n with w >= A, built a row at a time.
+def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, ...]]:
+    """One-line words of the w in S_n with w >= A, built a row at a time;
+    with ``shortest_only``, just those of least length.
 
     By Fulton's essential-set theorem (A = join(biGr(A))), w >= A iff
     r_w(i, j) <= r_A(i, j) at every (i, j) in Ess(A).  The prefix w(1..i)
-    fixes r_w(i, j), so a prefix is dropped as soon as one test fails."""
+    fixes r_w(i, j), so a prefix is dropped as soon as one test fails.
+    The prefix's values are a bitmask (value v is bit v - 1), so a test is
+    the popcount of its values up to j, and placing v adds one inversion
+    per larger value already placed.  Inversions only grow along a
+    prefix, so with ``shortest_only`` a prefix is dropped once it has more
+    than the shortest complete word seen; ties are kept."""
     n = a.n
     tests: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, j, r in rank_conditions(a):
-        tests[i].append((j, r))
-    out: set[tuple[int, ...]] = set()
+        tests[i].append(((1 << j) - 1, r))
+    best = math.inf
+    found: list[tuple[int, ...]] = []
+    prefix: list[int] = []
 
-    def extend(prefix: tuple[int, ...]) -> None:
-        i = len(prefix) + 1
-        for v in range(1, n + 1):
-            if v in prefix:
+    def extend(i: int, used: int, length: int) -> None:
+        nonlocal best, found
+        for v in range(n):
+            if used >> v & 1:
                 continue
-            w = prefix + (v,)
-            if all(sum(x <= j for x in w) <= bound for j, bound in tests[i]):
-                if i == n:
-                    out.add(w)
+            grown = length + (used >> v).bit_count()
+            if grown > best:
+                continue
+            placed = used | 1 << v
+            if all((placed & below).bit_count() <= r for below, r in tests[i]):
+                prefix.append(v + 1)
+                if i < n:
+                    extend(i + 1, placed, grown)
                 else:
-                    extend(w)
+                    if shortest_only and grown < best:
+                        best, found = grown, []
+                    found.append(tuple(prefix))
+                prefix.pop()
 
-    extend(())
-    return out
+    extend(1, 0, 0)
+    return found
 
 
 def _lower_covers(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -237,7 +253,7 @@ def perm_set(a: Asm) -> frozenset[Perm]:
     """Perm(A): the Bruhat-minimal permutations above A in S_n.  The
     permutations above A form an upper set, so w is minimal iff none of
     its lower covers lies above A."""
-    above = _perms_above(a)
+    above = set(_perms_above(a))
     return frozenset(
         Perm(w) for w in above if not any(v in above for v in _lower_covers(w))
     )
@@ -250,8 +266,12 @@ def shortest(perms: Collection[Perm]) -> frozenset[Perm]:
 
 
 def min_perm_set(a: Asm) -> frozenset[Perm]:
-    """MinPerm(A): the shortest elements of Perm(A)."""
-    return shortest(perm_set(a))
+    """MinPerm(A): the shortest elements of Perm(A), found as the shortest
+    permutations above A with no lower-cover check.  Every w >= A lies
+    above some u in Perm(A) with l(u) <= l(w), and a shortest w >= A has
+    no shorter u >= A below it, so it is Bruhat-minimal: shortest(Perm(A))
+    = shortest({w : w >= A})."""
+    return frozenset(Perm(w) for w in _perms_above(a, shortest_only=True))
 
 
 def deg(a: Asm) -> int:

@@ -244,7 +244,7 @@ def dominates_fiber(s: PrismTableau, fiber: Sequence[PrismTableau]) -> bool:
     )
 
 
-def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
+def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionReport:
     """Check, exhaustively over the prism tableaux that phi maps onto a
     facet of Delta(Q, A):
 
@@ -258,8 +258,13 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
 
     phi preserves weights by construction: a prism weight is the row-count
     weight of the tableau's phi image.
+
+    ``a`` is A_{lambda, d}, the ASM whose model the spec is; a caller that
+    built the spec from A passes it, and otherwise it is rebuilt from the
+    spec.
     """
-    a = asm_from_shape_tuple(spec.lambdas, spec.ds)
+    if a is None:
+        a = asm_from_shape_tuple(spec.lambdas, spec.ds)
     dreams = {w: pipe_dreams_of(w, a.n) for w in perm_set(a)}
     facet_cells = {p.cells for ps in dreams.values() for p in ps}
     fmax_cells = {p.cells for w in shortest(dreams.keys()) for p in dreams[w]}

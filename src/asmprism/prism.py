@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import Asm, Cell, essential_set, monotone_triangle, rank_conditions
@@ -280,18 +281,24 @@ def has_unstable_triple(t: PrismTableau) -> bool:
     return _unstable(_as_filling(t))
 
 
+@lru_cache(maxsize=None)
+def _pool(lam: Partition, d: int, stride: int) -> tuple[Entry, ...]:
+    """The fillings of lam with labels in [d], in enumerate_rssyt order, as
+    entries with the given stride; built once per process.  The stride is
+    part of the key because it sets the entries' bits.  A spec of ambient
+    size n has its shapes inside d x (n - d), so the cache stays small
+    (99 keys over both models of all of ASM(6))."""
+    return tuple(_entry(f, stride) for f in enumerate_rssyt(lam, d))
+
+
 class _Fillings:
-    """The fillings of one spec: each component's fillings in
-    enumerate_rssyt order, built once as entries (see _entry), with the
-    walks over their product."""
+    """The fillings of one spec: each component's pool (see _pool), with
+    the walks over their product."""
 
     def __init__(self, spec: PrismShapeSpec) -> None:
         self.spec = spec
         self.stride = spec.ambient_size
-        self.pools = [
-            [_entry(f, self.stride) for f in enumerate_rssyt(lam, d)]
-            for lam, d in zip(spec.lambdas, spec.ds)
-        ]
+        self.pools = [_pool(lam, d, self.stride) for lam, d in zip(spec.lambdas, spec.ds)]
 
     def count(self) -> int:
         return math.prod(map(len, self.pools))

@@ -4,6 +4,7 @@ subsequence checks)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -175,16 +176,22 @@ def all_bigrassmannians(n: int):
                     yield bigrassmannian_encode(i, j, r, n)
 
 
-def brute_force_perm_set(a: Asm):
-    """Perm(A) by scanning S_n: every w with A <= w, minus those lying
-    above another such w."""
-    from asmprism.asm import asm_leq
+@functools.lru_cache(maxsize=None)
+def _perms_with_block_sums(n: int):
+    """Every w in S_n with the block sums of its matrix."""
     from asmprism.perm import all_perms
 
-    above = [w for w in all_perms(a.n) if asm_leq(a, w.matrix(a.n))]
+    return [(w, _block_sums(w.matrix(n), n)) for w in all_perms(n)]
+
+
+def brute_force_perm_set(a: Asm):
+    """Perm(A) by scanning S_n: every w with A <= w, minus those lying
+    above another such w, both orders read off the block sums."""
+    ra = _block_sums(a, a.n)
+    above = [(w, r) for w, r in _perms_with_block_sums(a.n) if _dominates(ra, r)]
     return frozenset(
-        w for w in above
-        if not any(v != w and bruhat_leq(v, w) for v in above)
+        w for w, r in above
+        if not any(v != w and _dominates(s, r) for v, s in above)
     )
 
 

@@ -111,6 +111,25 @@ class TestInitialIdeal:
             assert ess == full
 
 
+class TestInitialIdealRoute:
+    """initial_ideal reads its supports off the rank conditions; the minor
+    objects, each lead term taken by antidiagonal_init, are its oracle."""
+
+    @staticmethod
+    def assert_matches_minors(a):
+        expected = minimalize(antidiagonal_init(g) for g in essential_generators(a))
+        assert initial_ideal(a) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_asm(self, n):
+        for a in enumerate_asms(n):
+            self.assert_matches_minors(a)
+
+    def test_asm6_every_50th(self):
+        for a in list(enumerate_asms(6))[::50]:
+            self.assert_matches_minors(a)
+
+
 class TestHittingSets:
     def test_empty_family(self):
         assert minimal_hitting_sets([]) == {frozenset()}

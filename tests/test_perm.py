@@ -19,6 +19,7 @@ from asmprism.perm import (
     min_perm_set,
     perm_set,
     reduced_words,
+    shortest,
     word_product,
 )
 from asmprism.prism import bigrassmannian_model, parabolic_model, prism_min_degree
@@ -291,6 +292,14 @@ class TestPermSetOracle:
     def test_asm6_every_250th(self):
         for a in list(enumerate_asms(6))[::250]:
             assert_matches_oracle(a)
+
+    def test_length_bound_asm6_every_25th(self):
+        """MinPerm(A) by the length-bounded walk against the shortest
+        elements of the oracle's Perm(A)."""
+        for a in list(enumerate_asms(6))[::25]:
+            expected = shortest(brute_force_perm_set(a))
+            assert min_perm_set(a) == expected
+            assert deg(a) == next(iter(expected)).length()
 
     def test_n1(self):
         a = identity_asm(1)

@@ -284,6 +284,13 @@ class TestVerifyBijection:
                 report = verify_bijection(model)
                 assert report.passed, report.summary()
 
+    def test_given_asm_gives_the_spec_only_report(self):
+        """A passed in by the caller, often in a larger ambient size than
+        the spec's, and A rebuilt from the spec give one report."""
+        for a in list(enumerate_asms(4)) + list(enumerate_asms(5))[::20]:
+            for model in (bigrassmannian_model(a), parabolic_model(a)):
+                assert verify_bijection(model, a) == verify_bijection(model)
+
 
 def assert_fibers_match_oracle(spec, a):
     """The fiber search against the fibers of the whole product, and the

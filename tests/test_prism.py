@@ -19,6 +19,7 @@ from asmprism.prism import (
     PrismTableau,
     Rssyt,
     _Fillings,
+    _pool,
     _unstable,
     asm_polynomial,
     bigrassmannian_model,
@@ -367,3 +368,26 @@ class TestSerialization:
     def test_round_trip_stability(self):
         s = serialize_prism_tableau(T1)
         assert s == "1,1,1 | 2/1 | 3/2"
+
+
+class TestPoolCache:
+    """The component pools are cached per (shape, depth, stride): the
+    depth-2 box is a component of both specs, at strides 4 and 5.  A pool
+    cached at the other stride would put its bits among those of the
+    other component."""
+
+    SMALL = PrismShapeSpec(((1,), (1, 1)), (2, 3))
+    LARGE = PrismShapeSpec(((1,), (3,)), (2, 2))
+
+    @pytest.mark.parametrize("first,second", [(SMALL, LARGE), (LARGE, SMALL)])
+    def test_warm_cache_of_another_stride(self, first, second):
+        assert first.ambient_size != second.ambient_size
+        _pool.cache_clear()
+        prism_set(first)
+        expected = brute_force_prism_set(second)
+        assert prism_set(second) == expected
+        assert asm_polynomial(second) == poly_from_monomials(
+            brute_force_prism_weight(t) for t in expected)
+        pools = _Fillings(second).pools
+        assert all(isinstance(pool, tuple) for pool in pools)
+        assert pools[0] is _pool((1,), 2, second.ambient_size)
