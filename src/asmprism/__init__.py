@@ -23,7 +23,6 @@ from .asm import (
     identity_asm,
     inversions,
     monotone_triangle,
-    lambda_row,
     rank_conditions,
     validate_asm,
     validate_partial_asm,
@@ -34,12 +33,9 @@ from .perm import (
     bigr_of,
     bigrassmannian_encode,
     deg,
-    demazure_product,
     grassmannian_encode,
-    is_reduced,
     min_perm_set,
     perm_set,
-    word_product,
 )
 from .prism import (
     PrismShapeSpec,
@@ -55,24 +51,16 @@ from .prism import (
 )
 from .pipedream import (
     PlusDiagram,
-    SquareWord,
     delta_facets,
     delta_fmax,
-    diagram_demazure,
     min_perm_schubert_sum,
     phi,
     pipe_dreams_of,
-    schubert_oracle,
     schubert_polynomial,
-    square_word,
     verify_bijection,
 )
 from .ideal import (
-    MinorSpec,
-    SquareFreeMonomial,
     SRComplexFacets,
-    antidiagonal_init,
-    essential_generators,
     initial_ideal,
     multidegree,
     stanley_reisner_facets,

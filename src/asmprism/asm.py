@@ -358,11 +358,6 @@ def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
     return validate_asm(entries)
 
 
-def lambda_row(a: Asm, ell: int) -> tuple[int, ...]:
-    """The partition recorded by row ell of the monotone triangle of A."""
-    return monotone_triangle(a).partition(ell)
-
-
 def enumerate_monotone_triangles(n: int) -> Iterator[MonotoneTriangle]:
     """All monotone triangles with bottom row (1, ..., n), in lexicographic
     order of the flattened rows.  Consecutive rows interleave:

@@ -31,7 +31,9 @@ def _read_matrix(path: str) -> list[list[int]]:
         text = sys.stdin.read()
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # undecodable bytes become lone surrogates, so the parser
+            # rejects them with a line and column instead of a traceback
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
@@ -308,8 +310,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "ideal":
         a = _load_asm(args.asm)
         if args.init:
-            for g in sorted(ideal_mod.initial_ideal(a), key=lambda g: (len(g.support), sorted(g.support))):
-                print(g.render(), file=out)
+            for s in sorted(ideal_mod.initial_ideal(a), key=lambda s: (len(s), sorted(s))):
+                print("*".join(f"z[{i}][{j}]" for i, j in sorted(s)), file=out)
         else:
             sr = ideal_mod.stanley_reisner_facets(ideal_mod.initial_ideal(a), a.n)
             for f in sorted(sr.facets, key=lambda f: sorted(f)):

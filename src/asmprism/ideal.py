@@ -2,12 +2,11 @@
 
 The ideal of an ASM is generated by the (r_A(i,j)+1)-minors of the
 northwest (i, j) blocks of a generic matrix; the essential cells suffice.
-Minors are carried as row/column index sets only.  Under any antidiagonal
-term order the lead term of a minor is the product of its antidiagonal,
-so the initial ideal is assembled directly from those square-free
-supports and minimalized, with no minor object built on the way.  Its
-Stanley-Reisner facets are complements of minimal hitting sets of the
-generator supports.
+Under any antidiagonal term order the lead term of a minor is the product
+of its antidiagonal, so the initial ideal is square-free and each of its
+generators is carried as its support, a set of grid cells.  Its
+Stanley-Reisner facets are complements of minimal hitting sets of those
+supports.
 """
 
 from __future__ import annotations
@@ -21,56 +20,6 @@ from .asm import Asm, Cell, rank_conditions
 
 
 @dataclass(frozen=True)
-class MinorSpec:
-    """A k-minor of the northwest block Z_{[i],[j]}, k = r_A(i,j) + 1."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    region: Cell
-
-    def __post_init__(self) -> None:
-        rows = tuple(sorted(self.rows))
-        cols = tuple(sorted(self.cols))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        if len(rows) != len(cols) or not rows:
-            raise ValueError("minor needs equally many rows and columns, at least one")
-        i, j = self.region
-        if rows[-1] > i or cols[-1] > j:
-            raise ValueError(f"minor {rows}x{cols} does not fit in the ({i},{j}) block")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class SquareFreeMonomial:
-    """A square-free monomial in the z variables, stored by its support."""
-
-    support: frozenset[Cell]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", frozenset((int(i), int(j)) for i, j in self.support))
-        if not self.support:
-            raise ValueError("empty support (unit monomial) is not allowed here")
-
-    @classmethod
-    def _trusted(cls, support: frozenset[Cell]) -> SquareFreeMonomial:
-        """A monomial on a nonempty support of int cells that initial_ideal
-        built, made without the checks of __post_init__."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "support", support)
-        return m
-
-    def divides(self, other: SquareFreeMonomial) -> bool:
-        return self.support <= other.support
-
-    def render(self) -> str:
-        return "*".join(f"z[{i}][{j}]" for (i, j) in sorted(self.support))
-
-
-@dataclass(frozen=True)
 class SRComplexFacets:
     """Facets (maximal faces) of a Stanley-Reisner complex on the grid."""
 
@@ -78,51 +27,24 @@ class SRComplexFacets:
     facets: frozenset[frozenset[Cell]]
 
 
-def essential_generators(a: Asm) -> frozenset[MinorSpec]:
-    """All (r_A(i,j)+1)-minors of Z_{[i],[j]} over the essential cells."""
-    return frozenset(
-        MinorSpec(rows, cols, (i, j))
-        for i, j, r in rank_conditions(a)
-        for rows in itertools.combinations(range(1, i + 1), r + 1)
-        for cols in itertools.combinations(range(1, j + 1), r + 1)
-    )
-
-
-def antidiagonal_init(m: MinorSpec) -> SquareFreeMonomial:
-    """Lead term under an antidiagonal order: smallest row with largest
-    column."""
-    k = m.size
-    return SquareFreeMonomial(frozenset((m.rows[t], m.cols[k - 1 - t]) for t in range(k)))
-
-
-def _minimal_supports(supports: Iterable[frozenset[Cell]]) -> list[frozenset[Cell]]:
-    """The inclusion-minimal supports.  A support is kept unless a kept one
-    lies inside it; in order of size, every smaller one is seen first."""
-    kept: list[frozenset[Cell]] = []
-    for s in sorted(set(supports), key=len):
-        if not any(h <= s for h in kept):
-            kept.append(s)
-    return kept
-
-
-def minimalize(gens: Iterable[SquareFreeMonomial]) -> frozenset[SquareFreeMonomial]:
-    """Keep only divisibility-minimal generators (an antichain of supports)."""
-    by_support = {g.support: g for g in gens}
-    return frozenset(by_support[s] for s in _minimal_supports(by_support))
-
-
-def initial_ideal(a: Asm) -> frozenset[SquareFreeMonomial]:
-    """Minimal generators of the antidiagonal initial ideal of I_A.  Each
-    antidiagonal support is read straight off a minor's rows and columns,
-    as ``antidiagonal_init`` of ``essential_generators`` would give it,
-    and only the minimal supports become monomials."""
-    supports = (
+def initial_ideal(a: Asm) -> frozenset[frozenset[Cell]]:
+    """Minimal generators of the antidiagonal initial ideal of I_A, each a
+    square-free monomial given by its support.  The generators of I_A are
+    the (r+1)-minors of Z_{[i],[j]} over the rank conditions (i, j, r);
+    a minor's lead term is its antidiagonal, read straight off its rows
+    and columns.  A support is kept unless a kept one lies inside it; in
+    order of size, every smaller one is seen first."""
+    supports = {
         frozenset(zip(rows, reversed(cols)))
         for i, j, r in rank_conditions(a)
         for rows in itertools.combinations(range(1, i + 1), r + 1)
         for cols in itertools.combinations(range(1, j + 1), r + 1)
-    )
-    return frozenset(SquareFreeMonomial._trusted(s) for s in _minimal_supports(supports))
+    }
+    kept: list[frozenset[Cell]] = []
+    for s in sorted(supports, key=len):
+        if not any(h <= s for h in kept):
+            kept.append(s)
+    return frozenset(kept)
 
 
 def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[frozenset[Cell]]:
@@ -153,15 +75,15 @@ def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[froze
     return frozenset(branch(frozenset(), frozenset()))
 
 
-def stanley_reisner_facets(gens: Iterable[SquareFreeMonomial], n: int) -> SRComplexFacets:
+def stanley_reisner_facets(supports: Iterable[frozenset[Cell]], n: int) -> SRComplexFacets:
     """Facets of the complex whose non-faces are the generator supports:
     complements in the n-by-n grid of the minimal hitting sets."""
     grid = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    gens = list(gens)
-    for g in gens:
-        if not g.support <= grid:
-            raise ValueError(f"generator {g.render()} leaves the {n}x{n} grid")
-    transversals = minimal_hitting_sets(g.support for g in gens)
+    supports = list(supports)
+    for s in supports:
+        if not s <= grid:
+            raise ValueError(f"generator support {sorted(s)} leaves the {n}x{n} grid")
+    transversals = minimal_hitting_sets(supports)
     return SRComplexFacets(n, frozenset(grid - h for h in transversals))
 
 
@@ -170,7 +92,7 @@ def multidegree(a: Asm) -> Polynomial:
     the sum, over the minimum-size minimal hitting sets of the initial
     ideal's supports, of the product of x_i over their cells.  Those sets
     are the complements of the maximal-dimension Stanley-Reisner facets."""
-    transversals = minimal_hitting_sets(g.support for g in initial_ideal(a))
+    transversals = minimal_hitting_sets(initial_ideal(a))
     low = min(map(len, transversals))
     return poly_from_monomials(
         Monomial.counting(i for i, _ in h) for h in transversals if len(h) == low

@@ -1,11 +1,9 @@
-"""Permutations, words, and the Perm/MinPerm machinery over ASMs.
+"""Permutations, their Grassmannian and biGrassmannian codes, and the
+Perm/MinPerm machinery over ASMs.
 
 Permutations are stored in one-line notation with trailing fixed points
 stripped, so representatives of the same class under the inclusion
-S_n -> S_{n+1} compare equal; the identity is the empty tuple.  Words are
-tuples of simple-transposition indices, 1-based (letter i means the swap
-of positions i and i+1).  Right multiplication by s_i swaps positions
-i and i+1 of the one-line word.
+S_n -> S_{n+1} compare equal; the identity is the empty tuple.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .asm import Asm, bigrassmannian_one_line, join_all, rank_conditions
-
-Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -43,34 +39,14 @@ class Perm:
         """Smallest n with this permutation in S_n (0 for the identity)."""
         return len(self.one_line)
 
-    def __call__(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("positions are 1-based")
-        return self.one_line[i - 1] if i <= len(self.one_line) else i
-
     def padded(self, n: int) -> tuple[int, ...]:
         if n < self.size:
             raise ValueError(f"cannot pad to {n} < size {self.size}")
         return self.one_line + tuple(range(self.size + 1, n + 1))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.one_line
-
     def length(self) -> int:
         w = self.one_line
         return sum(1 for a, b in itertools.combinations(w, 2) if a > b)
-
-    def descents(self) -> tuple[int, ...]:
-        w = self.one_line
-        return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-    def right_mul(self, i: int) -> Perm:
-        """self * s_i: swap the values in positions i, i+1."""
-        n = max(self.size, i + 1)
-        w = list(self.padded(n))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return Perm(tuple(w))
 
     def matrix(self, n: int | None = None) -> Asm:
         n = self.size if n is None else n
@@ -92,41 +68,6 @@ def all_perms(n: int) -> Iterator[Perm]:
         yield Perm(p)
 
 
-def word_product(q: Sequence[int]) -> Perm:
-    """Ordered product of the simple transpositions in q."""
-    w = Perm.identity()
-    for i in q:
-        if i < 1:
-            raise ValueError(f"letters must be positive, got {i}")
-        w = w.right_mul(i)
-    return w
-
-
-def is_reduced(q: Sequence[int]) -> bool:
-    return word_product(q).length() == len(q)
-
-
-def demazure_product(q: Sequence[int]) -> Perm:
-    """Fold of e_w e_s = e_{ws} if longer, e_w if shorter."""
-    w = Perm.identity()
-    for i in q:
-        if i < 1:
-            raise ValueError(f"letters must be positive, got {i}")
-        if w(i) < w(i + 1):
-            w = w.right_mul(i)
-    return w
-
-
-def reduced_words(w: Perm) -> Iterator[Word]:
-    """All reduced words for w (letters 1-based)."""
-    if w.is_identity:
-        yield ()
-        return
-    for i in w.descents():
-        for rw in reduced_words(w.right_mul(i)):
-            yield rw + (i,)
-
-
 def grassmannian_encode(lam: Sequence[int], d: int, n: int) -> Perm:
     """The Grassmannian permutation [lam, d]_g in S_n: unique descent at d,
     shape lam.  The empty shape encodes the identity."""
@@ -144,19 +85,6 @@ def grassmannian_encode(lam: Sequence[int], d: int, n: int) -> Perm:
     head = [padded[d - p] + p for p in range(1, d + 1)]
     tail = sorted(set(range(1, n + 1)) - set(head))
     return Perm(tuple(head + tail))
-
-
-def grassmannian_decode(u: Perm) -> tuple[tuple[int, ...], int]:
-    """Inverse of the encode map: the (shape, descent) of a Grassmannian
-    permutation.  The identity decodes to ((), 1)."""
-    if u.is_identity:
-        return (), 1
-    ds = u.descents()
-    if len(ds) != 1:
-        raise ValueError(f"{u} is not Grassmannian: descents {ds}")
-    d = ds[0]
-    lam = tuple(u(d - i + 1) - (d - i + 1) for i in range(1, d + 1))
-    return tuple(p for p in lam if p), d
 
 
 def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:

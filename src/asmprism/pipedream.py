@@ -1,5 +1,5 @@
-"""The square word, plus diagrams, facets, Schubert polynomials, and the
-weight-preserving map from prism tableaux to plus diagrams.
+"""Plus diagrams, facets, Schubert polynomials, and the weight-preserving
+map from prism tableaux to plus diagrams.
 
 The square word on the n-by-n grid assigns the letter s_{i+j-1} to cell
 (i, j); its reading order runs along rows top to bottom, right to left
@@ -12,12 +12,11 @@ reverses containment of diagrams.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import Asm, Cell
-from .perm import Perm, asm_from_shape_tuple, demazure_product, min_perm_set, perm_set, shortest
+from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set, shortest
 from .prism import PrismShapeSpec, PrismTableau, _cells, _Fillings, _unstable, phi_cells
 
 
@@ -51,39 +50,6 @@ class PlusDiagram:
             "".join("+" if (i, j) in self.cells else "." for j in range(1, self.n + 1))
             for i in range(1, self.n + 1)
         )
-
-
-@dataclass(frozen=True)
-class SquareWord:
-    """The fixed word s_n ... s_1 s_{n+1} ... s_2 ... s_{2n-1} ... s_n with
-    its grid identification."""
-
-    n: int
-    letters: tuple[int, ...] = field(init=False)
-    reading_cells: tuple[Cell, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        cells = tuple((i, j) for i in range(1, self.n + 1) for j in range(self.n, 0, -1))
-        object.__setattr__(self, "reading_cells", cells)
-        object.__setattr__(self, "letters", tuple(i + j - 1 for (i, j) in cells))
-
-
-@lru_cache(maxsize=None)
-def square_word(n: int) -> SquareWord:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return SquareWord(n)
-
-
-def diagram_word(p: PlusDiagram) -> tuple[int, ...]:
-    """Letters of P in square-word reading order."""
-    sw = square_word(p.n)
-    return tuple(s for cell, s in zip(sw.reading_cells, sw.letters) if cell in p.cells)
-
-
-def diagram_demazure(p: PlusDiagram) -> Perm:
-    """Demazure product of the subword supported on P."""
-    return demazure_product(diagram_word(p))
 
 
 def bottom_pipe_dream(w: Perm, n: int) -> PlusDiagram:
@@ -137,51 +103,6 @@ def schubert_polynomial(w: Perm, n: int | None = None) -> Polynomial:
     """Pipe-dream formula: sum of row-count monomials over pipe dreams."""
     n = max(w.size, 1) if n is None else n
     return poly_from_monomials(p.weight() for p in pipe_dreams_of(w, n))
-
-
-def divided_difference(p: Polynomial, i: int) -> Polynomial:
-    """(p - s_i p) / (x_i - x_{i+1}), computed exactly term by term."""
-    out: dict[Monomial, int] = {}
-
-    def bump(m: Monomial, c: int) -> None:
-        if c:
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-
-    for m, c in p.terms.items():
-        a, b = m.exponent(i), m.exponent(i + 1)
-        if a == b:
-            continue
-        sign = 1 if a > b else -1
-        lo, hi = min(a, b), max(a, b)
-        exps = list(m.exponents) + [0] * (max(i + 1, len(m.exponents)) - len(m.exponents))
-        for t in range(hi - lo):
-            exps[i - 1] = lo + t
-            exps[i] = hi - 1 - t
-            bump(Monomial(tuple(exps)), sign * c)
-    return Polynomial(out)
-
-
-@lru_cache(maxsize=None)
-def _schubert_by_descent(line: tuple[int, ...]) -> Polynomial:
-    n = len(line)
-    staircase = tuple(range(n, 0, -1))
-    if line == staircase:
-        return Polynomial.from_monomial(Monomial(tuple(n - i for i in range(1, n + 1))))
-    i = next(k for k in range(1, n) if line[k - 1] < line[k])
-    longer = list(line)
-    longer[i - 1], longer[i] = longer[i], longer[i - 1]
-    return divided_difference(_schubert_by_descent(tuple(longer)), i)
-
-
-def schubert_oracle(w: Perm) -> Polynomial:
-    """Independent route: divided differences down from the staircase
-    monomial of the longest element."""
-    n = max(w.size, 1)
-    return _schubert_by_descent(w.padded(n))
 
 
 def min_perm_schubert_sum(a: Asm) -> Polynomial:

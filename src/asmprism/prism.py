@@ -38,12 +38,6 @@ def partition(parts: Sequence[int]) -> Partition:
     return tuple(p for p in ps if p)
 
 
-def partition_leq(inner: Partition, outer: Partition) -> bool:
-    """Containment of Young diagrams."""
-    inner, outer = partition(inner), partition(outer)
-    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
-
-
 def rectangle(a: int, b: int) -> Partition:
     """The partition a x b: a rows of length b."""
     return (b,) * a if a and b else ()

@@ -6,11 +6,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
-from asmprism.asm import Asm, validate_asm
+from asmprism.algebra import Monomial, Polynomial
+from asmprism.asm import Asm, Cell, rank_conditions, validate_asm
+from asmprism.perm import Perm
+from asmprism.pipedream import PlusDiagram
 
 
 @pytest.fixture
@@ -124,11 +128,170 @@ def brute_force_meet(a: Asm, b: Asm, universe: list[Asm]) -> Asm:
     return _brute_force_bound(a, b, universe, upper=False)
 
 
+# ------------------------------------------------- words and their products
+#
+# Words are tuples of simple-transposition indices, 1-based: letter i
+# swaps positions i and i+1, so right multiplication by s_i swaps those
+# positions of the one-line word.
+
+
+def perm_value(w: Perm, i: int) -> int:
+    """w(i), with every point past w's support fixed."""
+    if i < 1:
+        raise ValueError("positions are 1-based")
+    return w.one_line[i - 1] if i <= w.size else i
+
+
+def is_identity(w: Perm) -> bool:
+    return not w.one_line
+
+
+def descents(w: Perm) -> tuple[int, ...]:
+    line = w.one_line
+    return tuple(i for i in range(1, len(line)) if line[i - 1] > line[i])
+
+
+def right_mul(w: Perm, i: int) -> Perm:
+    """w * s_i: swap the values in positions i, i+1."""
+    line = list(w.padded(max(w.size, i + 1)))
+    line[i - 1], line[i] = line[i], line[i - 1]
+    return Perm(tuple(line))
+
+
+def word_product(q) -> Perm:
+    """Ordered product of the simple transpositions in q."""
+    w = Perm.identity()
+    for i in q:
+        if i < 1:
+            raise ValueError(f"letters must be positive, got {i}")
+        w = right_mul(w, i)
+    return w
+
+
+def demazure_product(q) -> Perm:
+    """Fold of e_w e_s = e_{ws} if longer, e_w if shorter."""
+    w = Perm.identity()
+    for i in q:
+        if i < 1:
+            raise ValueError(f"letters must be positive, got {i}")
+        if perm_value(w, i) < perm_value(w, i + 1):
+            w = right_mul(w, i)
+    return w
+
+
+def reduced_words(w: Perm):
+    """All reduced words for w (letters 1-based)."""
+    if is_identity(w):
+        yield ()
+        return
+    for i in descents(w):
+        for rw in reduced_words(right_mul(w, i)):
+            yield rw + (i,)
+
+
+def grassmannian_decode(u: Perm) -> tuple[tuple[int, ...], int]:
+    """Inverse of grassmannian_encode: the (shape, descent) of a
+    Grassmannian permutation.  The identity decodes to ((), 1)."""
+    if is_identity(u):
+        return (), 1
+    ds = descents(u)
+    if len(ds) != 1:
+        raise ValueError(f"{u} is not Grassmannian: descents {ds}")
+    d = ds[0]
+    lam = tuple(perm_value(u, d - i + 1) - (d - i + 1) for i in range(1, d + 1))
+    return tuple(p for p in lam if p), d
+
+
+@dataclass(frozen=True)
+class SquareWord:
+    """The fixed word s_n ... s_1 s_{n+1} ... s_2 ... s_{2n-1} ... s_n with
+    its grid identification: cell (i, j) carries s_{i+j-1}, read along
+    rows top to bottom, right to left within each row."""
+
+    n: int
+    letters: tuple[int, ...] = field(init=False)
+    reading_cells: tuple[Cell, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        cells = tuple((i, j) for i in range(1, self.n + 1) for j in range(self.n, 0, -1))
+        object.__setattr__(self, "reading_cells", cells)
+        object.__setattr__(self, "letters", tuple(i + j - 1 for (i, j) in cells))
+
+
+@functools.lru_cache(maxsize=None)
+def square_word(n: int) -> SquareWord:
+    if n < 1:
+        raise ValueError("n must be positive")
+    return SquareWord(n)
+
+
+def diagram_word(p: PlusDiagram) -> tuple[int, ...]:
+    """Letters of P in square-word reading order."""
+    sw = square_word(p.n)
+    return tuple(s for cell, s in zip(sw.reading_cells, sw.letters) if cell in p.cells)
+
+
+def diagram_demazure(p: PlusDiagram) -> Perm:
+    """Demazure product of the subword supported on P."""
+    return demazure_product(diagram_word(p))
+
+
+def divided_difference(p: Polynomial, i: int) -> Polynomial:
+    """(p - s_i p) / (x_i - x_{i+1}), computed exactly term by term."""
+    out: dict[Monomial, int] = {}
+
+    def bump(m: Monomial, c: int) -> None:
+        if c:
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+    for m, c in p.terms.items():
+        a, b = m.exponent(i), m.exponent(i + 1)
+        if a == b:
+            continue
+        sign = 1 if a > b else -1
+        lo, hi = min(a, b), max(a, b)
+        exps = list(m.exponents) + [0] * (max(i + 1, len(m.exponents)) - len(m.exponents))
+        for t in range(hi - lo):
+            exps[i - 1] = lo + t
+            exps[i] = hi - 1 - t
+            bump(Monomial(tuple(exps)), sign * c)
+    return Polynomial(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _schubert_by_descent(line: tuple[int, ...]) -> Polynomial:
+    n = len(line)
+    staircase = tuple(range(n, 0, -1))
+    if line == staircase:
+        return Polynomial.from_monomial(Monomial(tuple(n - i for i in range(1, n + 1))))
+    i = next(k for k in range(1, n) if line[k - 1] < line[k])
+    longer = list(line)
+    longer[i - 1], longer[i] = longer[i], longer[i - 1]
+    return divided_difference(_schubert_by_descent(tuple(longer)), i)
+
+
+def schubert_oracle(w: Perm) -> Polynomial:
+    """The Schubert polynomial of w by divided differences down from the
+    staircase monomial of the longest element."""
+    n = max(w.size, 1)
+    return _schubert_by_descent(w.padded(n))
+
+
+def partition_leq(inner, outer) -> bool:
+    """Containment of Young diagrams."""
+    from asmprism.prism import partition
+
+    inner, outer = partition(inner), partition(outer)
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
+
+
 def brute_force_pipe_dreams(w, n: int) -> frozenset[frozenset[tuple[int, int]]]:
     """All subsets of the staircase with |P| = l(w) whose reading word is a
     reduced expression for w."""
-    from asmprism.perm import word_product
-
     staircase = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
     ell = w.length()
     out = set()
@@ -371,8 +534,6 @@ def relaxed_unstable_triple(t) -> bool:
 
 def contains_reduced_word(letters: tuple[int, ...], w) -> bool:
     """Does the word contain some reduced word of w as a subsequence?"""
-    from asmprism.perm import reduced_words
-
     def is_subseq(needle, haystack):
         it = iter(haystack)
         return all(x in it for x in needle)
@@ -398,12 +559,62 @@ def essential_by_corner_sums(a: Asm) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
+# ------------------------------------------------ the initial ideal by minors
+
+
+@dataclass(frozen=True)
+class MinorSpec:
+    """A k-minor of the northwest block Z_{[i],[j]}, k = r_A(i,j) + 1."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    region: Cell
+
+    def __post_init__(self) -> None:
+        rows = tuple(sorted(self.rows))
+        cols = tuple(sorted(self.cols))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        if len(rows) != len(cols) or not rows:
+            raise ValueError("minor needs equally many rows and columns, at least one")
+        i, j = self.region
+        if rows[-1] > i or cols[-1] > j:
+            raise ValueError(f"minor {rows}x{cols} does not fit in the ({i},{j}) block")
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+
+def essential_generators(a: Asm) -> frozenset[MinorSpec]:
+    """All (r_A(i,j)+1)-minors of Z_{[i],[j]} over the essential cells."""
+    return frozenset(
+        MinorSpec(rows, cols, (i, j))
+        for i, j, r in rank_conditions(a)
+        for rows in itertools.combinations(range(1, i + 1), r + 1)
+        for cols in itertools.combinations(range(1, j + 1), r + 1)
+    )
+
+
+def antidiagonal_init(m: MinorSpec) -> frozenset[Cell]:
+    """The support of a minor's lead term under an antidiagonal order:
+    smallest row with largest column."""
+    k = m.size
+    return frozenset((m.rows[t], m.cols[k - 1 - t]) for t in range(k))
+
+
+def minimalize(supports) -> frozenset[frozenset[Cell]]:
+    """The inclusion-minimal supports: each one compared with every other,
+    kept unless some other lies strictly inside it."""
+    family = set(supports)
+    return frozenset(s for s in family if not any(t < s for t in family))
+
+
 def defining_generators(a: Asm):
     """The full generating set of I_A: the (r_A(i,j)+1)-minors of
     Z_{[i],[j]} at every grid cell, not only the essential ones.  Cells
     whose rank bound is vacuous (r = min(i,j)) contribute nothing."""
     from asmprism.asm import corner_sum
-    from asmprism.ideal import MinorSpec
 
     r = corner_sum(a)
     out = set()
@@ -456,7 +667,7 @@ def multidegree_from_sr_facets(a: Asm):
     from asmprism.ideal import initial_ideal
 
     grid = frozenset((i, j) for i in range(1, a.n + 1) for j in range(1, a.n + 1))
-    transversals = brute_force_minimal_hitting_sets(g.support for g in initial_ideal(a))
+    transversals = brute_force_minimal_hitting_sets(initial_ideal(a))
     facets = [grid - h for h in transversals]
     top = max(len(f) for f in facets)
     monomials = []

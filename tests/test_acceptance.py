@@ -29,7 +29,6 @@ from asmprism.perm import (
 from asmprism.pipedream import (
     delta_facets,
     min_perm_schubert_sum,
-    schubert_oracle,
     schubert_polynomial,
     verify_bijection,
 )
@@ -44,7 +43,7 @@ from asmprism.prism import (
 )
 from asmprism.ideal import initial_ideal, multidegree, stanley_reisner_facets
 
-from conftest import all_prism_tableaux, bruhat_leq, essential_by_corner_sums
+from conftest import all_prism_tableaux, bruhat_leq, essential_by_corner_sums, schubert_oracle
 
 
 ASMDIAG = validate_asm([[0, 0, 0, 1], [0, 1, 0, 0], [1, -1, 1, 0], [0, 1, 0, 0]])

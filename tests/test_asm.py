@@ -34,7 +34,6 @@ from asmprism.asm import (
     identity_asm,
     inversions,
     join_all,
-    lambda_row,
     monotone_triangle,
     parse_matrix_text,
     partial_bigrassmannian,
@@ -317,17 +316,18 @@ class TestMonotoneTriangle:
 class TestLambdaRow:
     def test_identity_rows_empty(self):
         for ell in (1, 2, 3):
-            assert lambda_row(identity_asm(3), ell) == ()
+            assert monotone_triangle(identity_asm(3)).partition(ell) == ()
 
     def test_asmdiag_rows(self, asmdiag):
-        assert lambda_row(asmdiag, 1) == (3,)
-        assert lambda_row(asmdiag, 2) == (2, 1)
-        assert lambda_row(asmdiag, 3) == (1, 1)
+        mt = monotone_triangle(asmdiag)
+        assert mt.partition(1) == (3,)
+        assert mt.partition(2) == (2, 1)
+        assert mt.partition(3) == (1, 1)
 
     def test_fits_in_box(self):
         for a in enumerate_asms(4):
             for ell in range(1, 5):
-                lam = lambda_row(a, ell)
+                lam = monotone_triangle(a).partition(ell)
                 assert len(lam) <= ell
                 assert all(p <= 4 - ell for p in lam)
 

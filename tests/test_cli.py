@@ -223,6 +223,13 @@ class TestErrors:
         assert code == 1
         assert "line 2, column 1" in err
 
+    def test_undecodable_bytes_report_position(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1 0\n0 \xff1\n")
+        code, _, err = run(["essential", "--asm", str(p)])
+        assert code == 1
+        assert "line 2, column 2: not an integer" in err
+
     def test_invalid_asm_reports_axiom(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 -1\n-1 1\n")

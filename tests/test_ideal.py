@@ -3,21 +3,20 @@ import itertools
 import pytest
 
 from conftest import (
+    MinorSpec,
+    antidiagonal_init,
     brute_force_minimal_hitting_sets,
     defining_generators,
+    essential_generators,
+    minimalize,
     multidegree_from_sr_facets,
 )
 
 from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import enumerate_asms, identity_asm
 from asmprism.ideal import (
-    MinorSpec,
-    SquareFreeMonomial,
-    antidiagonal_init,
-    essential_generators,
     initial_ideal,
     minimal_hitting_sets,
-    minimalize,
     multidegree,
     stanley_reisner_facets,
 )
@@ -26,14 +25,13 @@ from asmprism.pipedream import delta_facets
 from asmprism.prism import asm_polynomial, bigrassmannian_model, parabolic_model
 
 
-def sq(*cells) -> SquareFreeMonomial:
-    return SquareFreeMonomial(frozenset(cells))
+def sq(*cells) -> frozenset:
+    return frozenset(cells)
 
 
-def brute_force_sr_facets(gens, n) -> frozenset[frozenset]:
+def brute_force_sr_facets(supports, n) -> frozenset[frozenset]:
     """Oracle: scan all 2^(n*n) subsets for maximal faces."""
     grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    supports = [g.support for g in gens]
     faces = []
     for k in range(len(grid), -1, -1):
         for cells in itertools.combinations(grid, k):
@@ -102,7 +100,7 @@ class TestInitialIdeal:
         for a in enumerate_asms(4):
             gens = initial_ideal(a)
             for g, h in itertools.combinations(gens, 2):
-                assert not g.divides(h) and not h.divides(g)
+                assert not g <= h and not h <= g
 
     def test_defining_equals_essential_after_minimalization_asm3(self):
         for a in enumerate_asms(3):
@@ -113,7 +111,8 @@ class TestInitialIdeal:
 
 class TestInitialIdealRoute:
     """initial_ideal reads its supports off the rank conditions; the minor
-    objects, each lead term taken by antidiagonal_init, are its oracle."""
+    objects, each lead term taken by antidiagonal_init and the family
+    minimalized by a pairwise inclusion filter, are its oracle."""
 
     @staticmethod
     def assert_matches_minors(a):
@@ -168,12 +167,12 @@ class TestHittingSets:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force_asm(self, n):
         for a in enumerate_asms(n):
-            supports = [g.support for g in initial_ideal(a)]
+            supports = initial_ideal(a)
             assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
 
     def test_matches_brute_force_asm6_sample(self):
         for a in [identity_asm(6)] + list(enumerate_asms(6))[::500]:
-            supports = [g.support for g in initial_ideal(a)]
+            supports = initial_ideal(a)
             assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
 
 
@@ -181,6 +180,14 @@ class TestStanleyReisner:
     def test_no_generators_whole_grid(self):
         sr = stanley_reisner_facets([], 2)
         assert sr.facets == {frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})}
+        for n in (1, 3):
+            grid = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+            assert stanley_reisner_facets([], n).facets == {grid}
+
+    @pytest.mark.parametrize("cell", [(3, 1), (1, 3), (0, 1), (1, 0)])
+    def test_support_off_the_grid_rejected(self, cell):
+        with pytest.raises(ValueError, match="leaves the 2x2 grid"):
+            stanley_reisner_facets([sq((1, 1)), sq((2, 2), cell)], 2)
 
     def test_single_variable_generator(self):
         sr = stanley_reisner_facets([sq((1, 1))], 2)
@@ -231,9 +238,3 @@ class TestMultidegree:
             md = multidegree(a)
             assert md == asm_polynomial(bigrassmannian_model(a))
             assert md == asm_polynomial(parabolic_model(a))
-
-
-class TestRendering:
-    def test_generator_render(self):
-        assert sq((1, 3), (2, 1)).render() == "z[1][3]*z[2][1]"
-        assert sq((1, 1)).render() == "z[1][1]"

@@ -12,28 +12,29 @@ from conftest import (
     brute_force_unstable_triple,
     bruhat_leq,
     contains_reduced_word,
+    diagram_demazure,
+    diagram_word,
+    divided_difference,
     phi_fibers,
+    schubert_oracle,
+    square_word,
+    word_product,
 )
 
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, enumerate_asms, identity_asm
 from asmprism.ideal import multidegree
-from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set, word_product
+from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set
 from asmprism.pipedream import (
     PlusDiagram,
     bottom_pipe_dream,
     delta_facets,
     delta_fmax,
-    diagram_demazure,
-    diagram_word,
-    divided_difference,
     dominates_fiber,
     min_perm_schubert_sum,
     phi,
     pipe_dreams_of,
-    schubert_oracle,
     schubert_polynomial,
-    square_word,
     verify_bijection,
 )
 from asmprism.prism import (

@@ -9,11 +9,12 @@ from conftest import (
     brute_force_prism_weight,
     brute_force_unstable_triple,
     component_cells,
+    partition_leq,
     relaxed_unstable_triple,
 )
 
 from asmprism.algebra import Monomial, poly_from_monomials
-from asmprism.asm import asm_leq, enumerate_asms, identity_asm, lambda_row
+from asmprism.asm import asm_leq, enumerate_asms, identity_asm, monotone_triangle
 from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
@@ -27,7 +28,6 @@ from asmprism.prism import (
     has_unstable_triple,
     parabolic_model,
     partition,
-    partition_leq,
     phi_cells,
     prism_min_degree,
     prism_set,
@@ -333,8 +333,8 @@ class TestModels:
         # A <= B iff every triangle-row shape of A sits inside B's
         asms = list(enumerate_asms(4))
         for a, b in itertools.product(asms, repeat=2):
-            contained = all(
-                partition_leq(lambda_row(a, i), lambda_row(b, i)) for i in range(1, 5))
+            ta, tb = monotone_triangle(a), monotone_triangle(b)
+            contained = all(partition_leq(ta.partition(i), tb.partition(i)) for i in range(1, 5))
             assert contained == asm_leq(a, b)
 
 
