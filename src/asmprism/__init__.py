@@ -6,7 +6,6 @@ from .algebra import Monomial, Polynomial, ZeroPolynomialError, poly_from_monomi
 from .asm import (
     Asm,
     AsmValidationError,
-    CornerSum,
     MatrixParseError,
     MonotoneTriangle,
     PartialAsm,
@@ -16,7 +15,7 @@ from .asm import (
     asm_leq,
     asm_meet,
     canonical_completion,
-    corner_sum,
+    corner_rows,
     embed,
     enumerate_asms,
     essential_set,

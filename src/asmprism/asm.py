@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 Cell = tuple[int, int]
 
@@ -102,7 +102,8 @@ class Asm:
         """Strip trailing [A|0; 0|1] blocks; representative of the iota class."""
         rows = self.entries
         n = len(rows)
-        while n > 1 and rows[n - 1][:n] == (0,) * (n - 1) + (1,) and not any(r[n - 1] for r in rows[: n - 1]):
+        # The last row and column of an ASM each hold a single 1, so a 1 at (n, n) makes both e_n.
+        while n > 1 and rows[n - 1][n - 1] == 1:
             n -= 1
         return self if n == len(rows) else Asm(tuple(r[:n] for r in rows[:n]))
 
@@ -130,22 +131,6 @@ class PartialAsm:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]
-
-
-@dataclass(frozen=True)
-class CornerSum:
-    """Corner sum matrix of an honest ASM; r(i,0) = r(0,j) = 0 implicitly."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def value(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        return self.rows[i - 1][j - 1]
 
 
 @dataclass(frozen=True)
@@ -202,13 +187,20 @@ def identity_asm(n: int) -> Asm:
     return Asm(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _corner_rows(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Row i of the corner sum is row i-1 plus the running sums of entry row i."""
+def corner_rows(a: Asm | PartialAsm, m: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The corner sums r(i, 1..m) for i = 1..m; m defaults to a.n.  Row i
+    is row i-1 plus the running sums of entry row i.  Past n, A is read as
+    embedded by iota: every row and column of an ASM sums to 1, so there
+    r(i, j) = min(i, j)."""
+    n = a.n
     rows = []
-    prev: Sequence[int] = (0,) * len(entries)
-    for row in entries:
+    prev: Sequence[int] = (0,) * n
+    for row in a.entries:
         prev = tuple(map(operator.add, prev, accumulate(row)))
         rows.append(prev)
+    if m is not None and m > n:
+        rows = [row + (i,) * (m - n) for i, row in enumerate(rows, start=1)]
+        rows += [tuple(range(1, i)) + (i,) * (m - i + 1) for i in range(n + 1, m + 1)]
     return tuple(rows)
 
 
@@ -224,24 +216,16 @@ def _entries_from_corner_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int,
     return tuple(out)
 
 
-def corner_sum(a: Asm) -> CornerSum:
-    return CornerSum(_corner_rows(a.entries))
-
-
-def asm_from_corner_sum(r: CornerSum) -> Asm:
-    """Inverse of :func:`corner_sum` via inclusion-exclusion of r.
+def asm_from_corner_sum(rows: Sequence[Sequence[int]]) -> Asm:
+    """Inverse of :func:`corner_rows` via inclusion-exclusion of r.
 
     By Robbins-Rumsey, r satisfies R1 and R2 exactly when the recovered
     entries form an ASM, so :func:`validate_asm` alone checks r, and its
     errors name a row or column of the recovered matrix."""
-    n = len(r.rows)
-    if any(len(row) != n for row in r.rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("corner sum matrix must be square")
-    return validate_asm(_entries_from_corner_rows(r.rows))
-
-
-def partial_corner_rows(p: PartialAsm) -> tuple[tuple[int, ...], ...]:
-    return _corner_rows(p.entries)
+    return validate_asm(_entries_from_corner_rows(rows))
 
 
 def embed(a: Asm) -> Asm:
@@ -252,16 +236,10 @@ def embed(a: Asm) -> Asm:
     return Asm(tuple(rows))
 
 
-def _embed_to(a: Asm, n: int) -> Asm:
-    while a.n < n:
-        a = embed(a)
-    return a
-
-
 def _common_corner_rows(a: Asm, b: Asm) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The corner sums of a and b at their common size."""
-    n = max(a.n, b.n)
-    return _corner_rows(_embed_to(a, n).entries), _corner_rows(_embed_to(b, n).entries)
+    m = max(a.n, b.n)
+    return corner_rows(a, m), corner_rows(b, m)
 
 
 def asm_leq(a: Asm, b: Asm) -> bool:
@@ -277,13 +255,13 @@ def asm_leq(a: Asm, b: Asm) -> bool:
 def asm_join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
     ra, rb = _common_corner_rows(a, b)
-    return asm_from_corner_sum(CornerSum(tuple(tuple(map(min, x, y)) for x, y in zip(ra, rb))))
+    return asm_from_corner_sum(tuple(tuple(map(min, x, y)) for x, y in zip(ra, rb)))
 
 
 def asm_meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
     ra, rb = _common_corner_rows(a, b)
-    return asm_from_corner_sum(CornerSum(tuple(tuple(map(max, x, y)) for x, y in zip(ra, rb))))
+    return asm_from_corner_sum(tuple(tuple(map(max, x, y)) for x, y in zip(ra, rb)))
 
 
 def _entrywise_min(mats: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
@@ -299,50 +277,53 @@ def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
     if not items:
         return identity_asm(n if n else 1)
     m = max(n or 1, max(a.n for a in items))
-    mats = [_corner_rows(_embed_to(a, m).entries) for a in items]
-    return asm_from_corner_sum(CornerSum(_entrywise_min(mats)))
+    mats = [corner_rows(a, m) for a in items]
+    return asm_from_corner_sum(_entrywise_min(mats))
 
 
-def inversions(a: Asm) -> frozenset[Cell]:
-    """The Rothe diagram D(A): cells where both the column sum above and the
-    row sum to the left vanish (the factored inversion criterion)."""
-    n = a.n
-    cells = set()
-    colsum = [[0] * n for _ in range(n + 1)]
-    rowsum = [[0] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            colsum[i + 1][j] = colsum[i][j] + a.entries[i][j]
-            rowsum[i][j + 1] = rowsum[i][j] + a.entries[i][j]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (1 - colsum[i][j - 1]) * (1 - rowsum[i - 1][j]) == 1:
-                cells.add((i, j))
+def _diagram(rows: Sequence[Sequence[int]]) -> frozenset[Cell]:
+    """The cells with r(i, j) = r(i-1, j) = r(i, j-1), r read as 0 on row
+    and column 0."""
+    cells = []
+    up: Sequence[int] = (0,) * len(rows)
+    for i, row in enumerate(rows, start=1):
+        left = 0
+        for j, (x, y) in enumerate(zip(row, up), start=1):
+            if x == y == left:
+                cells.append((i, j))
+            left = x
+        up = row
     return frozenset(cells)
 
 
-def essential_set(a: Asm) -> frozenset[Cell]:
-    """Southeast-most corners of the connected components of D(A)."""
-    d = inversions(a)
-    return frozenset((i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d)
+def inversions(a: Asm) -> frozenset[Cell]:
+    """The Rothe diagram D(A): the cells where both the column sum down to
+    (i, j) and the row sum up to it vanish, i.e. r(i, j) = r(i-1, j) = r(i, j-1)."""
+    return _diagram(corner_rows(a))
 
 
 def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
     """Fulton's rank conditions of A: (i, j, r_A(i, j)) for each (i, j) in
     Ess(A), in increasing order of (i, j).  They determine A."""
-    rows = _corner_rows(a.entries)
-    return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(essential_set(a))]
+    rows = corner_rows(a)
+    d = _diagram(rows)
+    ess = [(i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d]
+    return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(ess)]
+
+
+def essential_set(a: Asm) -> frozenset[Cell]:
+    """Southeast-most corners of the connected components of D(A): the
+    cells of :func:`rank_conditions`."""
+    return frozenset((i, j) for i, j, _ in rank_conditions(a))
 
 
 def monotone_triangle(a: Asm) -> MonotoneTriangle:
-    n = a.n
-    rows = []
-    col = [0] * n
-    for i in range(n):
-        for j in range(n):
-            col[j] += a.entries[i][j]
-        rows.append(tuple(j + 1 for j in range(n) if col[j] == 1))
-    return MonotoneTriangle(tuple(rows))
+    """Row i lists the columns j where the column sum down to row i,
+    r(i, j) - r(i, j-1), is 1."""
+    cols = range(1, a.n + 1)
+    return MonotoneTriangle(tuple(
+        tuple(compress(cols, map(operator.ne, row, (0,) + row))) for row in corner_rows(a)
+    ))
 
 
 def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
@@ -456,7 +437,7 @@ def partial_asm_join(ps: Sequence[PartialAsm], n: int) -> PartialAsm:
     identity, the minimum of the order."""
     if not ps:
         return PartialAsm(identity_asm(n).entries)
-    mats = [partial_corner_rows(p) for p in ps]
+    mats = [corner_rows(p) for p in ps]
     return validate_partial_asm(_entries_from_corner_rows(_entrywise_min(mats)))
 
 

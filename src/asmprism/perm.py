@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .asm import Asm, bigrassmannian_one_line, join_all, rank_conditions
@@ -133,8 +133,8 @@ def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, ...]]:
     The prefix's values are a bitmask (value v is bit v - 1), so a test is
     the popcount of its values up to j, and placing v adds one inversion
     per larger value already placed.  Inversions only grow along a
-    prefix, so with ``shortest_only`` a prefix is dropped once it has more
-    than the shortest complete word seen; ties are kept."""
+    prefix, so with ``shortest_only`` a prefix is dropped once they exceed
+    the least length of a complete word seen; ties are kept."""
     n = a.n
     tests: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, j, r in rank_conditions(a):
@@ -187,18 +187,12 @@ def perm_set(a: Asm) -> frozenset[Perm]:
     )
 
 
-def shortest(perms: Collection[Perm]) -> frozenset[Perm]:
-    """The elements of minimum length."""
-    m = min(w.length() for w in perms)
-    return frozenset(w for w in perms if w.length() == m)
-
-
 def min_perm_set(a: Asm) -> frozenset[Perm]:
-    """MinPerm(A): the shortest elements of Perm(A), found as the shortest
-    permutations above A with no lower-cover check.  Every w >= A lies
-    above some u in Perm(A) with l(u) <= l(w), and a shortest w >= A has
-    no shorter u >= A below it, so it is Bruhat-minimal: shortest(Perm(A))
-    = shortest({w : w >= A})."""
+    """MinPerm(A): the least-length elements of Perm(A), found as the
+    least-length permutations above A with no lower-cover check.  Every
+    w >= A lies above some u in Perm(A) with l(u) <= l(w), and a
+    least-length w >= A has no shorter u >= A below it, so it is
+    Bruhat-minimal: both sets have the same least-length elements."""
     return frozenset(Perm(w) for w in _perms_above(a, shortest_only=True))
 
 

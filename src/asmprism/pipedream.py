@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import Asm, Cell
-from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set, shortest
+from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
 from .prism import PrismShapeSpec, PrismTableau, _cells, _Fillings, _unstable, phi_cells
 
 
@@ -186,9 +186,11 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
     """
     if a is None:
         a = asm_from_shape_tuple(spec.lambdas, spec.ds)
-    dreams = {w: pipe_dreams_of(w, a.n) for w in perm_set(a)}
-    facet_cells = {p.cells for ps in dreams.values() for p in ps}
-    fmax_cells = {p.cells for w in shortest(dreams.keys()) for p in dreams[w]}
+    facet_cells = {p.cells for w in perm_set(a) for p in pipe_dreams_of(w, a.n)}
+    # a reduced pipe dream of w has l(w) pluses, so the pipe dreams of
+    # MinPerm(A), the maximal-dimension facets, have the fewest
+    fewest = min(map(len, facet_cells))
+    fmax_cells = {c for c in facet_cells if len(c) == fewest}
     fillings = _Fillings(spec)
     fibers = fillings.fibers(facet_cells)
 

@@ -102,16 +102,6 @@ class Rssyt:
                 if q and rows[q - 1][b] <= v:
                     raise ValueError("columns must strictly decrease bottom to top")
 
-    @classmethod
-    def _trusted(cls, shape: Partition, depth: int, rows: tuple[tuple[int, ...], ...]) -> Rssyt:
-        """A filling that enumerate_rssyt built valid, made without the
-        checks of __post_init__."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "shape", shape)
-        object.__setattr__(t, "depth", depth)
-        object.__setattr__(t, "rows", rows)
-        return t
-
     def grid_row(self, q: int) -> int:
         """Grid row of 1-based filling row q (row 1 is the bottom row)."""
         return self.depth - q + 1
@@ -130,14 +120,14 @@ def enumerate_rssyt(lam: Sequence[int], d: int) -> Iterator[Rssyt]:
     if len(lam) > d:
         raise ValueError(f"shape {lam} needs depth >= {len(lam)}, got {d}")
     if not lam:
-        yield Rssyt._trusted((), d, ())
+        yield Rssyt((), d, ())
         return
 
     rows: list[list[int]] = []
 
     def fill_row(q: int) -> Iterator[Rssyt]:
         if q == len(lam):
-            yield Rssyt._trusted(lam, d, tuple(tuple(r) for r in rows))
+            yield Rssyt(lam, d, tuple(tuple(r) for r in rows))
             return
         width = lam[q]
 

@@ -92,6 +92,43 @@ def _block_sums(a: Asm, n: int) -> list[int]:
     ]
 
 
+def block_sum_table(a: Asm) -> list[list[int]]:
+    """_block_sums(a, a.n) as a table with a zero row and column 0, so that
+    t[i][j] = r(i, j) for 0 <= i, j <= n."""
+    n = a.n
+    flat = _block_sums(a, n)
+    return [[0] * (n + 1)] + [[0] + flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def brute_force_diagram(a: Asm) -> frozenset[tuple[int, int]]:
+    """D(A) by the factored inversion criterion: the cells where both the
+    column sum down to (i, j) and the row sum up to it vanish, each summed
+    in its own table."""
+    n = a.n
+    cells = set()
+    colsum = [[0] * n for _ in range(n + 1)]
+    rowsum = [[0] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            colsum[i + 1][j] = colsum[i][j] + a.entries[i][j]
+            rowsum[i][j + 1] = rowsum[i][j] + a.entries[i][j]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if (1 - colsum[i][j - 1]) * (1 - rowsum[i - 1][j]) == 1:
+                cells.add((i, j))
+    return frozenset(cells)
+
+
+def brute_force_canonical(a: Asm) -> tuple[tuple[int, ...], ...]:
+    """The entries of a with every trailing [A|0; 0|1] block stripped,
+    testing the whole last row and column of each block."""
+    rows = a.entries
+    n = len(rows)
+    while n > 1 and rows[n - 1][:n] == (0,) * (n - 1) + (1,) and not any(r[n - 1] for r in rows[: n - 1]):
+        n -= 1
+    return tuple(r[:n] for r in rows[:n])
+
+
 def _dominates(r: list[int], s: list[int]) -> bool:
     return all(x >= y for x, y in zip(r, s))
 
@@ -315,9 +352,9 @@ def asm_count_formula(n: int) -> int:
     return num // den
 
 
-def render_corner_sum(r) -> str:
-    """A corner sum matrix in the ASM text format."""
-    return "\n".join(" ".join(str(x) for x in row) for row in r.rows)
+def render_corner_sum(a: Asm) -> str:
+    """The block sums of a in the ASM text format."""
+    return "\n".join(" ".join(str(x) for x in row[1:]) for row in block_sum_table(a)[1:])
 
 
 def bruhat_leq(v, w) -> bool:
@@ -543,18 +580,16 @@ def contains_reduced_word(letters: tuple[int, ...], w) -> bool:
 
 def essential_by_corner_sums(a: Asm) -> frozenset[tuple[int, int]]:
     """The rank characterization of the essential set."""
-    from asmprism.asm import corner_sum
-
-    r = corner_sum(a)
+    r = block_sum_table(a)
     n = a.n
     out = set()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if not (r.value(i, j) == r.value(i - 1, j) == r.value(i, j - 1)):
+            if not (r[i][j] == r[i - 1][j] == r[i][j - 1]):
                 continue
             if i == n or j == n:
                 continue
-            if r.value(i, j) + 1 == r.value(i + 1, j) == r.value(i, j + 1):
+            if r[i][j] + 1 == r[i + 1][j] == r[i][j + 1]:
                 out.add((i, j))
     return frozenset(out)
 
@@ -614,13 +649,11 @@ def defining_generators(a: Asm):
     """The full generating set of I_A: the (r_A(i,j)+1)-minors of
     Z_{[i],[j]} at every grid cell, not only the essential ones.  Cells
     whose rank bound is vacuous (r = min(i,j)) contribute nothing."""
-    from asmprism.asm import corner_sum
-
-    r = corner_sum(a)
+    r = block_sum_table(a)
     out = set()
     for i in range(1, a.n + 1):
         for j in range(1, a.n + 1):
-            k = r.value(i, j) + 1
+            k = r[i][j] + 1
             for rows in itertools.combinations(range(1, i + 1), k):
                 for cols in itertools.combinations(range(1, j + 1), k):
                     out.add(MinorSpec(rows, cols, (i, j)))

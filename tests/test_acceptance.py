@@ -12,7 +12,7 @@ from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import (
     asm_join,
     asm_meet,
-    corner_sum,
+    corner_rows,
     enumerate_asms,
     essential_set,
     inversions,
@@ -158,7 +158,7 @@ def test_criterion_7_lattice_and_base():
                 for r in range(0, min(i, j)):
                     if i + j - r > 4:
                         continue
-                    family = [a for a in asms if corner_sum(a).value(i, j) <= r]
+                    family = [a for a in asms if corner_rows(a)[i - 1][j - 1] <= r]
                     meet = family[0]
                     for b in family[1:]:
                         meet = asm_meet(meet, b)

@@ -5,8 +5,12 @@ import random
 import pytest
 
 from conftest import (
+    _block_sums,
     asm_count_formula,
+    block_sum_table,
     brute_force_asms,
+    brute_force_canonical,
+    brute_force_diagram,
     brute_force_join,
     brute_force_leq,
     brute_force_meet,
@@ -17,7 +21,6 @@ from conftest import (
 
 from asmprism.asm import (
     AsmValidationError,
-    CornerSum,
     MatrixParseError,
     MonotoneTriangle,
     asm_from_corner_sum,
@@ -27,7 +30,7 @@ from asmprism.asm import (
     asm_leq,
     asm_meet,
     canonical_completion,
-    corner_sum,
+    corner_rows,
     embed,
     enumerate_asms,
     essential_set,
@@ -37,7 +40,6 @@ from asmprism.asm import (
     monotone_triangle,
     parse_matrix_text,
     partial_bigrassmannian,
-    partial_corner_rows,
     rank_conditions,
     render_asm,
     validate_asm,
@@ -73,26 +75,36 @@ class TestValidation:
 
 class TestCornerSum:
     def test_identity_2x2(self):
-        assert corner_sum(identity_asm(2)).rows == ((1, 1), (1, 2))
+        assert corner_rows(identity_asm(2)) == ((1, 1), (1, 2))
 
     def test_asmdiag(self, asmdiag):
-        assert corner_sum(asmdiag).rows == (
+        assert corner_rows(asmdiag) == (
             (0, 0, 0, 1), (0, 1, 1, 2), (1, 1, 2, 3), (1, 2, 3, 4))
 
     def test_deg_example(self, deg_example):
-        assert corner_sum(deg_example).rows == (
+        assert corner_rows(deg_example) == (
             (0, 0, 1, 1), (0, 1, 1, 2), (1, 1, 2, 3), (1, 2, 3, 4))
 
     def test_round_trip_identity(self):
-        assert asm_from_corner_sum(CornerSum(((1, 1), (1, 2)))) == identity_asm(2)
+        assert asm_from_corner_sum(((1, 1), (1, 2))) == identity_asm(2)
 
     def test_r3412_recovers_3412(self):
-        a = asm_from_corner_sum(CornerSum(((0, 0, 1, 1), (0, 0, 1, 2), (1, 1, 2, 3), (1, 2, 3, 4))))
+        a = asm_from_corner_sum(((0, 0, 1, 1), (0, 0, 1, 2), (1, 1, 2, 3), (1, 2, 3, 4)))
         assert a.entries == ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 
     def test_round_trip_all_asm4(self):
         for a in enumerate_asms(4):
-            assert asm_from_corner_sum(corner_sum(a)) == a
+            assert asm_from_corner_sum(corner_rows(a)) == a
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_block_sums(self, n):
+        """corner_rows at m = n, n+1 and n+2 against the block sums of the
+        matrix padded with diagonal 1s, summed from the definition."""
+        for a in enumerate_asms(n):
+            for m in (n, n + 1, n + 2):
+                rows = corner_rows(a, m)
+                assert len(rows) == m
+                assert [x for row in rows for x in row] == _block_sums(a, m)
 
     @pytest.mark.parametrize(
         "rows, match",
@@ -106,7 +118,7 @@ class TestCornerSum:
     )
     def test_asm_from_corner_sum_rejects(self, rows, match):
         with pytest.raises(ValueError, match=match):
-            asm_from_corner_sum(CornerSum(rows))
+            asm_from_corner_sum(rows)
 
 
 class TestOrderAndLattice:
@@ -251,14 +263,23 @@ class TestDiagram:
 
     def test_diagram_corner_sum_characterization_asm4(self):
         for a in enumerate_asms(4):
-            r = corner_sum(a)
+            r = block_sum_table(a)
             by_rank = frozenset(
                 (i, j)
                 for i in range(1, 5)
                 for j in range(1, 5)
-                if r.value(i, j) == r.value(i - 1, j) == r.value(i, j - 1)
+                if r[i][j] == r[i - 1][j] == r[i][j - 1]
             )
             assert by_rank == inversions(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_factored_criterion(self, n):
+        for a in enumerate_asms(n):
+            assert inversions(a) == brute_force_diagram(a)
+
+    def test_matches_factored_criterion_asm6_every_50th(self):
+        for a in list(enumerate_asms(6))[::50]:
+            assert inversions(a) == brute_force_diagram(a)
 
     def test_essential_double_characterization_asm4(self):
         for a in enumerate_asms(4):
@@ -272,8 +293,8 @@ class TestEssentialRankConditions:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_asm(self, n):
         for a in enumerate_asms(n):
-            r = corner_sum(a)
-            expected = sorted((i, j, r.value(i, j)) for (i, j) in essential_by_corner_sums(a))
+            r = block_sum_table(a)
+            expected = sorted((i, j, r[i][j]) for (i, j) in essential_by_corner_sums(a))
             assert rank_conditions(a) == expected
 
     def test_identity_has_none(self):
@@ -304,13 +325,18 @@ class TestMonotoneTriangle:
         # r(i, a) counts the entries of triangle row i that are <= a
         for a in enumerate_asms(4):
             mt = monotone_triangle(a)
-            r = corner_sum(a)
+            r = block_sum_table(a)
             for i in range(1, 5):
                 for col in range(1, 5):
-                    assert r.value(i, col) == sum(1 for x in mt.rows[i - 1] if x <= col)
+                    assert r[i][col] == sum(1 for x in mt.rows[i - 1] if x <= col)
 
     def test_asm_round_trip(self, asmdiag):
         assert asm_from_monotone_triangle(monotone_triangle(asmdiag)) == asmdiag
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_round_trip_every_asm(self, n):
+        for a in enumerate_asms(n):
+            assert asm_from_monotone_triangle(monotone_triangle(a)).entries == a.entries
 
 
 class TestLambdaRow:
@@ -365,8 +391,14 @@ class TestEmbed:
         assert inversions(embed(asmdiag)) == inversions(asmdiag)
 
     def test_boundary_corner_sums(self, asmdiag):
-        r = corner_sum(embed(asmdiag))
-        assert all(r.value(i, 5) == i for i in range(1, 6))
+        r = corner_rows(embed(asmdiag))
+        assert all(r[i - 1][4] == i for i in range(1, 6))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_padding_is_iota(self, n):
+        for a in enumerate_asms(n):
+            assert corner_rows(embed(a)) == corner_rows(a, n + 1)
+            assert corner_rows(embed(embed(a))) == corner_rows(a, n + 2)
 
     def test_order_embedding_asm3(self):
         asms = list(enumerate_asms(3))
@@ -376,6 +408,14 @@ class TestEmbed:
     def test_canonical_equality_across_sizes(self, asmdiag):
         assert embed(asmdiag) == asmdiag
         assert identity_asm(5) == identity_asm(1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_canonical_matches_block_stripping(self, n):
+        """The (n, n) test of Asm.canonical against stripping whole
+        trailing [A|0; 0|1] blocks, on ASM(n) embedded 0, 1 and 2 times."""
+        for a in enumerate_asms(n):
+            for b in (a, embed(a), embed(embed(a))):
+                assert b.canonical().entries == brute_force_canonical(b)
 
 
 class TestPartialAsm:
@@ -411,7 +451,7 @@ class TestPartialAsm:
                       [[0, 0], [0, 1]], [[0, 1], [1, -1]])
         ]
         for p, q in itertools.product(partials, repeat=2):
-            rp, rq = partial_corner_rows(p), partial_corner_rows(q)
+            rp, rq = corner_rows(p), corner_rows(q)
             direct = all(rp[i][j] >= rq[i][j] for i in range(2) for j in range(2))
             completed = asm_leq(canonical_completion(p), canonical_completion(q))
             assert direct == completed
@@ -448,7 +488,7 @@ class TestRankConditions:
         for _ in range(40):
             bounds = [[rng.choice([None, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
             a = asm_from_rank_conditions(bounds)
-            ra = partial_corner_rows(a)
+            ra = corner_rows(a)
             for _ in range(25):
                 # biased toward low rank so conditions actually trigger
                 k = rng.randint(0, n)
@@ -484,7 +524,9 @@ class TestTextFormat:
         assert validate_asm(parse_matrix_text(text)) == asmdiag
 
     def test_render_corner_sum(self, asmdiag):
-        assert render_corner_sum(corner_sum(asmdiag)).splitlines()[0] == "0 0 0 1"
+        text = render_corner_sum(asmdiag)
+        assert text.splitlines()[0] == "0 0 0 1"
+        assert text == "\n".join(" ".join(map(str, row)) for row in corner_rows(asmdiag))
 
     def test_parse_reports_position(self):
         with pytest.raises(MatrixParseError) as err:
