@@ -18,7 +18,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from functools import cache
+from itertools import accumulate, compress, product
 
 Cell = tuple[int, int]
 
@@ -302,13 +303,16 @@ def inversions(a: Asm) -> frozenset[Cell]:
     return _diagram(corner_rows(a))
 
 
-def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
-    """Fulton's rank conditions of A: (i, j, r_A(i, j)) for each (i, j) in
-    Ess(A), in increasing order of (i, j).  They determine A."""
-    rows = corner_rows(a)
+def _rank_conditions(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
     d = _diagram(rows)
     ess = [(i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d]
     return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(ess)]
+
+
+def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
+    """Fulton's rank conditions of A: (i, j, r_A(i, j)) for each (i, j) in
+    Ess(A), in increasing order of (i, j).  They determine A."""
+    return _rank_conditions(corner_rows(a))
 
 
 def essential_set(a: Asm) -> frozenset[Cell]:
@@ -317,13 +321,17 @@ def essential_set(a: Asm) -> frozenset[Cell]:
     return frozenset((i, j) for i, j, _ in rank_conditions(a))
 
 
+def _monotone_triangle(rows: Sequence[Sequence[int]]) -> MonotoneTriangle:
+    cols = range(1, len(rows) + 1)
+    return MonotoneTriangle(tuple(
+        tuple(compress(cols, map(operator.ne, row, (0, *row)))) for row in rows
+    ))
+
+
 def monotone_triangle(a: Asm) -> MonotoneTriangle:
     """Row i lists the columns j where the column sum down to row i,
     r(i, j) - r(i, j-1), is 1."""
-    cols = range(1, a.n + 1)
-    return MonotoneTriangle(tuple(
-        tuple(compress(cols, map(operator.ne, row, (0,) + row))) for row in corner_rows(a)
-    ))
+    return _monotone_triangle(corner_rows(a))
 
 
 def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
@@ -342,37 +350,27 @@ def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
 def enumerate_monotone_triangles(n: int) -> Iterator[MonotoneTriangle]:
     """All monotone triangles with bottom row (1, ..., n), in lexicographic
     order of the flattened rows.  Consecutive rows interleave:
-    m(i+1, j) <= m(i, j) <= m(i+1, j+1)."""
+    m(i+1, j) <= m(i, j) <= m(i+1, j+1), so the row after p is a strictly
+    increasing pick from the ranges [p(j-1), p(j)], read with 1 and n at
+    the ends; the top row is a pick from [1, n] after the empty row."""
     if n < 1:
         raise ValueError("n must be positive")
 
-    def extensions(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        i = len(prev)
-        # next row q of length i+1 with q[j] <= prev[j] <= q[j+1]
-        def rec(pos: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if pos == i + 1:
-                yield tuple(acc)
-                return
-            lo = 1 if pos == 0 else max(prev[pos - 1], acc[-1] + 1)
-            hi = prev[pos] if pos < i else n
-            for v in range(lo, hi + 1):
-                acc.append(v)
-                yield from rec(pos + 1, acc)
-                acc.pop()
+    @cache
+    def successors(prev: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # a row has distinct entries in [n], so at most 2^n rows are listed
+        ends = (1, *prev, n)
+        picks = product(*(range(lo, hi + 1) for lo, hi in zip(ends, ends[1:])))
+        return [row for row in picks if all(map(operator.lt, row, row[1:]))]
 
-        yield from rec(0, [])
-
-    def build(rows: list[tuple[int, ...]]) -> Iterator[MonotoneTriangle]:
+    def walk(rows: tuple[tuple[int, ...], ...]) -> Iterator[MonotoneTriangle]:
         if len(rows) == n:
-            yield MonotoneTriangle(tuple(rows))
+            yield MonotoneTriangle(rows)
             return
-        for nxt in extensions(rows[-1]):
-            rows.append(nxt)
-            yield from build(rows)
-            rows.pop()
+        for row in successors(rows[-1] if rows else ()):
+            yield from walk((*rows, row))
 
-    for top in range(1, n + 1):
-        yield from build([(top,)])
+    return walk(())
 
 
 def enumerate_asms(n: int) -> Iterator[Asm]:

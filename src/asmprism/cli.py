@@ -13,6 +13,7 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import combinations_with_replacement
 
 from . import asm as asm_mod
 from . import ideal as ideal_mod
@@ -79,22 +80,22 @@ def _cells_line(cells: Iterable[tuple[int, int]]) -> str:
     return " ".join(f"{i},{j}" for i, j in cells) if cells else "-"
 
 
+# the two prism models of an ASM, checked and listed in this order
+_PRISM_MODELS = {"bigr": prism_mod.bigrassmannian_model, "parabolic": prism_mod.parabolic_model}
+
+
 # one helper per verify verb; top-level so they can cross process boundaries
 
 def _check_theorem1(a: Asm) -> bool:
     target = pd_mod.min_perm_schubert_sum(a)
     return (
-        prism_mod.asm_polynomial(prism_mod.bigrassmannian_model(a)) == target
-        and prism_mod.asm_polynomial(prism_mod.parabolic_model(a)) == target
+        all(prism_mod.asm_polynomial(model(a)) == target for model in _PRISM_MODELS.values())
         and ideal_mod.multidegree(a) == target
     )
 
 
 def _check_bijection(a: Asm) -> bool:
-    return (
-        pd_mod.verify_bijection(prism_mod.bigrassmannian_model(a), a).passed
-        and pd_mod.verify_bijection(prism_mod.parabolic_model(a), a).passed
-    )
+    return all(pd_mod.verify_bijection(model(a), a).passed for model in _PRISM_MODELS.values())
 
 
 def _check_groebner(a: Asm) -> bool:
@@ -151,16 +152,13 @@ def _verify_lattice(n: int, jobs: int) -> tuple[bool, str]:
 
 
 def _partitions_in_box(rows: int, cols: int) -> list[tuple[int, ...]]:
-    out = [()]
-    def rec(prefix: list[int], maxpart: int) -> None:
-        if len(prefix) == rows:
-            return
-        for p in range(1, maxpart + 1):
-            cur = prefix + [p]
-            out.append(tuple(cur))
-            rec(cur, p)
-    rec([], cols)
-    return sorted(out, key=lambda t: (len(t), t))
+    """The partitions with at most ``rows`` parts, each at most ``cols``,
+    by length and then lexicographically."""
+    return [
+        parts
+        for length in range(rows + 1)
+        for parts in sorted(combinations_with_replacement(range(cols, 0, -1), length))
+    ]
 
 
 VERIFIERS = {
@@ -185,12 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "structured"], default="text")
 
     p = sub.add_parser("poly", help="the ASM polynomial / multidegree")
-    p.add_argument("--model", choices=["bigr", "parabolic", "schubert-sum", "multidegree"], required=True)
+    p.add_argument("--model", choices=[*_PRISM_MODELS, "schubert-sum", "multidegree"], required=True)
     with_asm(p)
 
     p = sub.add_parser("prism", help="prism tableau listings")
     p.add_argument("action", choices=["list"])
-    p.add_argument("--model", choices=["bigr", "parabolic"], required=True)
+    p.add_argument("--model", choices=list(_PRISM_MODELS), required=True)
     p.add_argument("--verbose", action="store_true", help="print the weight of each tableau")
     with_asm(p)
     with_format(p)
@@ -230,10 +228,8 @@ def _run(args: argparse.Namespace) -> int:
     out = sys.stdout
     if args.verb == "poly":
         a = _load_asm(args.asm)
-        if args.model == "bigr":
-            poly = prism_mod.asm_polynomial(prism_mod.bigrassmannian_model(a))
-        elif args.model == "parabolic":
-            poly = prism_mod.asm_polynomial(prism_mod.parabolic_model(a))
+        if args.model in _PRISM_MODELS:
+            poly = prism_mod.asm_polynomial(_PRISM_MODELS[args.model](a))
         elif args.model == "schubert-sum":
             poly = pd_mod.min_perm_schubert_sum(a)
         else:
@@ -243,9 +239,8 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.verb == "prism":
         a = _load_asm(args.asm)
-        model = prism_mod.bigrassmannian_model(a) if args.model == "bigr" else prism_mod.parabolic_model(a)
         tableaux = sorted(
-            prism_mod.prism_set(model),
+            prism_mod.prism_set(_PRISM_MODELS[args.model](a)),
             key=prism_mod.serialize_prism_tableau,
         )
         for idx, t in enumerate(tableaux):

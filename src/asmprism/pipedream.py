@@ -186,7 +186,7 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
     """
     if a is None:
         a = asm_from_shape_tuple(spec.lambdas, spec.ds)
-    facet_cells = {p.cells for w in perm_set(a) for p in pipe_dreams_of(w, a.n)}
+    facet_cells = {p.cells for p in delta_facets(a)}
     # a reduced pipe dream of w has l(w) pluses, so the pipe dreams of
     # MinPerm(A), the maximal-dimension facets, have the fewest
     fewest = min(map(len, facet_cells))

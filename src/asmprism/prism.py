@@ -18,12 +18,14 @@ int bitmasks, built once per component filling (see ``_entry``).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .algebra import Monomial, Polynomial, poly_from_monomials
-from .asm import Asm, Cell, essential_set, monotone_triangle, rank_conditions
+from .asm import Asm, Cell, _monotone_triangle, _rank_conditions, corner_rows, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -115,39 +117,24 @@ class Rssyt:
 
 
 def enumerate_rssyt(lam: Sequence[int], d: int) -> Iterator[Rssyt]:
-    """All reverse semistandard fillings of lam with labels in [d]."""
+    """All reverse semistandard fillings of lam with labels in [d], in
+    lexicographic order of the flattened rows, bottom row first.  Each row
+    is a weakly decreasing pick of labels, kept when every entry is less
+    than the one under it; the bottom row is checked against a row of d + 1s."""
     lam = partition(lam)
     if len(lam) > d:
         raise ValueError(f"shape {lam} needs depth >= {len(lam)}, got {d}")
-    if not lam:
-        yield Rssyt((), d, ())
-        return
+    picks = {w: sorted(combinations_with_replacement(range(d, 0, -1), w)) for w in set(lam)}
 
-    rows: list[list[int]] = []
-
-    def fill_row(q: int) -> Iterator[Rssyt]:
-        if q == len(lam):
-            yield Rssyt(lam, d, tuple(tuple(r) for r in rows))
+    def walk(rows: tuple[tuple[int, ...], ...], below: tuple[int, ...]) -> Iterator[Rssyt]:
+        if len(rows) == len(lam):
+            yield Rssyt(lam, d, rows)
             return
-        width = lam[q]
+        for row in picks[lam[len(rows)]]:
+            if all(map(operator.lt, row, below)):
+                yield from walk((*rows, row), row)
 
-        def place(b: int, acc: list[int]) -> Iterator[Rssyt]:
-            if b == width:
-                rows.append(list(acc))
-                yield from fill_row(q + 1)
-                rows.pop()
-                return
-            hi = d if not acc else acc[-1]
-            if q:
-                hi = min(hi, rows[q - 1][b] - 1)
-            for v in range(1, hi + 1):
-                acc.append(v)
-                yield from place(b + 1, acc)
-                acc.pop()
-
-        yield from place(0, [])
-
-    yield from fill_row(0)
+    return walk((), (d + 1,) * max(lam, default=0))
 
 
 @dataclass(frozen=True)
@@ -382,9 +369,11 @@ def bigrassmannian_model(a: Asm) -> PrismShapeSpec:
 
 
 def parabolic_model(a: Asm) -> PrismShapeSpec:
-    """One monotone-triangle shape per essential row."""
-    ess_rows = sorted({i for (i, _) in essential_set(a)})
-    mt = monotone_triangle(a)
+    """One monotone-triangle shape per essential row, both read from one
+    corner-sum table."""
+    rows = corner_rows(a)
+    ess_rows = sorted({i for i, _, _ in _rank_conditions(rows)})
+    mt = _monotone_triangle(rows)
     return PrismShapeSpec(tuple(mt.partition(i) for i in ess_rows), tuple(ess_rows))
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import runpy
 import sys
@@ -90,6 +91,17 @@ class TestVerify:
     def test_schur_n2(self):
         code, out, _ = run(["verify", "schur", "--n", "2"])
         assert code == 0
+
+    @pytest.mark.parametrize("rows", range(6))
+    def test_partitions_in_box(self, rows):
+        # a partition inside rows x cols is a lattice path, so there are C(rows + cols, rows)
+        for cols in range(6):
+            parts = cli._partitions_in_box(rows, cols)
+            assert len(parts) == len(set(parts)) == math.comb(rows + cols, rows)
+            assert parts == sorted(parts, key=lambda p: (len(p), p))
+            for p in parts:
+                assert len(p) <= rows and all(0 < x <= cols for x in p)
+                assert list(p) == sorted(p, reverse=True)
 
     def test_jobs_flag_same_output(self):
         # 42 ASMs at n = 4 go to the pool in chunks of 5

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -124,8 +125,10 @@ class TestRssyt:
                 assert {(a, b) for a, b, _ in t.cells()} == shape_cells
 
     def test_generated_fillings_pass_validation(self):
-        # enumerate_rssyt skips the checks of Rssyt(...); rebuilding each
-        # filling through them must give the same filling
+        # enumerate_rssyt builds each filling through Rssyt(...), so its
+        # checks run on every generated filling; rebuilding one must give
+        # the same filling.  Each shape's fillings come out in strictly
+        # increasing lexicographic order of the flattened rows, bottom first
         shapes = {
             (lam, d)
             for n in range(1, 6)
@@ -135,8 +138,11 @@ class TestRssyt:
         }
         shapes |= {(rectangle(r, c), 6) for r in (1, 2, 3) for c in (1, 2, 3)}
         for lam, d in shapes:
+            flats = []
             for t in enumerate_rssyt(lam, d):
                 assert Rssyt(t.shape, t.depth, t.rows) == t
+                flats.append(tuple(v for row in t.rows for v in row))
+            assert all(map(operator.lt, flats, flats[1:]))
 
 
 class TestWeight:
