@@ -4,6 +4,11 @@ Variables are x1, x2, x3, ...; a monomial stores its exponent vector with
 trailing zeros normalized away, so x1*x3 is ``Monomial((1, 0, 1))`` and the
 constant monomial is ``Monomial(())``.  Coefficients are Python ints, so
 nothing ever overflows.  All values are immutable and safe to share.
+
+The ideal and pipe-dream routes carry a set of cells of the n-by-n grid as
+an int, with cell (i, j) at bit (i-1)*n + j-1, so row i is the n-bit
+stretch at (i-1)*n; ``grid_cells`` decodes such a mask and
+``grid_weight_sum`` adds up the row-count weights of such masks.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cache
 
 
 class ZeroPolynomialError(ValueError):
@@ -187,3 +193,30 @@ def poly_from_monomials(ms: Iterable[Monomial]) -> Polynomial:
     for m in ms:
         terms[m] = terms.get(m, 0) + 1
     return Polynomial(terms)
+
+
+@cache
+def _grid(n: int) -> tuple[tuple[int, int], ...]:
+    """The cells of the n-by-n grid in bit order."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def grid_cells(mask: int, n: int) -> frozenset[tuple[int, int]]:
+    """The cells (i, j) of an n-by-n grid mask, one per set bit."""
+    grid = _grid(n)
+    cells = []
+    while mask:
+        low = mask & -mask
+        cells.append(grid[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(cells)
+
+
+def grid_weight_sum(masks: Iterable[int], n: int) -> Polynomial:
+    """The sum of the row-count weights of n-by-n grid masks: each mask
+    contributes x_i to the number of its cells in row i, the popcount of
+    the row's n-bit stretch."""
+    full = (1 << n) - 1
+    rows = range(0, n * n, n)
+    weights = Counter(tuple((m >> k & full).bit_count() for k in rows) for m in masks)
+    return Polynomial({Monomial(e): c for e, c in weights.items()})

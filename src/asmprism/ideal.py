@@ -6,16 +6,17 @@ Under any antidiagonal term order the lead term of a minor is the product
 of its antidiagonal, so the initial ideal is square-free and each of its
 generators is carried as its support, a set of grid cells.  Its
 Stanley-Reisner facets are complements of minimal hitting sets of those
-supports.
+supports.  The supports and the hitting-set search run on grid masks
+(see ``algebra``); the public functions decode each result once.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .algebra import Monomial, Polynomial, poly_from_monomials
+from .algebra import Polynomial, grid_cells, grid_weight_sum
 from .asm import Asm, Cell, rank_conditions
 
 
@@ -27,64 +28,91 @@ class SRComplexFacets:
     facets: frozenset[frozenset[Cell]]
 
 
+def _initial_masks(a: Asm) -> list[int]:
+    """The initial ideal's minimal supports as grid masks (see ``algebra``),
+    in order of size.  The generators of I_A are the (r+1)-minors of
+    Z_{[i],[j]} over the rank conditions (i, j, r); a minor's lead term is
+    its antidiagonal, read straight off its rows and columns.  A support
+    is kept unless a kept one lies inside it; in order of size, every
+    smaller one is seen first."""
+    n = a.n
+    supports = {
+        sum(1 << row + col for row, col in zip(rows, reversed(cols)))
+        for i, j, r in rank_conditions(a)
+        for rows in itertools.combinations(range(0, i * n, n), r + 1)
+        for cols in itertools.combinations(range(j), r + 1)
+    }
+    kept: list[int] = []
+    for s in sorted(supports, key=int.bit_count):
+        if not any(h & s == h for h in kept):
+            kept.append(s)
+    return kept
+
+
 def initial_ideal(a: Asm) -> frozenset[frozenset[Cell]]:
     """Minimal generators of the antidiagonal initial ideal of I_A, each a
-    square-free monomial given by its support.  The generators of I_A are
-    the (r+1)-minors of Z_{[i],[j]} over the rank conditions (i, j, r);
-    a minor's lead term is its antidiagonal, read straight off its rows
-    and columns.  A support is kept unless a kept one lies inside it; in
-    order of size, every smaller one is seen first."""
-    supports = {
-        frozenset(zip(rows, reversed(cols)))
-        for i, j, r in rank_conditions(a)
-        for rows in itertools.combinations(range(1, i + 1), r + 1)
-        for cols in itertools.combinations(range(1, j + 1), r + 1)
-    }
-    kept: list[frozenset[Cell]] = []
-    for s in sorted(supports, key=len):
-        if not any(h <= s for h in kept):
-            kept.append(s)
-    return frozenset(kept)
+    square-free monomial given by its support."""
+    return frozenset(grid_cells(s, a.n) for s in _initial_masks(a))
 
 
-def minimal_hitting_sets(supports: Iterable[frozenset[Cell]]) -> frozenset[frozenset[Cell]]:
-    """All inclusion-minimal sets meeting every support, by exclusion
-    branching on the first unhit support: branch k takes its k-th allowed
-    vertex and bans the earlier ones, so each minimal set is reached once.
-    A leaf is kept when every chosen vertex has a private support: one
-    pass over the supports collects the vertex of each support hit once."""
-    edges = sorted({frozenset(s) for s in supports}, key=lambda e: (len(e), sorted(e)))
-    if any(not e for e in edges):
+def _hitting_masks(supports: Iterable[int]) -> list[int]:
+    """All inclusion-minimal masks meeting every support mask, by
+    exclusion branching on the first unhit support: branch k takes its
+    k-th allowed vertex, lowest bit first, and bans the earlier ones, so
+    each minimal set is reached once.  A leaf is kept when every chosen
+    vertex has a private support: one pass over the supports collects the
+    vertex of each support hit once."""
+    edges = sorted(set(supports), key=lambda e: (e.bit_count(), e))
+    if edges and not edges[0]:
         raise ValueError("empty support cannot be hit")
+    found: list[int] = []
 
-    def branch(chosen: frozenset[Cell], banned: frozenset[Cell]) -> Iterator[frozenset[Cell]]:
-        for e in edges:
-            if not (e & chosen):
-                for v in sorted(e - banned):
-                    yield from branch(chosen | {v}, banned)
-                    banned = banned | {v}
+    def branch(chosen: int, banned: int, first: int) -> None:
+        # supports before ``first`` are hit, and stay hit as chosen grows
+        for k in range(first, len(edges)):
+            e = edges[k]
+            if not e & chosen:
+                allowed = e & ~banned
+                while allowed:
+                    v = allowed & -allowed
+                    branch(chosen | v, banned, k + 1)
+                    banned |= v
+                    allowed ^= v
                 return
-        private: set[Cell] = set()
+        private = 0
         for e in edges:
             hit = e & chosen
-            if len(hit) == 1:
+            if not hit & (hit - 1):
                 private |= hit
-        if len(private) == len(chosen):
-            yield chosen
+        if private == chosen:
+            found.append(chosen)
 
-    return frozenset(branch(frozenset(), frozenset()))
+    branch(0, 0, 0)
+    return found
+
+
+def minimal_hitting_sets(supports: Iterable[Iterable[Cell]]) -> frozenset[frozenset[Cell]]:
+    """All inclusion-minimal sets of cells meeting every support.  The
+    cells may lie anywhere: they are numbered in sorted order over the
+    union of the supports, and the search runs on masks of those
+    numbers."""
+    supports = [frozenset(s) for s in supports]
+    cells = sorted(frozenset().union(*supports))
+    bit = {c: 1 << k for k, c in enumerate(cells)}
+    found = _hitting_masks(sum(bit[c] for c in s) for s in supports)
+    return frozenset(frozenset(c for k, c in enumerate(cells) if h >> k & 1) for h in found)
 
 
 def stanley_reisner_facets(supports: Iterable[frozenset[Cell]], n: int) -> SRComplexFacets:
     """Facets of the complex whose non-faces are the generator supports:
     complements in the n-by-n grid of the minimal hitting sets."""
     grid = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    supports = list(supports)
+    masks = []
     for s in supports:
         if not s <= grid:
             raise ValueError(f"generator support {sorted(s)} leaves the {n}x{n} grid")
-    transversals = minimal_hitting_sets(supports)
-    return SRComplexFacets(n, frozenset(grid - h for h in transversals))
+        masks.append(sum(1 << (i - 1) * n + j - 1 for i, j in s))
+    return SRComplexFacets(n, frozenset(grid - grid_cells(h, n) for h in _hitting_masks(masks)))
 
 
 def multidegree(a: Asm) -> Polynomial:
@@ -92,8 +120,6 @@ def multidegree(a: Asm) -> Polynomial:
     the sum, over the minimum-size minimal hitting sets of the initial
     ideal's supports, of the product of x_i over their cells.  Those sets
     are the complements of the maximal-dimension Stanley-Reisner facets."""
-    transversals = minimal_hitting_sets(initial_ideal(a))
-    low = min(map(len, transversals))
-    return poly_from_monomials(
-        Monomial.counting(i for i, _ in h) for h in transversals if len(h) == low
-    )
+    transversals = _hitting_masks(_initial_masks(a))
+    low = min(h.bit_count() for h in transversals)
+    return grid_weight_sum((h for h in transversals if h.bit_count() == low), a.n)

@@ -11,10 +11,10 @@ reverses containment of diagrams.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import Monomial, Polynomial, poly_from_monomials
+from .algebra import Monomial, Polynomial, grid_cells, grid_weight_sum
 from .asm import Asm, Cell
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
 from .prism import PrismShapeSpec, PrismTableau, _cells, _Fillings, _unstable, phi_cells
@@ -52,57 +52,68 @@ class PlusDiagram:
         )
 
 
-def bottom_pipe_dream(w: Perm, n: int) -> PlusDiagram:
-    """Left-justified pluses: code(w)_i cells at the start of row i."""
+def _bottom_mask(w: Perm, n: int) -> int:
+    """The bottom pipe dream of w as a grid mask (see ``algebra``):
+    code(w)_i left-justified pluses in row i."""
     if w.size > n:
         raise ValueError(f"{w} does not fit in the {n}x{n} grid")
     line = w.padded(n)
-    cells = set()
-    for i in range(1, n + 1):
-        c = sum(1 for j in range(i + 1, n + 1) if line[j - 1] < line[i - 1])
-        for j in range(1, c + 1):
-            cells.add((i, j))
-    return PlusDiagram(n, frozenset(cells))
+    mask = 0
+    for i in range(n):
+        code = sum(1 for later in line[i + 1:] if later < line[i])
+        mask |= ((1 << code) - 1) << i * n
+    return mask
 
 
-def _ladder_moves(cells: frozenset[Cell]) -> Iterator[frozenset[Cell]]:
-    """All single ladder moves: slide the plus at (i, j) to (i-m, j+1) past a
-    stack of fully doubled rows, landing in an empty pair of cells."""
-    for (i, j) in cells:
-        if (i, j + 1) in cells:
-            continue
-        m = 1
-        while i - m >= 1:
-            top_l = (i - m, j) in cells
-            top_r = (i - m, j + 1) in cells
-            if not top_l and not top_r:
-                yield (cells - {(i, j)}) | {(i - m, j + 1)}
-                break
-            if top_l and top_r:
-                m += 1
+def bottom_pipe_dream(w: Perm, n: int) -> PlusDiagram:
+    """Left-justified pluses: code(w)_i cells at the start of row i."""
+    return PlusDiagram(n, grid_cells(_bottom_mask(w, n), n))
+
+
+def _pipe_dream_masks(w: Perm, n: int) -> set[int]:
+    """The ladder-move closure of the bottom pipe dream, on grid masks.  A
+    ladder move slides the plus at bit b, whose right neighbour b + 1 is
+    empty, past k - 1 fully doubled rows above it into the empty pair of
+    cells at b - k*n, b - k*n + 1: it clears bit b and sets b - k*n + 1.
+    Every plus lies in the staircase i + j <= n, and a move keeps it
+    there, so b + 1 is always in the plus's own row."""
+    bottom = _bottom_mask(w, n)
+    seen = {bottom}
+    stack = [bottom]
+    while stack:
+        cur = stack.pop()
+        rest = cur
+        while rest:
+            plus = rest & -rest
+            rest ^= plus
+            if cur & plus << 1:
                 continue
-            break
+            left = plus >> n
+            while left:
+                pair = left | left << 1
+                above = cur & pair
+                if not above:
+                    nxt = (cur ^ plus) | left << 1
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+                    break
+                if above != pair:
+                    break
+                left >>= n
+    return seen
 
 
 def pipe_dreams_of(w: Perm, n: int) -> frozenset[PlusDiagram]:
     """All plus diagrams whose word is a reduced expression for w, computed
     as the ladder-move closure of the bottom pipe dream."""
-    bottom = bottom_pipe_dream(w, n).cells
-    seen = {bottom}
-    stack = [bottom]
-    while stack:
-        cur = stack.pop()
-        for nxt in _ladder_moves(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(PlusDiagram(n, c) for c in seen)
+    return frozenset(PlusDiagram(n, grid_cells(m, n)) for m in _pipe_dream_masks(w, n))
 
 
 def schubert_polynomial(w: Perm, n: int | None = None) -> Polynomial:
     """Pipe-dream formula: sum of row-count monomials over pipe dreams."""
     n = max(w.size, 1) if n is None else n
-    return poly_from_monomials(p.weight() for p in pipe_dreams_of(w, n))
+    return grid_weight_sum(_pipe_dream_masks(w, n), n)
 
 
 def min_perm_schubert_sum(a: Asm) -> Polynomial:

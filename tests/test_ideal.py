@@ -160,6 +160,8 @@ class TestHittingSets:
         [[(1, 1), (1, 2)], [(1, 2), (2, 1)], [(2, 1), (1, 1)]],
         [[(k, 1), (k, 2)] for k in (1, 2, 3)],
         [[(1, 1), (1, 2), (1, 3)], [(1, 3), (2, 3), (3, 3)], [(1, 1), (2, 2), (3, 3)]],
+        # cells off any square grid: the search numbers the cells it is given
+        [[(0, 1), (9, 2)], [(9, 2), (1, 0)], [(0, 1), (-3, 7)], [(1, 0)]],
     ])
     def test_hand_made_families_match_brute_force(self, supports):
         assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
@@ -216,7 +218,9 @@ class TestStanleyReisner:
 
 class TestMultidegree:
     def test_identity_one(self):
-        assert multidegree(identity_asm(3)).render() == "1"
+        # no generators: the search's one leaf is the empty set
+        for n in (1, 3, 6):
+            assert multidegree(identity_asm(n)).render() == "1"
 
     def test_noneqi(self, noneqi):
         assert multidegree(noneqi) == poly_from_monomials([Monomial((3,))])
