@@ -403,16 +403,11 @@ def bigrassmannian_one_line(i: int, j: int, r: int, n: int) -> tuple[int, ...]:
     r fixed points, then the block shifted up by j - r, then the block
     shifted down by i - r, then fixed points.  Values above n appear when
     i + j - r > n."""
-    def value(k: int) -> int:
-        if k <= r:
-            return k
-        if k <= i:
-            return j + k - r
-        if k <= i + j - r:
-            return k - i + r
-        return k
-
-    return tuple(value(k) for k in range(1, n + 1))
+    word = (
+        *range(1, r + 1), *range(j + 1, j + i - r + 1),
+        *range(r + 1, j + 1), *range(i + j - r + 1, n + 1),
+    )
+    return word[:n]
 
 
 def partial_bigrassmannian(i: int, j: int, r: int, n: int) -> PartialAsm:

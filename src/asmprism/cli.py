@@ -27,6 +27,12 @@ class CliError(Exception):
     """Validation failure: message printed to stderr, exit code 1."""
 
 
+# fixed ceilings on the work one call may start: ASM(7) has 218,348
+# matrices, ASM(8) 10,850,216 and ASM(9) 911,835,460
+MAX_N = 8
+MAX_VERIFY_N = 7
+
+
 def _read_matrix(path: str) -> list[list[int]]:
     if path == "-":
         text = sys.stdin.read()
@@ -39,9 +45,12 @@ def _read_matrix(path: str) -> list[list[int]]:
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        return asm_mod.parse_matrix_text(text)
+        rows = asm_mod.parse_matrix_text(text)
     except MatrixParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    if len(rows) > MAX_N:
+        raise CliError(f"{path}: matrix size must be at most {MAX_N}, got {len(rows)}")
+    return rows
 
 
 def _load_asm(path: str) -> Asm:
@@ -316,12 +325,16 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "count":
         if args.n < 1:
             raise CliError("n must be positive")
+        if args.n > MAX_N:
+            raise CliError(f"n must be at most {MAX_N}, got {args.n}")
         print(sum(1 for _ in asm_mod.enumerate_asms(args.n)), file=out)
         return 0
 
     if args.verb == "verify":
         if args.n < 1:
             raise CliError("--n must be positive")
+        if args.n > MAX_VERIFY_N:
+            raise CliError(f"--n must be at most {MAX_VERIFY_N}, got {args.n}")
         passed, detail = VERIFIERS[args.name](args.n, _bounded_jobs(args.jobs))
         if passed:
             print(f"OK: {detail}", file=out)

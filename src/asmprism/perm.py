@@ -123,79 +123,88 @@ def bigr_of(a: Asm) -> frozenset[Perm]:
     return frozenset(bigrassmannian_encode(i, j, r, a.n) for i, j, r in rank_conditions(a))
 
 
-def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, ...]]:
-    """One-line words of the w in S_n with w >= A, built a row at a time;
-    with ``shortest_only``, just those of least length.
+def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[int, ...]]]:
+    """(length, one-line word) of each w in S_n with w >= A, words in
+    lexicographic order, built a row at a time; with ``shortest_only``,
+    just those of least length.
 
     By Fulton's essential-set theorem (A = join(biGr(A))), w >= A iff
-    r_w(i, j) <= r_A(i, j) at every (i, j) in Ess(A).  The prefix w(1..i)
-    fixes r_w(i, j), so a prefix is dropped as soon as one test fails.
-    The prefix's values are a bitmask (value v is bit v - 1), so a test is
-    the popcount of its values up to j, and placing v adds one inversion
-    per larger value already placed.  Inversions only grow along a
-    prefix, so with ``shortest_only`` a prefix is dropped once they exceed
-    the least length of a complete word seen; ties are kept."""
+    r_w(i, j) <= r_A(i, j) at every (i, j) in Ess(A).  The prefix's values
+    are a bitmask (value v is bit v - 1), and the prefix w(1..i-1) holds
+    c = r_w(i-1, j) values up to j.  So row i's tests run once per node:
+    c > r ends the branch, c == r bars the values up to j, and the walk
+    visits the values still allowed.  Placing v commits code(w)_i, the
+    unused values below v; these sum to l(w) and never fall, so with
+    ``shortest_only`` a prefix is dropped once its committed length
+    exceeds the least length of a complete word seen; ties are kept."""
     n = a.n
     tests: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, j, r in rank_conditions(a):
         tests[i].append(((1 << j) - 1, r))
+    values = (1 << n) - 1
     best = math.inf
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[int, tuple[int, ...]]] = []
     prefix: list[int] = []
 
     def extend(i: int, used: int, length: int) -> None:
         nonlocal best, found
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            grown = length + (used >> v).bit_count()
+        allowed = values & ~used
+        for below, r in tests[i]:
+            c = (used & below).bit_count()
+            if c > r:
+                return
+            if c == r:
+                allowed &= ~below
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            grown = length + (~used & (bit - 1)).bit_count()
             if grown > best:
-                continue
-            placed = used | 1 << v
-            if all((placed & below).bit_count() <= r for below, r in tests[i]):
-                prefix.append(v + 1)
-                if i < n:
-                    extend(i + 1, placed, grown)
-                else:
-                    if shortest_only and grown < best:
-                        best, found = grown, []
-                    found.append(tuple(prefix))
-                prefix.pop()
+                return  # the code entry only grows with the value
+            prefix.append(bit.bit_length())
+            if i < n:
+                extend(i + 1, used | bit, grown)
+            else:
+                if shortest_only and grown < best:
+                    best, found = grown, []
+                found.append((grown, tuple(prefix)))
+            prefix.pop()
 
     extend(1, 0, 0)
     return found
 
 
-def _lower_covers(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Bruhat lower covers of w: swap w(p) > w(q) when no position between
-    p and q holds a value between them."""
-    for p in range(len(w) - 1):
-        low = 0  # the largest value below w(p) met so far after position p
-        for q in range(p + 1, len(w)):
-            if low < w[q] < w[p]:
-                low = w[q]
-                yield w[:p] + (w[q],) + w[p + 1:q] + (w[p],) + w[q + 1:]
-
-
 def perm_set(a: Asm) -> frozenset[Perm]:
-    """Perm(A): the Bruhat-minimal permutations above A in S_n.  The
-    permutations above A form an upper set, so w is minimal iff none of
-    its lower covers lies above A."""
-    above = set(_perms_above(a))
-    return frozenset(
-        Perm(w) for w in above if not any(v in above for v in _lower_covers(w))
-    )
+    """Perm(A): the Bruhat-minimal permutations above A in S_n.  Taken in
+    order of (length, word), w above A is kept unless it lies above some
+    u already kept, tested as r_w <= r_u on Ess(u).  This is sound since
+    u < w implies l(u) < l(w), so every minimal u below w comes first."""
+    kept: dict[Perm, list[tuple[int, int, int]]] = {}  # u -> (i, values up to j, r_u(i, j))
+    for _, w in sorted(_perms_above(a)):
+        prefixes = [0]  # the values of w(1..i) as a bitmask, for i = 0..n
+        for v in w:
+            prefixes.append(prefixes[-1] | 1 << v - 1)
+        for tests in kept.values():
+            for i, below, r in tests:
+                if (prefixes[i] & below).bit_count() > r:
+                    break
+            else:
+                break  # w passes every test of u, so w > u
+        else:
+            u = Perm(w)
+            kept[u] = [(i, (1 << j) - 1, r) for i, j, r in rank_conditions(u.matrix(a.n))]
+    return frozenset(kept)
 
 
 def min_perm_set(a: Asm) -> frozenset[Perm]:
     """MinPerm(A): the least-length elements of Perm(A), found as the
-    least-length permutations above A with no lower-cover check.  Every
+    least-length permutations above A with no minimality check.  Every
     w >= A lies above some u in Perm(A) with l(u) <= l(w), and a
     least-length w >= A has no shorter u >= A below it, so it is
     Bruhat-minimal: both sets have the same least-length elements."""
-    return frozenset(Perm(w) for w in _perms_above(a, shortest_only=True))
+    return frozenset(Perm(w) for _, w in _perms_above(a, shortest_only=True))
 
 
 def deg(a: Asm) -> int:
     """Minimum length of an honest permutation above A."""
-    return next(iter(min_perm_set(a))).length()
+    return _perms_above(a, shortest_only=True)[0][0]

@@ -384,11 +384,21 @@ def _perms_with_block_sums(n: int):
     return [(w, _block_sums(w.matrix(n), n)) for w in all_perms(n)]
 
 
+def _perms_above_by_block_sums(a: Asm):
+    ra = _block_sums(a, a.n)
+    return [(w, r) for w, r in _perms_with_block_sums(a.n) if _dominates(ra, r)]
+
+
+def brute_force_perms_above(a: Asm):
+    """The upper set {w in S_n : A <= w}, by scanning S_n and reading the
+    order off the block sums."""
+    return frozenset(w for w, _ in _perms_above_by_block_sums(a))
+
+
 def brute_force_perm_set(a: Asm):
     """Perm(A) by scanning S_n: every w with A <= w, minus those lying
     above another such w, both orders read off the block sums."""
-    ra = _block_sums(a, a.n)
-    above = [(w, r) for w, r in _perms_with_block_sums(a.n) if _dominates(ra, r)]
+    above = _perms_above_by_block_sums(a)
     return frozenset(
         w for w, r in above
         if not any(v != w and _dominates(s, r) for v, s in above)

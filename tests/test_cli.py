@@ -279,6 +279,47 @@ class TestErrors:
         assert err.startswith("error: --jobs must be at least 1")
 
 
+class TestSizeLimits:
+    """Past the fixed ceilings the command exits 1 before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past the size limit")
+
+        for mod, name in [
+            (cli.asm_mod, "enumerate_asms"),
+            (cli.asm_mod, "validate_asm"),
+            (cli.asm_mod, "validate_partial_asm"),
+            (cli.perm_mod, "_perms_above"),
+        ]:
+            monkeypatch.setattr(mod, name, refuse)
+
+    def test_count_9(self):
+        assert run(["count", "9"]) == (1, "", "error: n must be at most 8, got 9\n")
+
+    @pytest.mark.parametrize("name", ["theorem1", "lattice"])
+    def test_verify_n8(self, name):
+        assert run(["verify", name, "--n", "8"]) == (1, "", "error: --n must be at most 7, got 8\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["perm-set"], ["deg"], ["poly", "--model", "bigr"], ["facets"], ["complete"],
+    ])
+    def test_asm_9x9(self, tmp_path, argv):
+        p = tmp_path / "id9.txt"
+        p.write_text(render_asm(cli.asm_mod.identity_asm(9)) + "\n")
+        code, out, err = run([*argv, "--asm", str(p)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: matrix size must be at most 8, got 9\n"
+
+
+def test_size_limits_admit_8x8(tmp_path):
+    assert (cli.MAX_N, cli.MAX_VERIFY_N) == (8, 7)
+    p = tmp_path / "id8.txt"
+    p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
+    assert run(["deg", "--asm", str(p)]) == (0, "0\n", "")
+
+
 def test_jobs_clamped_to_core_count():
     cores = os.cpu_count() or 1
     assert cli._bounded_jobs(1) == 1

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import (
     all_bigrassmannians,
     brute_force_perm_set,
+    brute_force_perms_above,
     bruhat_leq,
     contains_reduced_word,
     demazure_product,
@@ -19,6 +21,7 @@ from conftest import (
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, join_all, validate_asm
 from asmprism.perm import (
     Perm,
+    _perms_above,
     all_perms,
     asm_from_shape_tuple,
     bigr_of,
@@ -330,6 +333,40 @@ class TestPermSetOracle:
     def test_every_asm6(self):
         for a in enumerate_asms(6):
             assert_matches_oracle(a)
+
+    @pytest.mark.slow
+    def test_asm7_sample(self):
+        """The fixed 60-ASM(7) sample of the n = 7 timings: indices drawn
+        by random.Random(5) from the 218,348 ASMs in enumeration order."""
+        picked = set(random.Random(5).sample(range(218348), 60))
+        sample = [a for k, a in enumerate(enumerate_asms(7)) if k in picked]
+        assert len(sample) == 60
+        for a in sample:
+            assert_matches_oracle(a)
+
+
+def assert_walk_is_upper_set(a):
+    """The unbounded walk yields each w >= A once, in word order, with
+    its length; so the per-node mask never bars a w above A."""
+    pairs = _perms_above(a)
+    words = [w for _, w in pairs]
+    assert words == sorted(set(words))
+    assert all(len(w) == a.n for w in words)
+    assert {Perm(w) for w in words} == brute_force_perms_above(a)
+    assert all(length == Perm(w).length() for length, w in pairs)
+
+
+class TestWalkOracle:
+    """The row walk of _perms_above against the block-sum scan of S_n."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_asm(self, n):
+        for a in enumerate_asms(n):
+            assert_walk_is_upper_set(a)
+
+    def test_asm6_every_250th(self):
+        for a in list(enumerate_asms(6))[::250]:
+            assert_walk_is_upper_set(a)
 
 
 class TestDegViaPrisms:
