@@ -5,10 +5,10 @@ trailing zeros normalized away, so x1*x3 is ``Monomial((1, 0, 1))`` and the
 constant monomial is ``Monomial(())``.  Coefficients are Python ints, so
 nothing ever overflows.  All values are immutable and safe to share.
 
-The ideal and pipe-dream routes carry a set of cells of the n-by-n grid as
-an int, with cell (i, j) at bit (i-1)*n + j-1, so row i is the n-bit
-stretch at (i-1)*n; ``grid_cells`` decodes such a mask and
-``grid_weight_sum`` adds up the row-count weights of such masks.
+All three routes carry a set of cells of the n-by-n grid (a support, a pipe
+dream, a phi image) as an int, with cell (i, j) at bit (i-1)*n + j-1, so row
+i is the n-bit stretch at (i-1)*n; ``grid_cells`` decodes such a mask,
+``_row_counts`` reads its row-count weight and ``grid_weight_sum`` sums it.
 """
 
 from __future__ import annotations
@@ -212,11 +212,15 @@ def grid_cells(mask: int, n: int) -> frozenset[tuple[int, int]]:
     return frozenset(cells)
 
 
+def _row_counts(mask: int, n: int) -> tuple[int, ...]:
+    """The number of cells of an n-by-n grid mask in each row: the
+    popcount of each row's n-bit stretch."""
+    full = (1 << n) - 1
+    return tuple((mask >> k & full).bit_count() for k in range(0, n * n, n))
+
+
 def grid_weight_sum(masks: Iterable[int], n: int) -> Polynomial:
     """The sum of the row-count weights of n-by-n grid masks: each mask
-    contributes x_i to the number of its cells in row i, the popcount of
-    the row's n-bit stretch."""
-    full = (1 << n) - 1
-    rows = range(0, n * n, n)
-    weights = Counter(tuple((m >> k & full).bit_count() for k in rows) for m in masks)
+    contributes x_i to the number of its cells in row i."""
+    weights = Counter(_row_counts(m, n) for m in masks)
     return Polynomial({Monomial(e): c for e, c in weights.items()})

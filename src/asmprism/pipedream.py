@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import Monomial, Polynomial, grid_cells, grid_weight_sum
 from .asm import Asm, Cell
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
-from .prism import PrismShapeSpec, PrismTableau, _cells, _Fillings, _unstable, phi_cells
+from .prism import PrismShapeSpec, PrismTableau, _Fillings, _unstable, phi_cells
 
 
 @dataclass(frozen=True)
@@ -124,20 +124,29 @@ def min_perm_schubert_sum(a: Asm) -> Polynomial:
     return total
 
 
-def _pipe_dreams_over(perms: frozenset[Perm], n: int) -> frozenset[PlusDiagram]:
-    return frozenset(p for w in perms for p in pipe_dreams_of(w, n))
+def _facet_masks(a: Asm) -> set[int]:
+    """The facets of Delta(Q_{n x n}, A) as the grid masks of their plus
+    diagrams: the pipe dreams of the minimal permutations above A.  The
+    union over Perm(A) is disjoint."""
+    return {m for w in perm_set(a) for m in _pipe_dream_masks(w, a.n)}
+
+
+def _fewest(masks: set[int]) -> set[int]:
+    """The masks with the fewest pluses: of the facets, the pipe dreams of
+    MinPerm(A), since a reduced pipe dream of w has l(w) pluses."""
+    fewest = min(map(int.bit_count, masks))
+    return {m for m in masks if m.bit_count() == fewest}
 
 
 def delta_facets(a: Asm) -> frozenset[PlusDiagram]:
     """Facets of Delta(Q_{n x n}, A), each given by its plus diagram: pipe
-    dreams of the minimal permutations above A.  The union over Perm(A)
-    is disjoint."""
-    return _pipe_dreams_over(perm_set(a), a.n)
+    dreams of the minimal permutations above A."""
+    return frozenset(PlusDiagram(a.n, grid_cells(m, a.n)) for m in _facet_masks(a))
 
 
 def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
     """The maximal-dimension facets: pipe dreams over MinPerm(A)."""
-    return _pipe_dreams_over(min_perm_set(a), a.n)
+    return frozenset(PlusDiagram(a.n, grid_cells(m, a.n)) for m in _fewest(_facet_masks(a)))
 
 
 def phi(t: PrismTableau) -> PlusDiagram:
@@ -197,13 +206,10 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
     """
     if a is None:
         a = asm_from_shape_tuple(spec.lambdas, spec.ds)
-    facet_cells = {p.cells for p in delta_facets(a)}
-    # a reduced pipe dream of w has l(w) pluses, so the pipe dreams of
-    # MinPerm(A), the maximal-dimension facets, have the fewest
-    fewest = min(map(len, facet_cells))
-    fmax_cells = {c for c in facet_cells if len(c) == fewest}
-    fillings = _Fillings(spec)
-    fibers = fillings.fibers(facet_cells)
+    facets = _facet_masks(a)
+    fmax = _fewest(facets)
+    fillings = _Fillings(spec, a.n)
+    fibers = fillings.fibers(facets)
 
     checks: dict[str, bool] = {}
     failure: str | None = None
@@ -213,37 +219,36 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
         if failure is None:
             failure = msg
 
-    missing = [c for c in facet_cells if c not in fibers]
+    missing = [m for m in facets if m not in fibers]
     checks["facets_covered"] = not missing
     if missing:
-        fail(f"facet with pluses {sorted(missing[0])} has empty fiber")
+        fail(f"facet with pluses {sorted(grid_cells(missing[0], a.n))} has empty fiber")
 
     fiber_ok = True
     stable_count = 0
-    for cells in facet_cells:
-        fib = fibers.get(cells, [])
+    for mask in facets:
+        fib = fibers.get(mask, [])
         stable = [f for f in fib if not _unstable(f)]
         stable_count += len(stable)
         if len(stable) != 1:
             fiber_ok = False
-            fail(f"facet {sorted(cells)} has {len(stable)} stable tableaux in its fiber")
+            fail(f"facet {sorted(grid_cells(mask, a.n))} has {len(stable)} stable tableaux in its fiber")
             continue
         if not dominates_fiber(fillings.tableau(stable[0]), [fillings.tableau(f) for f in fib]):
             fiber_ok = False
-            fail(f"stable tableau in fiber of {sorted(cells)} is not the fiber maximum")
+            fail(f"stable tableau in fiber of {sorted(grid_cells(mask, a.n))} is not the fiber maximum")
     checks["unique_stable_per_fiber"] = fiber_ok
 
     prism = fillings.prism()
-    prism_images = {_cells(union, fillings.stride) for _, union in prism}
-    dmatch = prism_images == fmax_cells and len(prism) == len(fmax_cells)
+    dmatch = {union for _, union in prism} == fmax and len(prism) == len(fmax)
     if not dmatch:
         fail("prism set does not biject with the maximal-dimension facets")
     checks["prism_matches_fmax"] = dmatch
 
     counts = {
         "all_prism": fillings.count(),
-        "facets": len(facet_cells),
-        "fmax": len(fmax_cells),
+        "facets": len(facets),
+        "fmax": len(fmax),
         "stable_facet": stable_count,
         "prism": len(prism),
     }

@@ -11,20 +11,21 @@ tableau is prod x_v^{n_v} where n_v counts the antidiagonals containing
 the label v in any color; a label repeated across colors on one
 antidiagonal counts once.  It is computed as the row-count weight of the
 tableau's image under the overlay map phi (``phi_cells``), which has one
-cell per (label, antidiagonal) pair.  The searches carry those pairs as
-int bitmasks, built once per component filling (see ``_entry``).
+plus per (label, antidiagonal) pair.  The searches carry those images as
+grid masks (see ``algebra``), built once per component filling (see
+``_entry``), so a union of images is a plus diagram's mask.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .algebra import Monomial, Polynomial, poly_from_monomials
+from .algebra import Monomial, Polynomial, _row_counts, grid_cells, grid_weight_sum, poly_from_monomials
 from .asm import Asm, Cell, _monotone_triangle, _rank_conditions, corner_rows, rank_conditions
 
 Partition = tuple[int, ...]
@@ -156,30 +157,35 @@ Entry = tuple[Rssyt, int, tuple[tuple[int, int], ...]]
 Filling = tuple[tuple[Entry, ...], int]
 
 
-def _entry(f: Rssyt, stride: int) -> Entry:
-    """f with its phi cells and its replacement candidates, as bitmasks.
+def _entry(f: Rssyt, n: int) -> Entry:
+    """f with its phi cells and its replacement candidates, as n-by-n grid
+    masks (see ``algebra``), for n at least the spec's ambient size.
 
-    The label v on antidiagonal D is bit (v - 1) * stride + D - 1; the
-    stride is the spec's ambient size, larger than any antidiagonal of
-    its cells, so no two pairs share a bit.  A cell
-    with label v on D may take any label v' with v < v' <= hi and stay
-    reverse semistandard, where hi is the smallest of the depth, the entry
-    to its left and the entry below it less one; its candidate is the
-    bit of (v, D) with the mask of every such (v', D)."""
+    The label v in grid cell (a, b) is the plus (v, a + b - v), so the
+    pair of v and the antidiagonal D = a + b - 1 is bit (v - 1) * n + D - v,
+    and a label step on D moves the bit by n - 1.  A cell with label v
+    may take any label v' with v < v' <= hi and stay reverse semistandard,
+    where hi is the smallest of the depth, the entry to its left and the
+    entry below it less one; its candidate is the bit of (v, D) with the
+    mask of every such (v', D).  No bit wraps into another row: labels
+    strictly decrease up each column from at most d in grid row d, so
+    every label and candidate v' is at most its grid row a, and the plus's
+    column a + b - v' lies in b..D, inside the grid as the shape lies in
+    d x (n - d)."""
     cells = 0
     candidates = []
     below: tuple[int, ...] = ()
     for q, row in enumerate(f.rows):
         a = f.depth - q
         for b, v in enumerate(row):
-            bit = 1 << ((v - 1) * stride + a + b - 1)
+            bit = 1 << ((v - 1) * n + a + b - v)
             cells |= bit
             hi = row[b - 1] if b else f.depth
             if q:
                 hi = min(hi, below[b] - 1)
             higher = 0
             for _ in range(hi - v):
-                higher = (higher | bit) << stride
+                higher = (higher | bit) << (n - 1)
             if higher:
                 candidates.append((bit, higher))
         below = row
@@ -203,29 +209,11 @@ def _unstable(filling: Filling) -> bool:
     )
 
 
-def _cells(union: int, stride: int) -> frozenset[Cell]:
-    """The phi cells of a union: (v, D) is the plus (v, D - v + 1)."""
-    out = []
-    while union:
-        low = union & -union
-        v, d = divmod(low.bit_length() - 1, stride)
-        out.append((v + 1, d - v + 1))
-        union ^= low
-    return frozenset(out)
-
-
-def _weight(union: int, stride: int) -> Monomial:
-    """x_v to the number of antidiagonals that carry v: the popcount of
-    label v's stretch of the union."""
-    full = (1 << stride) - 1
-    labels = -(-union.bit_length() // stride)
-    return Monomial(tuple((union >> (v * stride) & full).bit_count() for v in range(labels)))
-
-
 def _as_filling(t: PrismTableau) -> Filling:
-    """t's components as entries, with the union of their phi cells."""
-    stride = t.spec.ambient_size
-    entries = tuple(_entry(comp, stride) for comp in t.components)
+    """t's components as entries at the spec's ambient size, with the
+    union of their phi cells."""
+    n = t.spec.ambient_size
+    entries = tuple(_entry(comp, n) for comp in t.components)
     union = 0
     for _, cells, _ in entries:
         union |= cells
@@ -236,13 +224,13 @@ def phi_cells(t: PrismTableau) -> frozenset[Cell]:
     """The cells of the overlay map phi: a label v in grid cell (a, b)
     places a plus at (v, a + b - v); the components are unioned.  Each
     cell is one (label, antidiagonal) pair of t."""
-    return _cells(_as_filling(t)[1], t.spec.ambient_size)
+    return grid_cells(_as_filling(t)[1], t.spec.ambient_size)
 
 
 def prism_weight(t: PrismTableau) -> Monomial:
     """The row-count weight of phi(t): x_v counts the antidiagonals that
     carry the label v."""
-    return _weight(_as_filling(t)[1], t.spec.ambient_size)
+    return Monomial(_row_counts(_as_filling(t)[1], t.spec.ambient_size))
 
 
 def has_unstable_triple(t: PrismTableau) -> bool:
@@ -253,23 +241,25 @@ def has_unstable_triple(t: PrismTableau) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _pool(lam: Partition, d: int, stride: int) -> tuple[Entry, ...]:
+def _pool(lam: Partition, d: int, n: int) -> tuple[Entry, ...]:
     """The fillings of lam with labels in [d], in enumerate_rssyt order, as
-    entries with the given stride; built once per process.  The stride is
-    part of the key because it sets the entries' bits.  A spec of ambient
-    size n has its shapes inside d x (n - d), so the cache stays small
-    (99 keys over both models of all of ASM(6))."""
-    return tuple(_entry(f, stride) for f in enumerate_rssyt(lam, d))
+    entries on the n-by-n grid; built once per process.  The grid width
+    is part of the key because it sets the entries' bits.  A spec of
+    ambient size m has its shapes inside d x (m - d), and it is walked at
+    width m or at the n of its ASM, so the cache stays small."""
+    return tuple(_entry(f, n) for f in enumerate_rssyt(lam, d))
 
 
 class _Fillings:
-    """The fillings of one spec: each component's pool (see _pool), with
-    the walks over their product."""
+    """The fillings of one spec on the n-by-n grid, n at least its
+    ambient size: each component's pool (see _pool), with the walks over
+    their product."""
 
-    def __init__(self, spec: PrismShapeSpec) -> None:
+    def __init__(self, spec: PrismShapeSpec, n: int) -> None:
+        if n < spec.ambient_size:
+            raise ValueError(f"grid width {n} below the ambient size {spec.ambient_size}")
         self.spec = spec
-        self.stride = spec.ambient_size
-        self.pools = [_pool(lam, d, self.stride) for lam, d in zip(spec.lambdas, spec.ds)]
+        self.pools = [_pool(lam, d, n) for lam, d in zip(spec.lambdas, spec.ds)]
 
     def count(self) -> int:
         return math.prod(map(len, self.pools))
@@ -321,42 +311,36 @@ class _Fillings:
         order: prism_set as fillings."""
         return [f for f in self.minimal()[1] if not _unstable(f)]
 
-    def fibers(self, images: Collection[frozenset[Cell]]) -> dict[frozenset[Cell], list[Filling]]:
-        """The fillings whose phi image is one of ``images``, grouped by
-        image, each fiber in enumeration order.
+    def fibers(self, targets: Set[int]) -> dict[int, list[Filling]]:
+        """The fillings whose phi image is one of the grid masks
+        ``targets``, grouped by mask, each fiber in enumeration order.
 
-        A branch is dropped once its union lies inside no image, so only
-        the fibers are built.  An image with a plus off the stride's
-        antidiagonals is no union, so it is left out."""
-        targets: dict[int, frozenset[Cell]] = {}
-        for image in images:
-            if all(0 < v and 0 < v + col - 1 <= self.stride for v, col in image):
-                targets[sum(1 << ((v - 1) * self.stride + v + col - 2) for v, col in image)] = image
+        A branch is dropped once its union lies inside no target, so only
+        the fibers are built."""
         outside = [~mask for mask in targets]
-        fibers: dict[frozenset[Cell], list[Filling]] = {}
+        fibers: dict[int, list[Filling]] = {}
         for filling in self.walk(lambda union: any(not union & out for out in outside)):
-            image = targets.get(filling[1])
-            if image is not None:
-                fibers.setdefault(image, []).append(filling)
+            if filling[1] in targets:
+                fibers.setdefault(filling[1], []).append(filling)
         return fibers
 
 
 def prism_min_degree(spec: PrismShapeSpec) -> int:
     """deg(lambda, d): minimum weight degree over all prism fillings."""
-    return _Fillings(spec).minimal()[0]
+    return _Fillings(spec, spec.ambient_size).minimal()[0]
 
 
 def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:
     """The minimal prism tableaux with no unstable triples, in enumeration
     order."""
-    fillings = _Fillings(spec)
+    fillings = _Fillings(spec, spec.ambient_size)
     return [fillings.tableau(f) for f in fillings.prism()]
 
 
 def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:
     """The weighted sum over prism_set(spec)."""
-    fillings = _Fillings(spec)
-    return poly_from_monomials(_weight(union, fillings.stride) for _, union in fillings.prism())
+    n = spec.ambient_size
+    return grid_weight_sum((union for _, union in _Fillings(spec, n).prism()), n)
 
 
 def bigrassmannian_model(a: Asm) -> PrismShapeSpec:

@@ -488,15 +488,19 @@ def all_prism_tableaux(spec):
         yield PrismTableau(spec, tuple(combo))
 
 
-def phi_fibers(spec, images):
-    """The fiber search inside verify_bijection, with its fillings as
-    prism tableaux: the number of fillings of spec, and the fibers over
-    ``images`` in enumeration order."""
+def phi_fibers(spec, images, n):
+    """The fiber search inside verify_bijection on the n-by-n grid, with
+    its images as sets of cells and its fillings as prism tableaux: the
+    number of fillings of spec, and the fibers over ``images`` in
+    enumeration order."""
+    from asmprism.algebra import grid_cells
     from asmprism.prism import _Fillings
 
-    fillings = _Fillings(spec)
+    fillings = _Fillings(spec, n)
+    targets = {sum(1 << (i - 1) * n + j - 1 for i, j in image) for image in images}
     fibers = {
-        image: [fillings.tableau(f) for f in fib] for image, fib in fillings.fibers(images).items()
+        grid_cells(mask, n): [fillings.tableau(f) for f in fib]
+        for mask, fib in fillings.fibers(targets).items()
     }
     return fillings.count(), fibers
 

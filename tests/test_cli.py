@@ -143,7 +143,7 @@ class TestVerify:
         assert out.startswith("FAIL")
 
     def test_failure_exits_2(self, monkeypatch):
-        monkeypatch.setitem(cli.VERIFIERS, "theorem1", lambda n, jobs: (False, "0/7 ASMs"))
+        monkeypatch.setitem(cli.VERIFIERS, "theorem1", (7, lambda n, jobs: (False, "0/7 ASMs")))
         code, out, _ = run(["verify", "theorem1", "--n", "3"])
         assert code == 2
         assert out.startswith("FAIL")
@@ -300,7 +300,13 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("name", ["theorem1", "lattice"])
     def test_verify_n8(self, name):
-        assert run(["verify", name, "--n", "8"]) == (1, "", "error: --n must be at most 7, got 8\n")
+        ceiling = {"theorem1": 7, "lattice": 6}[name]
+        assert run(["verify", name, "--n", "8"]) == (
+            1, "", f"error: --n must be at most {ceiling}, got 8\n")
+
+    def test_verify_lattice_n7(self):
+        # quadratic in the 218,348 ASMs of ASM(7): refused before enumeration
+        assert run(["verify", "lattice", "--n", "7"]) == (1, "", "error: --n must be at most 6, got 7\n")
 
     @pytest.mark.parametrize("argv", [
         ["perm-set"], ["deg"], ["poly", "--model", "bigr"], ["facets"], ["complete"],
@@ -314,7 +320,9 @@ class TestSizeLimits:
 
 
 def test_size_limits_admit_8x8(tmp_path):
-    assert (cli.MAX_N, cli.MAX_VERIFY_N) == (8, 7)
+    assert cli.MAX_N == 8
+    assert {name: max_n for name, (max_n, _) in cli.VERIFIERS.items()} == {
+        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 6, "schur": 7}
     p = tmp_path / "id8.txt"
     p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
     assert run(["deg", "--asm", str(p)]) == (0, "0\n", "")

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
     Rssyt,
+    _Fillings,
     asm_polynomial,
     bigrassmannian_model,
     has_unstable_triple,
@@ -300,7 +303,7 @@ def assert_fibers_match_oracle(spec, a):
     report's counts against counts taken from those fibers."""
     facets = {f.cells for f in delta_facets(a)}
     oracle = brute_force_fibers(spec)
-    _, fibers = phi_fibers(spec, facets)
+    _, fibers = phi_fibers(spec, facets, a.n)
     assert set(fibers) <= facets
     for cells in facets:
         assert fibers.get(cells, []) == oracle.get(cells, [])
@@ -350,6 +353,20 @@ class TestFiberSearch:
         assert set(assert_fibers_match_oracle(spec, a).values()) == {count}
 
 
+class TestFailureText:
+    def test_empty_fiber_names_the_facet_cells(self, monkeypatch):
+        a = list(enumerate_asms(4))[20]
+        spec = bigrassmannian_model(a)
+        monkeypatch.setattr(_Fillings, "fibers", lambda self, targets: {})
+        report = verify_bijection(spec, a)
+        assert not report.passed and not report.checks["facets_covered"]
+        match = re.fullmatch(r"facet with pluses (\[.*\]) has empty fiber", report.failure)
+        assert match
+        cells = ast.literal_eval(match.group(1))
+        assert cells == sorted(cells) and all(isinstance(c, tuple) for c in cells)
+        assert frozenset(cells) in {f.cells for f in delta_facets(a)}
+
+
 class TestFiberDominance:
     """The dominance check of verify_bijection against the entrywise
     maximum of the fiber, rebuilt as a prism tableau."""
@@ -360,7 +377,7 @@ class TestFiberDominance:
             for a in enumerate_asms(n):
                 facets = {f.cells for f in delta_facets(a)}
                 for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                    for fib in phi_fibers(spec, facets)[1].values():
+                    for fib in phi_fibers(spec, facets, a.n)[1].values():
                         maxi = brute_force_fiber_max(fib)
                         for s in fib:
                             assert dominates_fiber(s, fib) == (s == maxi)

@@ -12,14 +12,16 @@ from conftest import (
     component_cells,
     partition_leq,
     relaxed_unstable_triple,
+    _replacement_valid,
 )
 
-from asmprism.algebra import Monomial, poly_from_monomials
+from asmprism.algebra import Monomial, grid_cells, poly_from_monomials
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, monotone_triangle
 from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
     Rssyt,
+    _entry,
     _Fillings,
     _pool,
     _unstable,
@@ -196,6 +198,53 @@ class TestUnstableTriples:
             assert not has_unstable_triple(pt)
 
 
+def assert_grid_layout(t: PrismTableau, width: int) -> None:
+    """t's entries at the given grid width: the union of their phi cells
+    decodes to phi(t), and each cell's candidate mask decodes to the
+    pluses (v', D - v' + 1) of the larger labels v' the cell can take on
+    its antidiagonal D, every v' at most the cell's grid row, so no bit
+    wraps into another row."""
+    union = 0
+    for comp in t.components:
+        _, cells, candidates = _entry(comp, width)
+        union |= cells
+        where = {}  # (label, antidiagonal) -> (filling row, grid row, grid column)
+        for q, row in enumerate(comp.rows, start=1):
+            a = comp.grid_row(q)
+            for b, v in enumerate(row, start=1):
+                where[v, a + b - 1] = (q, a, b)
+        assert grid_cells(cells, width) == {(v, d - v + 1) for v, d in where}
+        higher_of = {}
+        for bit, higher in candidates:
+            [(v, col)] = grid_cells(bit, width)
+            higher_of[v, v + col - 1] = higher
+        assert set(higher_of) <= set(where)
+        for (v, d), (q, a, b) in where.items():
+            labels = {
+                u for u in range(v + 1, comp.depth + 1) if _replacement_valid(comp, q, b, u)}
+            assert all(u <= a for u in labels)
+            assert grid_cells(higher_of.get((v, d), 0), width) == {(u, d - u + 1) for u in labels}
+    assert grid_cells(union, width) == brute_force_phi_image(t)
+
+
+class TestGridLayout:
+    """The entries on the algebra grid layout, at the spec's ambient size
+    and at a wider grid, as the bijection check walks a spec at the n of
+    its ASM."""
+
+    def test_every_tableau_asm4(self):
+        for n in (1, 2, 3, 4):
+            for a in enumerate_asms(n):
+                for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                    for width in (spec.ambient_size, spec.ambient_size + 2):
+                        for t in all_prism_tableaux(spec):
+                            assert_grid_layout(t, width)
+
+    def test_width_below_the_ambient_size_rejected(self):
+        with pytest.raises(ValueError):
+            _Fillings(BIGR_SPEC, BIGR_SPEC.ambient_size - 1)
+
+
 class TestUnstableTripleKernel:
     """The bitmask kernel against the per-antidiagonal oracle."""
 
@@ -212,7 +261,7 @@ class TestUnstableTripleKernel:
         unstable = 0
         for a in asms:
             for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                fillings = _Fillings(spec)
+                fillings = _Fillings(spec, spec.ambient_size)
                 for f in fillings.minimal()[1]:
                     t = fillings.tableau(f)
                     assert _unstable(f) == has_unstable_triple(t) == brute_force_unstable_triple(t)
@@ -377,9 +426,9 @@ class TestSerialization:
 
 
 class TestPoolCache:
-    """The component pools are cached per (shape, depth, stride): the
-    depth-2 box is a component of both specs, at strides 4 and 5.  A pool
-    cached at the other stride would put its bits among those of the
+    """The component pools are cached per (shape, depth, width): the
+    depth-2 box is a component of both specs, at widths 4 and 5.  A pool
+    cached at the other width would put its bits among those of the
     other component."""
 
     SMALL = PrismShapeSpec(((1,), (1, 1)), (2, 3))
@@ -394,6 +443,28 @@ class TestPoolCache:
         assert prism_set(second) == expected
         assert asm_polynomial(second) == poly_from_monomials(
             brute_force_prism_weight(t) for t in expected)
-        pools = _Fillings(second).pools
+        pools = _Fillings(second, second.ambient_size).pools
         assert all(isinstance(pool, tuple) for pool in pools)
         assert pools[0] is _pool((1,), 2, second.ambient_size)
+
+    def test_bijection_width_then_ambient_size(self):
+        """verify_bijection walks a spec at the n of its ASM; the
+        polynomial and prism_set that follow, at the spec's ambient size,
+        are their cold-cache values and the oracle's."""
+        from asmprism.pipedream import verify_bijection
+
+        wider = 0
+        for a in enumerate_asms(4):
+            for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                if spec.ambient_size == a.n:
+                    continue
+                wider += 1
+                _pool.cache_clear()
+                cold = asm_polynomial(spec), prism_set(spec)
+                _pool.cache_clear()
+                assert verify_bijection(spec, a).passed
+                expected = brute_force_prism_set(spec)
+                assert prism_set(spec) == cold[1] == expected
+                assert asm_polynomial(spec) == cold[0] == poly_from_monomials(
+                    brute_force_prism_weight(t) for t in expected)
+        assert wider > 0
