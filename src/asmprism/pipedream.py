@@ -11,13 +11,15 @@ reverses containment of diagrams.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import Monomial, Polynomial, grid_cells, grid_weight_sum
 from .asm import Asm, Cell
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
-from .prism import PrismShapeSpec, PrismTableau, _Fillings, _unstable, phi_cells
+from .prism import Filling, PrismShapeSpec, PrismTableau, _Fillings, _unstable, phi_cells
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,25 @@ def min_perm_schubert_sum(a: Asm) -> Polynomial:
     return total
 
 
-def _facet_masks(a: Asm) -> set[int]:
+def _facet_masks(a: Asm) -> frozenset[int]:
     """The facets of Delta(Q_{n x n}, A) as the grid masks of their plus
     diagrams: the pipe dreams of the minimal permutations above A.  The
-    union over Perm(A) is disjoint."""
-    return {m for w in perm_set(a) for m in _pipe_dream_masks(w, a.n)}
+    union over Perm(A) is disjoint.
+
+    The set of the last ASM asked for is kept, so ``verify bijection``,
+    which asks for it once per model, walks Perm(A) once.  The key is the
+    matrix, not the Asm: A and its embedding in a larger grid are equal as
+    ASMs, but their masks sit on grids of different widths."""
+    return _facet_masks_of(a.entries)
 
 
-def _fewest(masks: set[int]) -> set[int]:
+@lru_cache(maxsize=1)
+def _facet_masks_of(entries: tuple[tuple[int, ...], ...]) -> frozenset[int]:
+    a = Asm(entries)
+    return frozenset(m for w in perm_set(a) for m in _pipe_dream_masks(w, a.n))
+
+
+def _fewest(masks: Set[int]) -> set[int]:
     """The masks with the fewest pluses: of the facets, the pipe dreams of
     MinPerm(A), since a reduced pipe dream of w has l(w) pluses."""
     fewest = min(map(int.bit_count, masks))
@@ -146,7 +159,9 @@ def delta_facets(a: Asm) -> frozenset[PlusDiagram]:
 
 def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
     """The maximal-dimension facets: pipe dreams over MinPerm(A)."""
-    return frozenset(PlusDiagram(a.n, grid_cells(m, a.n)) for m in _fewest(_facet_masks(a)))
+    return frozenset(
+        PlusDiagram(a.n, grid_cells(m, a.n)) for w in min_perm_set(a) for m in _pipe_dream_masks(w, a.n)
+    )
 
 
 def phi(t: PrismTableau) -> PlusDiagram:
@@ -172,17 +187,19 @@ class BijectionReport:
         return out
 
 
-def dominates_fiber(s: PrismTableau, fiber: Sequence[PrismTableau]) -> bool:
-    """Is every entry of s at least the matching entry of every member of
-    the fiber?  When s lies in the fiber, this says s is its entrywise
-    maximum."""
-    return all(
-        x >= y
-        for t in fiber
-        for cs, ct in zip(s.components, t.components)
-        for rs, rt in zip(cs.rows, ct.rows)
-        for x, y in zip(rs, rt)
-    )
+def _entries(filling: Filling) -> list[int]:
+    """The labels of a filling, component by component, each component's
+    rows bottom first."""
+    return [v for f, _, _ in filling[0] for row in f.rows for v in row]
+
+
+def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
+    """Is every entry of ``top`` at least the matching entry of every member
+    of the fiber?  When ``top`` lies in the fiber, this says it is the
+    fiber's entrywise maximum.  All fillings of one spec have one shape,
+    so their entries match up in order."""
+    highs = _entries(top)
+    return all(all(map(operator.ge, highs, _entries(f))) for f in fiber)
 
 
 def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionReport:
@@ -234,7 +251,7 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
             fiber_ok = False
             fail(f"facet {sorted(grid_cells(mask, a.n))} has {len(stable)} stable tableaux in its fiber")
             continue
-        if not dominates_fiber(fillings.tableau(stable[0]), [fillings.tableau(f) for f in fib]):
+        if not _dominates(stable[0], fib):
             fiber_ok = False
             fail(f"stable tableau in fiber of {sorted(grid_cells(mask, a.n))} is not the fiber maximum")
     checks["unique_stable_per_fiber"] = fiber_ok

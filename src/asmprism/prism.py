@@ -259,6 +259,7 @@ class _Fillings:
         if n < spec.ambient_size:
             raise ValueError(f"grid width {n} below the ambient size {spec.ambient_size}")
         self.spec = spec
+        self.n = n
         self.pools = [_pool(lam, d, n) for lam, d in zip(spec.lambdas, spec.ds)]
 
     def count(self) -> int:
@@ -316,13 +317,53 @@ class _Fillings:
         ``targets``, grouped by mask, each fiber in enumeration order.
 
         A branch is dropped once its union lies inside no target, so only
-        the fibers are built."""
-        outside = [~mask for mask in targets]
+        the fibers are built.  The targets are numbered, and ``inside[b]``
+        is the bitset of the targets that hold grid bit b.  Each pool
+        entry gets, once per call, the AND of ``inside`` over its phi
+        cells: the targets that hold it (an entry inside none is left
+        out).  The walk carries the targets that hold the union, one AND
+        per node, and goes on while any is left."""
+        inside = [0] * self.n * self.n
+        for t, mask in enumerate(targets):
+            for b in _bits(mask):
+                inside[b] |= 1 << t
+        everything = (1 << len(targets)) - 1
+        pools = []
+        for pool in self.pools:
+            kept = []
+            for entry in pool:
+                holders = everything
+                for b in _bits(entry[1]):
+                    holders &= inside[b]
+                if holders:
+                    kept.append((entry, holders))
+            pools.append(kept)
+
         fibers: dict[int, list[Filling]] = {}
-        for filling in self.walk(lambda union: any(not union & out for out in outside)):
-            if filling[1] in targets:
-                fibers.setdefault(filling[1], []).append(filling)
+        chosen: list[Entry] = []
+
+        def walk(c: int, union: int, holders: int) -> None:
+            if c == len(pools):
+                if union in targets:
+                    fibers.setdefault(union, []).append((tuple(chosen), union))
+                return
+            for entry, entry_holders in pools[c]:
+                both = holders & entry_holders
+                if both:
+                    chosen.append(entry)
+                    walk(c + 1, union | entry[1], both)
+                    chosen.pop()
+
+        walk(0, 0, everything)
         return fibers
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def prism_min_degree(spec: PrismShapeSpec) -> int:

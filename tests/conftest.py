@@ -530,6 +530,19 @@ def brute_force_fibers(spec):
     return fibers
 
 
+def dominates_fiber(s, fiber) -> bool:
+    """Is every entry of the prism tableau s at least the matching entry of
+    every member of the fiber?  When s lies in the fiber, this says s is
+    its entrywise maximum."""
+    return all(
+        x >= y
+        for t in fiber
+        for cs, ct in zip(s.components, t.components)
+        for rs, rt in zip(cs.rows, ct.rows)
+        for x, y in zip(rs, rt)
+    )
+
+
 def brute_force_fiber_max(fib):
     """The entrywise maximum of a fiber of prism tableaux, rebuilt as a
     prism tableau, if it lies in the fiber; else None."""

@@ -17,22 +17,27 @@ from conftest import (
     diagram_demazure,
     diagram_word,
     divided_difference,
+    dominates_fiber,
     phi_fibers,
     schubert_oracle,
     square_word,
     word_product,
 )
 
-from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
-from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, enumerate_asms, identity_asm
+from asmprism.algebra import Monomial, Polynomial, grid_cells, poly_from_monomials
+from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, embed, enumerate_asms, identity_asm
 from asmprism.ideal import multidegree
 from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set
 from asmprism.pipedream import (
     PlusDiagram,
+    _dominates,
+    _facet_masks,
+    _facet_masks_of,
+    _fewest,
+    _pipe_dream_masks,
     bottom_pipe_dream,
     delta_facets,
     delta_fmax,
-    dominates_fiber,
     min_perm_schubert_sum,
     phi,
     pipe_dreams_of,
@@ -218,11 +223,53 @@ class TestFacets:
             total = sum(len(pipe_dreams_of(w, 4)) for w in perm_set(a))
             assert len(delta_facets(a)) == total
 
+    @staticmethod
+    def assert_fmax_is_the_fewest_facets(a):
+        # delta_fmax reads MinPerm(A); verify_bijection reads the fewest
+        # pluses among all facets, over Perm(A)
+        assert {f.cells for f in delta_fmax(a)} == {
+            grid_cells(m, a.n) for m in _fewest(_facet_masks(a))}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_fmax_from_min_perm_set_every_asm(self, n):
+        for a in enumerate_asms(n):
+            self.assert_fmax_is_the_fewest_facets(a)
+
+    def test_fmax_from_min_perm_set_identity8(self):
+        self.assert_fmax_is_the_fewest_facets(identity_asm(8))
+        assert {f.cells for f in delta_fmax(identity_asm(8))} == {frozenset()}
+
     def test_perm_set_recovered_from_facets_asm3(self):
         # the facet words pick out exactly Perm(A)
         for a in enumerate_asms(3):
             words = {word_product(diagram_word(f)) for f in delta_facets(a)}
             assert words == perm_set(a)
+
+
+class TestFacetMemo:
+    """_facet_masks keeps the facets of the last ASM it saw."""
+
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_embedding_gets_masks_at_its_own_width(self, noneqi, small_first):
+        big = embed(embed(noneqi))
+        assert big == noneqi and big.n == noneqi.n + 2
+        order = [noneqi, big] if small_first else [big, noneqi]
+        _facet_masks_of.cache_clear()
+        got = [_facet_masks(a) for a in order]
+        for a, masks in zip(order, got):
+            assert {grid_cells(m, a.n) for m in masks} == {f.cells for f in delta_facets(a)}
+            assert masks == {m for w in perm_set(a) for m in _pipe_dream_masks(w, a.n)}
+        assert got[0] != got[1]
+
+    def test_memo_is_immutable(self, noneqi):
+        assert isinstance(_facet_masks(noneqi), frozenset)
+        assert _facet_masks(noneqi) is _facet_masks(noneqi)
+
+    def test_memo_holds_one_asm(self, noneqi, asmdiag):
+        _facet_masks_of.cache_clear()
+        _facet_masks(noneqi)
+        _facet_masks(asmdiag)
+        assert _facet_masks_of.cache_info().currsize == 1
 
 
 class TestPhi:
@@ -342,6 +389,24 @@ class TestFiberSearch:
             assert_fibers_match_oracle(bigrassmannian_model(a), a)
             assert_fibers_match_oracle(parabolic_model(a), a)
 
+    @pytest.mark.slow
+    def test_asm7_sample(self):
+        """The first 12 ASMs of the fixed 60-ASM(7) sample of the n = 7
+        timings (indices drawn by random.Random(5) from the 218,348 ASMs in
+        enumeration order), each model whose spec has at most 50,000
+        fillings: 21 of the 24 specs."""
+        drawn = random.Random(5).sample(range(218348), 60)[:12]
+        wanted = set(drawn)
+        picked = {k: a for k, a in enumerate(enumerate_asms(7)) if k in wanted}
+        checked = 0
+        for k in drawn:
+            a = picked[k]
+            for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                if _Fillings(spec, a.n).count() <= 50_000:
+                    assert_fibers_match_oracle(spec, a)
+                    checked += 1
+        assert checked == 21
+
     @pytest.mark.parametrize("spec,count", [
         (bigrassmannian_model(identity_asm(6)), 1),
         (parabolic_model(identity_asm(6)), 1),
@@ -368,20 +433,23 @@ class TestFailureText:
 
 
 class TestFiberDominance:
-    """The dominance check of verify_bijection against the entrywise
-    maximum of the fiber, rebuilt as a prism tableau."""
+    """The dominance check of verify_bijection, on the fillings' entries,
+    against the entrywise maximum of the fiber, rebuilt as a prism
+    tableau, and against the same test on prism tableaux."""
 
     def test_dominates_exactly_the_fiber_max(self):
         non_max = 0
         for n in (1, 2, 3, 4):
             for a in enumerate_asms(n):
-                facets = {f.cells for f in delta_facets(a)}
+                targets = _facet_masks(a)
                 for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                    for fib in phi_fibers(spec, facets, a.n)[1].values():
-                        maxi = brute_force_fiber_max(fib)
-                        for s in fib:
-                            assert dominates_fiber(s, fib) == (s == maxi)
-                            non_max += s != maxi
+                    fillings = _Fillings(spec, a.n)
+                    for fib in fillings.fibers(targets).values():
+                        tableaux = [fillings.tableau(f) for f in fib]
+                        maxi = brute_force_fiber_max(tableaux)
+                        for s, t in zip(fib, tableaux):
+                            assert _dominates(s, fib) == (t == maxi) == dominates_fiber(t, tableaux)
+                            non_max += t != maxi
         assert non_max > 0
 
 
