@@ -10,7 +10,6 @@ from .asm import (
     MonotoneTriangle,
     PartialAsm,
     asm_from_corner_sum,
-    asm_from_rank_conditions,
     asm_join,
     asm_leq,
     asm_meet,

@@ -11,6 +11,12 @@ Conventions used throughout the package:
   minima of corner sums.
 * Two ASMs are equal when their canonical representatives agree, where
   the canonical form strips trailing blocks of the form [A|0; 0|1].
+* The lattice layer (order, join, meet) and the diagram, rank
+  conditions and monotone triangle run on each ASM's corner sums packed
+  into one int: byte (i-1)*n + j-1 holds r(i, j).  Every r is at most
+  n <= 127, so bit 7 of each byte is a guard bit G, and
+  ((P | G) - Q) & G has bit 7 set in exactly the bytes where P's byte
+  is at least Q's, with no borrow across bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, compress, product
+from itertools import accumulate, chain, product
 
 Cell = tuple[int, int]
 
@@ -88,8 +94,13 @@ def _check_sums(entries: tuple[tuple[int, ...], ...], allowed: tuple[int, ...]) 
 
 @dataclass(frozen=True, eq=False)
 class Asm:
-    """An alternating sign matrix.  Construct via :func:`validate_asm`."""
+    """An alternating sign matrix.  Construct via :func:`validate_asm`.
 
+    The packed corner sums (see :func:`_packed`) are kept in the slot
+    ``_sums`` once computed; they are not part of equality, hashing,
+    ``repr`` or pickles."""
+
+    __slots__ = ("entries", "_sums")
     entries: tuple[tuple[int, ...], ...]
 
     @property
@@ -118,6 +129,9 @@ class Asm:
 
     def __repr__(self) -> str:
         return f"Asm({self.entries!r})"
+
+    def __reduce__(self) -> tuple:
+        return Asm, (self.entries,)
 
 
 @dataclass(frozen=True)
@@ -237,10 +251,116 @@ def embed(a: Asm) -> Asm:
     return Asm(tuple(rows))
 
 
-def _common_corner_rows(a: Asm, b: Asm) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The corner sums of a and b at their common size."""
-    m = max(a.n, b.n)
-    return corner_rows(a, m), corner_rows(b, m)
+@dataclass(frozen=True)
+class _Layout:
+    """Constants of the packed corner sums of size n.  A mask named after
+    a set of cells is 0xFF in their bytes and 0 elsewhere."""
+
+    ones: int  # 0x01 in every byte
+    guard: int  # 0x80 in every byte
+    full: int  # every byte
+    upper_bits: int  # bits 1..7 of every byte
+    not_first_col: int  # the bytes with j >= 2
+    rows: tuple[slice, ...]  # the bytes of each row
+    steps: tuple[int, ...]  # steps[v]: 0x01 in bytes v-1..n-1, what a 1 at column v adds to a row of r
+    units: tuple[tuple[int, ...], ...]  # units[v]: the row of entries with its 1 at v
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    if not 1 <= n <= 127:
+        raise ValueError(f"packed corner sums need 1 <= n <= 127, got {n}")
+    size = n * n
+    ones = int.from_bytes(b"\x01" * size, "little")
+    starts = sum(1 << 8 * n * i for i in range(n))  # 0x01 in the first byte of each row
+    row_ones = (1 << 8 * n) // 0xFF  # 0x01 in bytes 0..n-1
+    zero = (0,) * n
+    return _Layout(
+        ones=ones,
+        guard=0x80 * ones,
+        full=0xFF * ones,
+        upper_bits=0xFE * ones,
+        not_first_col=0xFF * (ones - starts),
+        rows=tuple(slice(s, s + n) for s in range(0, size, n)),
+        steps=(0, *(row_ones >> 8 * (v - 1) << 8 * (v - 1) for v in range(1, n + 1))),
+        units=((), *(zero[: v - 1] + (1,) + zero[v:] for v in range(1, n + 1))),
+    )
+
+
+def _packed(a: Asm, m: int) -> int:
+    """The corner sums of a at size m >= a.n (see :func:`corner_rows`),
+    packed; kept on a when m = a.n."""
+    own = m == len(a.entries)
+    if own:
+        try:
+            return a._sums
+        except AttributeError:
+            pass
+    _layout(m)  # refuses an m the guard bits cannot hold
+    p = int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
+    if own:
+        object.__setattr__(a, "_sums", p)
+    return p
+
+
+def _with_sums(entries: tuple[tuple[int, ...], ...], p: int) -> Asm:
+    a = Asm(entries)
+    object.__setattr__(a, "_sums", p)
+    return a
+
+
+@cache
+def _entry_row(key: bytes) -> tuple[int, ...]:
+    """One row of entries from its bytes 128 + a(i, j); each distinct row
+    is built once and shared."""
+    return tuple(b - 128 for b in key)
+
+
+def _is_corner_sums(p: int, m: int) -> bool:
+    """Whether p is the packed corner sums of an ASM of size m.
+
+    By Robbins-Rumsey, it is exactly when the column differences
+    r - r(up) and the row differences r - r(left) are 0 or 1 in every
+    byte (r read as 0 on row and column 0) and the last row and column
+    are 1..m.  These differences are the partial column and row sums of
+    the entries recovered by inclusion-exclusion, so the test accepts
+    what :func:`validate_asm` accepts.  Given the differences, r(m, m) = m
+    alone makes the last row and column 1..m: each is m steps of 0 or 1
+    that add up to m."""
+    k = _layout(m)
+    g = k.guard
+    down = (p | g) - ((p << 8 * m) & k.full)  # 128 + r - r(up) in each byte
+    right = (p | g) - ((p << 8) & k.not_first_col)  # 128 + r - r(left)
+    return (
+        down & k.upper_bits == g
+        and right & k.upper_bits == g
+        and p >> 8 * (m * m - 1) == m
+    )
+
+
+def _asm_of_sums(p: int, m: int) -> Asm:
+    """The ASM whose packed corner sums of size m are p, keeping p.  If p
+    fails :func:`_is_corner_sums`, :func:`validate_asm` raises on the
+    entries recovered from it, naming a row or column."""
+    if not _is_corner_sums(p, m):
+        sums = p.to_bytes(m * m, "little")
+        asm_from_corner_sum([tuple(sums[s]) for s in _layout(m).rows])
+        raise AsmValidationError("corner sums fail the Robbins-Rumsey test")
+    k = _layout(m)
+    # a(i, j) is the column sum down to (i, j) less the one down to (i, j-1)
+    col = p - ((p << 8 * m) & k.full)
+    e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(m * m, "little")
+    return _with_sums(tuple(map(_entry_row, map(e.__getitem__, k.rows))), p)
+
+
+def _bytewise_min(p: int, q: int, g: int) -> int:
+    ge = ((p | g) - q) & g  # bit 7 of each byte where p >= q
+    return p ^ ((p ^ q) & (ge >> 7) * 0xFF)
+
+
+def _bytewise_max(p: int, q: int, g: int) -> int:
+    ge = ((p | g) - q) & g
+    return q ^ ((p ^ q) & (ge >> 7) * 0xFF)
 
 
 def asm_leq(a: Asm, b: Asm) -> bool:
@@ -249,25 +369,21 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     Inputs of different sizes are compared after embedding to a common
     size, which is an order embedding.
     """
-    ra, rb = _common_corner_rows(a, b)
-    return all(all(map(operator.ge, x, y)) for x, y in zip(ra, rb))
+    m = max(len(a.entries), len(b.entries))
+    g = _layout(m).guard
+    return ((_packed(a, m) | g) - _packed(b, m)) & g == g
 
 
 def asm_join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
-    ra, rb = _common_corner_rows(a, b)
-    return asm_from_corner_sum(tuple(tuple(map(min, x, y)) for x, y in zip(ra, rb)))
+    m = max(len(a.entries), len(b.entries))
+    return _asm_of_sums(_bytewise_min(_packed(a, m), _packed(b, m), _layout(m).guard), m)
 
 
 def asm_meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
-    ra, rb = _common_corner_rows(a, b)
-    return asm_from_corner_sum(tuple(tuple(map(max, x, y)) for x, y in zip(ra, rb)))
-
-
-def _entrywise_min(mats: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
-    """The entrywise minimum of one or more square matrices of one size."""
-    return tuple(tuple(map(min, zip(*rows))) for rows in zip(*mats))
+    m = max(len(a.entries), len(b.entries))
+    return _asm_of_sums(_bytewise_max(_packed(a, m), _packed(b, m), _layout(m).guard), m)
 
 
 def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
@@ -278,41 +394,61 @@ def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
     if not items:
         return identity_asm(n if n else 1)
     m = max(n or 1, max(a.n for a in items))
-    mats = [corner_rows(a, m) for a in items]
-    return asm_from_corner_sum(_entrywise_min(mats))
+    g = _layout(m).guard
+    p = _packed(items[0], m)
+    for a in items[1:]:
+        p = _bytewise_min(p, _packed(a, m), g)
+    return _asm_of_sums(p, m)
 
 
-def _diagram(rows: Sequence[Sequence[int]]) -> frozenset[Cell]:
-    """The cells with r(i, j) = r(i-1, j) = r(i, j-1), r read as 0 on row
-    and column 0."""
-    cells = []
-    up: Sequence[int] = (0,) * len(rows)
-    for i, row in enumerate(rows, start=1):
-        left = 0
-        for j, (x, y) in enumerate(zip(row, up), start=1):
-            if x == y == left:
-                cells.append((i, j))
-            left = x
-        up = row
-    return frozenset(cells)
+def _permutation_asm(word: Sequence[int], n: int) -> Asm:
+    """The permutation matrix with its 1 in row i at column word[i-1], for
+    a word of 1..n, with its packed corner sums: row i of r is row i-1
+    plus a step of 1 from column word[i-1] on."""
+    k = _layout(n)
+    p = row = 0
+    for i, v in enumerate(word):
+        row += k.steps[v]
+        p |= row << 8 * n * i
+    return _with_sums(tuple(map(k.units.__getitem__, word)), p)
+
+
+def _diagram_bytes(a: Asm) -> tuple[int, int]:
+    """The packed corner sums p of a, and 0x01 in each byte of D(A): the
+    cells with r(i, j) = r(i-1, j) = r(i, j-1)."""
+    n = a.n
+    k = _layout(n)
+    p = _packed(a, n)
+    moves = (p - ((p << 8 * n) & k.full)) | (p - ((p << 8) & k.not_first_col))
+    return p, k.ones & ~moves
+
+
+def _set_bytes(bits: int) -> Iterator[int]:
+    """The indices, in increasing order, of the bytes of bits that are not
+    zero; byte k is cell (k // n + 1, k % n + 1)."""
+    while bits:
+        low = bits & -bits
+        yield (low.bit_length() - 1) >> 3
+        bits ^= low
 
 
 def inversions(a: Asm) -> frozenset[Cell]:
     """The Rothe diagram D(A): the cells where both the column sum down to
     (i, j) and the row sum up to it vanish, i.e. r(i, j) = r(i-1, j) = r(i, j-1)."""
-    return _diagram(corner_rows(a))
-
-
-def _rank_conditions(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
-    d = _diagram(rows)
-    ess = [(i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d]
-    return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(ess)]
+    n = a.n
+    return frozenset((k // n + 1, k % n + 1) for k in _set_bytes(_diagram_bytes(a)[1]))
 
 
 def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
     """Fulton's rank conditions of A: (i, j, r_A(i, j)) for each (i, j) in
-    Ess(A), in increasing order of (i, j).  They determine A."""
-    return _rank_conditions(corner_rows(a))
+    Ess(A), in increasing order of (i, j).  They determine A.  Ess(A) is
+    the cells of D(A) whose south and east neighbours are not in D(A).
+    Column n holds no cell of D(A), since r(i, n) = i > r(i-1, n), so the
+    east shift, which brings (i+1, 1) to (i, n), needs no mask."""
+    n = a.n
+    p, d = _diagram_bytes(a)
+    ess = d & ~(d >> 8 * n) & ~(d >> 8)
+    return [(k // n + 1, k % n + 1, p >> 8 * k & 0xFF) for k in _set_bytes(ess)]
 
 
 def essential_set(a: Asm) -> frozenset[Cell]:
@@ -321,17 +457,15 @@ def essential_set(a: Asm) -> frozenset[Cell]:
     return frozenset((i, j) for i, j, _ in rank_conditions(a))
 
 
-def _monotone_triangle(rows: Sequence[Sequence[int]]) -> MonotoneTriangle:
-    cols = range(1, len(rows) + 1)
-    return MonotoneTriangle(tuple(
-        tuple(compress(cols, map(operator.ne, row, (0, *row)))) for row in rows
-    ))
-
-
 def monotone_triangle(a: Asm) -> MonotoneTriangle:
     """Row i lists the columns j where the column sum down to row i,
     r(i, j) - r(i, j-1), is 1."""
-    return _monotone_triangle(corner_rows(a))
+    n = a.n
+    p = _packed(a, n)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for k in _set_bytes(p - ((p << 8) & _layout(n).not_first_col)):
+        rows[k // n].append(k % n + 1)
+    return MonotoneTriangle(tuple(map(tuple, rows)))
 
 
 def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
@@ -408,55 +542,6 @@ def bigrassmannian_one_line(i: int, j: int, r: int, n: int) -> tuple[int, ...]:
         *range(r + 1, j + 1), *range(i + j - r + 1, n + 1),
     )
     return word[:n]
-
-
-def partial_bigrassmannian(i: int, j: int, r: int, n: int) -> PartialAsm:
-    """The partial permutation in PA(n) whose completion is the block
-    biGrassmannian for (i, j, r).  Conditions B1 and B2 are required; B3 is
-    not (entries that would land outside the n-by-n grid are dropped)."""
-    if i < 1 or j < 1:
-        raise ValueError("need 1 <= i, j")
-    if not 0 <= r < min(i, j):
-        raise ValueError(f"need 0 <= r < min(i, j), got r={r}")
-    entries = [[0] * n for _ in range(n)]
-    for k, w in enumerate(bigrassmannian_one_line(i, j, r, n), start=1):
-        if w <= n:
-            entries[k - 1][w - 1] = 1
-    return validate_partial_asm(entries)
-
-
-def partial_asm_join(ps: Sequence[PartialAsm], n: int) -> PartialAsm:
-    """Join in PA(n): entrywise minimum of corner sums.  Empty join is the
-    identity, the minimum of the order."""
-    if not ps:
-        return PartialAsm(identity_asm(n).entries)
-    mats = [corner_rows(p) for p in ps]
-    return validate_partial_asm(_entries_from_corner_rows(_entrywise_min(mats)))
-
-
-def asm_from_rank_conditions(r: Sequence[Sequence[int | None]]) -> PartialAsm:
-    """The partial ASM A_r whose rank conditions cut out the same locus as
-    the northwest rank function r.
-
-    ``None`` means an unbounded entry.  A condition with r_ij >= min(i, j)
-    is vacuous (the corresponding biGrassmannian is the identity) and is
-    skipped; the remaining partial biGrassmannians are joined.
-    """
-    n = len(r)
-    if any(len(row) != n for row in r):
-        raise ValueError("rank matrix must be square")
-    parts = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rij = r[i - 1][j - 1]
-            if rij is None:
-                continue
-            if rij < 0:
-                raise ValueError(f"negative rank bound at ({i},{j})")
-            if rij >= min(i, j):
-                continue
-            parts.append(partial_bigrassmannian(i, j, rij, n))
-    return partial_asm_join(parts, n)
 
 
 def render_asm(entries_owner: Asm | PartialAsm) -> str:

@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .asm import Asm, bigrassmannian_one_line, join_all, rank_conditions
+from .asm import Asm, _permutation_asm, bigrassmannian_one_line, join_all, rank_conditions
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ class Perm:
         n = max(n, 1)
         if n < self.size:
             raise ValueError(f"{self} does not fit in S_{n}")
-        zero = (0,) * n
-        return Asm(tuple(zero[: v - 1] + (1,) + zero[v:] for v in self.padded(n)))
+        return _permutation_asm(self.padded(n), n)
 
     def render(self, n: int | None = None) -> str:
         return " ".join(str(x) for x in self.padded(n if n else max(self.size, 1)))

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .algebra import Monomial, Polynomial, _row_counts, grid_cells, grid_weight_sum, poly_from_monomials
-from .asm import Asm, Cell, _monotone_triangle, _rank_conditions, corner_rows, rank_conditions
+from .asm import Asm, Cell, monotone_triangle, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -394,11 +394,9 @@ def bigrassmannian_model(a: Asm) -> PrismShapeSpec:
 
 
 def parabolic_model(a: Asm) -> PrismShapeSpec:
-    """One monotone-triangle shape per essential row, both read from one
-    corner-sum table."""
-    rows = corner_rows(a)
-    ess_rows = sorted({i for i, _, _ in _rank_conditions(rows)})
-    mt = _monotone_triangle(rows)
+    """One monotone-triangle shape per essential row."""
+    ess_rows = sorted({i for i, _, _ in rank_conditions(a)})
+    mt = monotone_triangle(a)
     return PrismShapeSpec(tuple(mt.partition(i) for i in ess_rows), tuple(ess_rows))
 
 

@@ -6,13 +6,27 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
 from asmprism.algebra import Monomial, Polynomial
-from asmprism.asm import Asm, Cell, rank_conditions, validate_asm
+from asmprism.asm import (
+    Asm,
+    Cell,
+    PartialAsm,
+    _entries_from_corner_rows,
+    asm_from_corner_sum,
+    bigrassmannian_one_line,
+    corner_rows,
+    identity_asm,
+    rank_conditions,
+    validate_asm,
+    validate_partial_asm,
+)
 from asmprism.perm import Perm
 from asmprism.pipedream import PlusDiagram
 
@@ -163,6 +177,122 @@ def brute_force_join(a: Asm, b: Asm, universe: list[Asm]) -> Asm:
 def brute_force_meet(a: Asm, b: Asm, universe: list[Asm]) -> Asm:
     """Greatest lower bound by scanning the whole lattice."""
     return _brute_force_bound(a, b, universe, upper=False)
+
+
+# --------------------------------- the lattice on corner-sum tables (tuples)
+#
+# The packed lattice kernel in asmprism.asm is checked against these: the
+# same entrywise comparisons, minima and maxima, cell by cell on the
+# tuples of corner_rows, validated by validate_asm.
+
+
+def _common_corner_rows(a: Asm, b: Asm) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The corner sums of a and b at their common size."""
+    m = max(a.n, b.n)
+    return corner_rows(a, m), corner_rows(b, m)
+
+
+def corner_leq(a: Asm, b: Asm) -> bool:
+    """a <= b iff r_a >= r_b entrywise."""
+    ra, rb = _common_corner_rows(a, b)
+    return all(all(map(operator.ge, x, y)) for x, y in zip(ra, rb))
+
+
+def corner_join(a: Asm, b: Asm) -> Asm:
+    """The entrywise minimum of the corner sums."""
+    ra, rb = _common_corner_rows(a, b)
+    return asm_from_corner_sum(tuple(tuple(map(min, x, y)) for x, y in zip(ra, rb)))
+
+
+def corner_meet(a: Asm, b: Asm) -> Asm:
+    """The entrywise maximum of the corner sums."""
+    ra, rb = _common_corner_rows(a, b)
+    return asm_from_corner_sum(tuple(tuple(map(max, x, y)) for x, y in zip(ra, rb)))
+
+
+def _entrywise_min(mats: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The entrywise minimum of one or more square matrices of one size."""
+    return tuple(tuple(map(min, zip(*rows))) for rows in zip(*mats))
+
+
+def corner_join_all(asms: Sequence[Asm], n: int | None = None) -> Asm:
+    """join_all on the tables: the entrywise minimum at the largest size."""
+    if not asms:
+        return identity_asm(n if n else 1)
+    m = max(n or 1, max(a.n for a in asms))
+    return asm_from_corner_sum(_entrywise_min([corner_rows(a, m) for a in asms]))
+
+
+def _table_diagram(rows: Sequence[Sequence[int]]) -> frozenset[Cell]:
+    """The cells with r(i, j) = r(i-1, j) = r(i, j-1), r read as 0 on row
+    and column 0."""
+    cells = []
+    up: Sequence[int] = (0,) * len(rows)
+    for i, row in enumerate(rows, start=1):
+        left = 0
+        for j, (x, y) in enumerate(zip(row, up), start=1):
+            if x == y == left:
+                cells.append((i, j))
+            left = x
+        up = row
+    return frozenset(cells)
+
+
+def table_rank_conditions(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """(i, j, r(i, j)) for the cells of the diagram of the table whose south
+    and east neighbours are not in it, in increasing order of (i, j)."""
+    d = _table_diagram(rows)
+    ess = [(i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d]
+    return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(ess)]
+
+
+def partial_bigrassmannian(i: int, j: int, r: int, n: int) -> PartialAsm:
+    """The partial permutation in PA(n) whose completion is the block
+    biGrassmannian for (i, j, r).  Conditions B1 and B2 are required; B3 is
+    not (entries that would land outside the n-by-n grid are dropped)."""
+    if i < 1 or j < 1:
+        raise ValueError("need 1 <= i, j")
+    if not 0 <= r < min(i, j):
+        raise ValueError(f"need 0 <= r < min(i, j), got r={r}")
+    entries = [[0] * n for _ in range(n)]
+    for k, w in enumerate(bigrassmannian_one_line(i, j, r, n), start=1):
+        if w <= n:
+            entries[k - 1][w - 1] = 1
+    return validate_partial_asm(entries)
+
+
+def partial_asm_join(ps: Sequence[PartialAsm], n: int) -> PartialAsm:
+    """Join in PA(n): entrywise minimum of corner sums.  Empty join is the
+    identity, the minimum of the order."""
+    if not ps:
+        return PartialAsm(identity_asm(n).entries)
+    mats = [corner_rows(p) for p in ps]
+    return validate_partial_asm(_entries_from_corner_rows(_entrywise_min(mats)))
+
+
+def asm_from_rank_conditions(r: Sequence[Sequence[int | None]]) -> PartialAsm:
+    """The partial ASM A_r whose rank conditions cut out the same locus as
+    the northwest rank function r.
+
+    ``None`` means an unbounded entry.  A condition with r_ij >= min(i, j)
+    is vacuous (the corresponding biGrassmannian is the identity) and is
+    skipped; the remaining partial biGrassmannians are joined.
+    """
+    n = len(r)
+    if any(len(row) != n for row in r):
+        raise ValueError("rank matrix must be square")
+    parts = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            rij = r[i - 1][j - 1]
+            if rij is None:
+                continue
+            if rij < 0:
+                raise ValueError(f"negative rank bound at ({i},{j})")
+            if rij >= min(i, j):
+                continue
+            parts.append(partial_bigrassmannian(i, j, rij, n))
+    return partial_asm_join(parts, n)
 
 
 # ------------------------------------------------- words and their products

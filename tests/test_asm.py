@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     _block_sums,
     asm_count_formula,
+    asm_from_rank_conditions,
     block_sum_table,
     brute_force_asms,
     brute_force_canonical,
@@ -17,6 +18,7 @@ from conftest import (
     brute_force_meet,
     essential_by_corner_sums,
     matrix_rank,
+    partial_bigrassmannian,
     render_corner_sum,
 )
 
@@ -26,7 +28,6 @@ from asmprism.asm import (
     MonotoneTriangle,
     asm_from_corner_sum,
     asm_from_monotone_triangle,
-    asm_from_rank_conditions,
     asm_join,
     asm_leq,
     asm_meet,
@@ -40,7 +41,6 @@ from asmprism.asm import (
     join_all,
     monotone_triangle,
     parse_matrix_text,
-    partial_bigrassmannian,
     rank_conditions,
     render_asm,
     validate_asm,

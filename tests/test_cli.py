@@ -130,7 +130,6 @@ class TestVerify:
         assert run(["verify", name, "--n", "2", "--jobs", "2"])[0] == 0
         assert seen == [cli._bounded_jobs(2)]
 
-    @pytest.mark.slow
     def test_lattice_n5_exhaustive(self):
         assert run(["verify", "lattice", "--n", "5"]) == (
             0, "OK: 429 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
@@ -139,6 +138,13 @@ class TestVerify:
     def test_theorem1_checks_the_multidegree(self, monkeypatch):
         monkeypatch.setattr("asmprism.ideal.multidegree", lambda a: Polynomial.zero())
         code, out, _ = run(["verify", "theorem1", "--n", "3"])
+        assert code == 2
+        assert out.startswith("FAIL")
+
+    def test_lattice_checks_the_join(self, monkeypatch):
+        # a join that returns the meet is not an upper bound
+        monkeypatch.setattr("asmprism.asm.asm_join", cli.asm_mod.asm_meet)
+        code, out, _ = run(["verify", "lattice", "--n", "3"])
         assert code == 2
         assert out.startswith("FAIL")
 

@@ -1,0 +1,153 @@
+"""The packed lattice kernel of asmprism.asm against the corner-sum tables
+of conftest: order, join, meet, join_all, Ess(A) and the Robbins-Rumsey
+test, each checked against an oracle that never reads the packed sums."""
+
+import itertools
+import pickle
+import random
+
+import pytest
+
+from conftest import (
+    _table_diagram,
+    corner_join,
+    corner_join_all,
+    corner_leq,
+    corner_meet,
+    table_rank_conditions,
+)
+
+from asmprism.asm import (
+    Asm,
+    AsmValidationError,
+    _asm_of_sums,
+    _is_corner_sums,
+    _packed,
+    asm_from_corner_sum,
+    asm_join,
+    asm_leq,
+    asm_meet,
+    corner_rows,
+    enumerate_asms,
+    identity_asm,
+    inversions,
+    join_all,
+    rank_conditions,
+)
+from asmprism.perm import Perm, bigr_of
+
+
+def pack_rows(rows) -> int:
+    """The packed layout written out: byte (i-1)*n + j-1 holds r(i, j)."""
+    return int.from_bytes(bytes(itertools.chain.from_iterable(rows)), "little")
+
+
+def assert_same_asm(got: Asm, want: Asm) -> None:
+    """Equal entries at the same size, and packed sums that are the corner
+    sums of those entries."""
+    assert got.entries == want.entries
+    assert _packed(got, got.n) == pack_rows(corner_rows(Asm(got.entries)))
+
+
+def assert_lattice_ops(a: Asm, b: Asm) -> None:
+    assert asm_leq(a, b) == corner_leq(a, b)
+    assert_same_asm(asm_join(a, b), corner_join(a, b))
+    assert_same_asm(asm_meet(a, b), corner_meet(a, b))
+
+
+ASMS_1_TO_4 = [a for n in range(1, 5) for a in enumerate_asms(n)]
+
+
+class TestAgainstTables:
+    def test_every_pair_up_to_4(self):
+        # mixed sizes included: 52 ASMs, 2,704 ordered pairs
+        for a, b in itertools.product(ASMS_1_TO_4, repeat=2):
+            assert_lattice_ops(a, b)
+
+    def test_seeded_pairs_of_asm6(self):
+        asms = list(enumerate_asms(6))
+        rng = random.Random(18)
+        for _ in range(2000):
+            assert_lattice_ops(rng.choice(asms), rng.choice(asms))
+
+    def test_join_all_of_bigr_on_asm5(self):
+        for a in enumerate_asms(5):
+            family = [u.matrix(5) for u in bigr_of(a)]
+            j = join_all(family, 5)
+            assert j == a
+            assert_same_asm(j, corner_join_all(family, 5))
+
+    def test_join_all_mixed_sizes(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            family = rng.sample(ASMS_1_TO_4, rng.randrange(1, 5))
+            n = rng.choice([None, 4, 5])
+            assert_same_asm(join_all(family, n), corner_join_all(family, n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rank_conditions_and_diagram(self, n):
+        for a in enumerate_asms(n):
+            rows = corner_rows(a)
+            assert rank_conditions(a) == table_rank_conditions(rows)
+            assert inversions(a) == _table_diagram(rows)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_robbins_rumsey_matches_validate_asm(self, n):
+        # every n x n table with entries 0..n: 2, 81 and 262,144 of them
+        accepted = 0
+        for flat in itertools.product(range(n + 1), repeat=n * n):
+            rows = [flat[s:s + n] for s in range(0, n * n, n)]
+            try:
+                want = asm_from_corner_sum(rows)
+            except AsmValidationError:
+                assert not _is_corner_sums(pack_rows(rows), n)
+            else:
+                accepted += 1
+                assert_same_asm(_asm_of_sums(pack_rows(rows), n), want)
+        assert accepted == {1: 1, 2: 2, 3: 7}[n]
+
+    def test_rejected_sums_name_a_row_or_column(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            rows = [[rng.randrange(5) for _ in range(4)] for _ in range(4)]
+            with pytest.raises(AsmValidationError) as want:
+                asm_from_corner_sum(rows)
+            with pytest.raises(AsmValidationError) as got:
+                _asm_of_sums(pack_rows(rows), 4)
+            assert str(got.value) == str(want.value)
+
+
+class TestEdgeCases:
+    def test_n1(self):
+        one = identity_asm(1)
+        assert asm_leq(one, one)
+        assert asm_join(one, one).entries == asm_meet(one, one).entries == ((1,),)
+        assert rank_conditions(one) == [] and inversions(one) == frozenset()
+
+    def test_permutation_matrices(self):
+        # the identity, every w in S_4, and each padded with fixed points above its size
+        assert_same_asm(Perm.identity().matrix(), identity_asm(1))
+        for w in itertools.permutations(range(1, 5)):
+            for n in (4, 5, 6):
+                m = Perm(w).matrix(n)
+                want = tuple(tuple(int(v == c) for c in range(1, n + 1)) for v in (*w, *range(5, n + 1)))
+                assert_same_asm(m, Asm(want))
+
+    def test_packed_sums_stay_out_of_eq_hash_repr_and_pickles(self):
+        a = asm_join(*ASMS_1_TO_4[-2:])
+        b = Asm(a.entries)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        c = pickle.loads(pickle.dumps(a))
+        assert c.entries == a.entries
+        assert not hasattr(c, "_sums")
+
+    def test_invalid_input_raises_through_validate_asm(self):
+        bad = Asm(((1, 1), (0, 0)))  # never validated: row 1 sums to 2
+        with pytest.raises(AsmValidationError, match="row 1 sums to 2"):
+            asm_join(bad, bad)
+        with pytest.raises(AsmValidationError, match="row 1 sums to 2"):
+            join_all([bad])
+
+    def test_size_beyond_the_guard_bit(self):
+        with pytest.raises(ValueError, match="n <= 127"):
+            asm_leq(identity_asm(128), identity_asm(1))
