@@ -94,11 +94,11 @@ def _check_sums(entries: tuple[tuple[int, ...], ...], allowed: tuple[int, ...]) 
 
 @dataclass(frozen=True, eq=False)
 class Asm:
-    """An alternating sign matrix.  Construct via :func:`validate_asm`.
-
-    The packed corner sums (see :func:`_packed`) are kept in the slot
-    ``_sums`` once computed; they are not part of equality, hashing,
-    ``repr`` or pickles."""
+    """An alternating sign matrix.  :func:`validate_asm` checks matrices
+    from outside; :func:`enumerate_asms`, the lattice operations and
+    ``Perm.matrix`` build valid ones.  The packed corner sums (see
+    :func:`_packed`) are kept in the slot ``_sums``, set by those builders
+    or once computed, outside equality, hashing, ``repr`` and pickles."""
 
     __slots__ = ("entries", "_sums")
     entries: tuple[tuple[int, ...], ...]
@@ -468,49 +468,41 @@ def monotone_triangle(a: Asm) -> MonotoneTriangle:
     return MonotoneTriangle(tuple(map(tuple, rows)))
 
 
-def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
-    n = mt.n
-    entries = []
-    prev = [0] * n
-    for i in range(n):
-        cur = [0] * n
-        for j in mt.rows[i]:
-            cur[j - 1] = 1
-        entries.append(tuple(cur[j] - prev[j] for j in range(n)))
-        prev = cur
-    return validate_asm(entries)
-
-
-def enumerate_monotone_triangles(n: int) -> Iterator[MonotoneTriangle]:
-    """All monotone triangles with bottom row (1, ..., n), in lexicographic
-    order of the flattened rows.  Consecutive rows interleave:
+def enumerate_asms(n: int) -> Iterator[Asm]:
+    """Every element of ASM(n) exactly once, with its packed corner sums,
+    in lexicographic order of the flattened monotone triangles with bottom
+    row (1, ..., n).  Consecutive rows interleave:
     m(i+1, j) <= m(i, j) <= m(i+1, j+1), so the row after p is a strictly
     increasing pick from the ranges [p(j-1), p(j)], read with 1 and n at
-    the ends; the top row is a pick from [1, n] after the empty row."""
+    the ends; the top row is a pick from [1, n] after the empty row.  Row i
+    of A is the indicator of triangle row i less that of row i-1, and row i
+    of r is the sum of the steps at the entries of triangle row i, so the
+    walk builds valid ASMs and checks nothing."""
     if n < 1:
         raise ValueError("n must be positive")
+    steps = _layout(n).steps.__getitem__
 
     @cache
-    def successors(prev: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def successors(prev: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        # (row, entry row, packed corner-sum row) for each row after prev;
         # a row has distinct entries in [n], so at most 2^n rows are listed
         ends = (1, *prev, n)
         picks = product(*(range(lo, hi + 1) for lo, hi in zip(ends, ends[1:])))
-        return [row for row in picks if all(map(operator.lt, row, row[1:]))]
+        return [
+            (row, tuple((j in row) - (j in prev) for j in range(1, n + 1)), sum(map(steps, row)))
+            for row in picks
+            if all(map(operator.lt, row, row[1:]))
+        ]
 
-    def walk(rows: tuple[tuple[int, ...], ...]) -> Iterator[MonotoneTriangle]:
-        if len(rows) == n:
-            yield MonotoneTriangle(rows)
+    def walk(prev: tuple[int, ...], entries: tuple[tuple[int, ...], ...], p: int) -> Iterator[Asm]:
+        i = len(entries)
+        if i == n:
+            yield _with_sums(entries, p)
             return
-        for row in successors(rows[-1] if rows else ()):
-            yield from walk((*rows, row))
+        for row, e, step in successors(prev):
+            yield from walk(row, (*entries, e), p | step << 8 * n * i)
 
-    return walk(())
-
-
-def enumerate_asms(n: int) -> Iterator[Asm]:
-    """Every element of ASM(n) exactly once, via monotone triangles."""
-    for mt in enumerate_monotone_triangles(n):
-        yield asm_from_monotone_triangle(mt)
+    return walk((), (), 0)
 
 
 def canonical_completion(p: PartialAsm) -> Asm:

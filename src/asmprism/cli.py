@@ -141,9 +141,12 @@ def _verify_each(
     return all(results), detail.format(ok=sum(results), total=len(items))
 
 
-def _check_lattice(a: Asm, asms: Sequence[Asm]) -> bool:
-    """Join and meet of a with every b bound both, and A = join(biGr(A))."""
-    for b in asms:
+def _check_lattice(k: int, asms: Sequence[Asm]) -> bool:
+    """Join and meet of a = asms[k] with a and every later b bound both,
+    and A = join(biGr(A)).  Join and meet are symmetric, so this covers
+    every pair once over k."""
+    a = asms[k]
+    for b in asms[k:]:
         j = asm_mod.asm_join(a, b)
         m = asm_mod.asm_meet(a, b)
         if not (
@@ -156,7 +159,7 @@ def _check_lattice(a: Asm, asms: Sequence[Asm]) -> bool:
 
 def _verify_lattice(n: int, jobs: int) -> tuple[bool, str]:
     asms = _asms(n)
-    ok = all(_pmap(partial(_check_lattice, asms=asms), asms, jobs))
+    ok = all(_pmap(partial(_check_lattice, asms=asms), range(len(asms)), jobs))
     return ok, f"{len(asms)} ASMs, joins/meets closed, A = join(biGr(A))"
 
 

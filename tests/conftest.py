@@ -17,6 +17,7 @@ from asmprism.algebra import Monomial, Polynomial
 from asmprism.asm import (
     Asm,
     Cell,
+    MonotoneTriangle,
     PartialAsm,
     _entries_from_corner_rows,
     asm_from_corner_sum,
@@ -89,6 +90,21 @@ def brute_force_asms(n: int) -> list[Asm]:
         except Exception:
             continue
     return out
+
+
+def asm_from_monotone_triangle(mt: MonotoneTriangle) -> Asm:
+    """Row i of the matrix is the indicator of triangle row i less that of
+    row i-1, validated cell by cell; the oracle for the enumeration walk."""
+    n = mt.n
+    entries = []
+    prev = [0] * n
+    for i in range(n):
+        cur = [0] * n
+        for j in mt.rows[i]:
+            cur[j - 1] = 1
+        entries.append(tuple(cur[j] - prev[j] for j in range(n)))
+        prev = cur
+    return validate_asm(entries)
 
 
 def _block_sums(a: Asm, n: int) -> list[int]:

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     _block_sums,
     asm_count_formula,
+    asm_from_monotone_triangle,
     asm_from_rank_conditions,
     block_sum_table,
     brute_force_asms,
@@ -23,11 +24,13 @@ from conftest import (
 )
 
 from asmprism.asm import (
+    Asm,
     AsmValidationError,
     MatrixParseError,
     MonotoneTriangle,
+    _is_corner_sums,
+    _packed,
     asm_from_corner_sum,
-    asm_from_monotone_triangle,
     asm_join,
     asm_leq,
     asm_meet,
@@ -373,17 +376,38 @@ class TestEnumeration:
     def test_deterministic_order(self):
         assert [a.entries for a in enumerate_asms(3)] == [a.entries for a in enumerate_asms(3)]
 
-    def test_lexicographic_on_flattened_triangles(self):
-        from asmprism.asm import enumerate_monotone_triangles
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_walk_against_triangles_validation_and_sums(self, n):
+        """What the walk does not compute itself: the product formula, the
+        flattened triangles strictly increasing (the order, and no ASM
+        twice), validate_asm, and the corner sums summed afresh."""
+        asms = list(enumerate_asms(n))
+        assert len(asms) == asm_count_formula(n)
+        flats = [tuple(itertools.chain.from_iterable(monotone_triangle(a).rows)) for a in asms]
+        assert all(map(operator.lt, flats, flats[1:]))
+        for a in asms:
+            assert validate_asm(a.entries) == a
+            assert a._sums == _packed(Asm(a.entries), n)
 
-        for n, count in zip(range(1, 7), (1, 2, 7, 42, 429, 7436)):
-            flats = [
-                tuple(x for row in mt.rows for x in row)
-                for mt in enumerate_monotone_triangles(n)
-            ]
-            assert len(flats) == count
-            # strictly increasing: sorted, and no triangle twice
-            assert all(map(operator.lt, flats, flats[1:]))
+    def test_walk_n7_count_and_sums(self):
+        sums = [a._sums for a in enumerate_asms(7)]
+        assert len(sums) == asm_count_formula(7)
+        assert all(_is_corner_sums(p, 7) for p in sums)
+
+    @pytest.mark.slow
+    def test_walk_n7_order(self):
+        flats = [tuple(itertools.chain.from_iterable(monotone_triangle(a).rows)) for a in enumerate_asms(7)]
+        assert all(map(operator.lt, flats, flats[1:]))
+
+    def test_n1(self):
+        (a,) = enumerate_asms(1)
+        assert a.entries == ((1,),)
+        assert a._sums == 1
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            list(enumerate_asms(n))
 
 
 class TestEmbed:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_prism_tableaux,
+    asm_from_monotone_triangle,
     brute_force_fiber_max,
     brute_force_fibers,
     brute_force_pipe_dreams,
@@ -25,7 +26,7 @@ from conftest import (
 )
 
 from asmprism.algebra import Monomial, Polynomial, grid_cells, poly_from_monomials
-from asmprism.asm import MonotoneTriangle, asm_from_monotone_triangle, embed, enumerate_asms, identity_asm
+from asmprism.asm import MonotoneTriangle, embed, enumerate_asms, identity_asm
 from asmprism.ideal import multidegree
 from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set
 from asmprism.pipedream import (
