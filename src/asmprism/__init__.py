@@ -42,7 +42,6 @@ from .prism import (
     asm_polynomial,
     bigrassmannian_model,
     enumerate_rssyt,
-    has_unstable_triple,
     parabolic_model,
     prism_set,
     prism_weight,

@@ -93,7 +93,11 @@ class Monomial:
 
 
 class Polynomial:
-    """Finite map from monomials to nonzero integer coefficients."""
+    """Finite map from monomials to nonzero integer coefficients.
+
+    The terms are stored as a dict from normalized exponent tuples to
+    coefficients; ``Monomial`` objects are built only when ``terms``,
+    ``sorted_terms`` or ``render`` hands them out."""
 
     __slots__ = ("_terms",)
 
@@ -104,8 +108,16 @@ class Polynomial:
                 if not isinstance(m, Monomial):
                     raise TypeError(f"expected Monomial key, got {type(m).__name__}")
                 if c:
-                    cleaned[m] = c
+                    cleaned[m.exponents] = c
         self._terms = cleaned
+
+    @classmethod
+    def _of_exponents(cls, terms: dict[tuple[int, ...], int]) -> Polynomial:
+        """Trusted: ``terms`` maps normalized exponent tuples (no trailing
+        zero) to nonzero coefficients, and the polynomial takes it over."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -121,10 +133,10 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+        return {Monomial(e): c for e, c in self._terms.items()}
 
     def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
+        return self._terms.get(m.exponents, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -133,20 +145,20 @@ class Polynomial:
     def min_total_degree(self) -> int:
         if not self._terms:
             raise ZeroPolynomialError("undefined degree: zero polynomial")
-        return min(m.total_degree for m in self._terms)
+        return min(map(sum, self._terms))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         merged = dict(self._terms)
-        for m, c in other._terms.items():
-            s = merged.get(m, 0) + c
+        for e, c in other._terms.items():
+            s = merged.get(e, 0) + c
             if s:
-                merged[m] = s
+                merged[e] = s
             else:
-                merged.pop(m, None)
-        return Polynomial(merged)
+                merged.pop(e, None)
+        return Polynomial._of_exponents(merged)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._of_exponents({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -161,18 +173,15 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in graded lexicographic order, highest first."""
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (item[0].total_degree, item[0].exponents),
-            reverse=True,
-        )
+        ordered = sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        return [(Monomial(e), c) for e, c in ordered]
 
     def render(self) -> str:
         if not self._terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            if m == Monomial.one():
+            if not m.exponents:
                 parts.append(str(c))
             elif c == 1:
                 parts.append(m.render())
@@ -189,10 +198,7 @@ class Polynomial:
 
 def poly_from_monomials(ms: Iterable[Monomial]) -> Polynomial:
     """Sum the monomials with multiplicity; coefficients count occurrences."""
-    terms: dict[Monomial, int] = {}
-    for m in ms:
-        terms[m] = terms.get(m, 0) + 1
-    return Polynomial(terms)
+    return Polynomial._of_exponents(dict(Counter(m.exponents for m in ms)))
 
 
 @cache
@@ -213,14 +219,14 @@ def grid_cells(mask: int, n: int) -> frozenset[tuple[int, int]]:
 
 
 def _row_counts(mask: int, n: int) -> tuple[int, ...]:
-    """The number of cells of an n-by-n grid mask in each row: the
-    popcount of each row's n-bit stretch."""
+    """The number of cells of an n-by-n grid mask in each row, up to its
+    last nonempty row: the popcount of each row's n-bit stretch, as a
+    normalized exponent tuple."""
     full = (1 << n) - 1
-    return tuple((mask >> k & full).bit_count() for k in range(0, n * n, n))
+    return tuple((mask >> k & full).bit_count() for k in range(0, mask.bit_length(), n))
 
 
 def grid_weight_sum(masks: Iterable[int], n: int) -> Polynomial:
     """The sum of the row-count weights of n-by-n grid masks: each mask
     contributes x_i to the number of its cells in row i."""
-    weights = Counter(_row_counts(m, n) for m in masks)
-    return Polynomial({Monomial(e): c for e, c in weights.items()})
+    return Polynomial._of_exponents(dict(Counter(_row_counts(m, n) for m in masks)))

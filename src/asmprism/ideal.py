@@ -55,30 +55,47 @@ def initial_ideal(a: Asm) -> frozenset[frozenset[Cell]]:
     return frozenset(grid_cells(s, a.n) for s in _initial_masks(a))
 
 
-def _hitting_masks(supports: Iterable[int]) -> list[int]:
-    """All inclusion-minimal masks meeting every support mask, by
-    exclusion branching on the first unhit support: branch k takes its
-    k-th allowed vertex, lowest bit first, and bans the earlier ones, so
-    each minimal set is reached once.  A leaf is kept when every chosen
-    vertex has a private support: one pass over the supports collects the
-    vertex of each support hit once."""
+def _hitting_masks(supports: Iterable[int], smallest: bool = False) -> list[int]:
+    """All inclusion-minimal masks meeting every support mask, or with
+    ``smallest`` only those of the fewest cells, by exclusion branching
+    on the first unhit support: branch k takes its k-th allowed vertex,
+    lowest bit first, and bans the earlier ones, so each minimal set is
+    reached once.  A leaf is kept when every chosen vertex has a private
+    support: one pass over the supports collects the vertex of each
+    support hit once.
+
+    With ``smallest``, a branch stops once it would hold more cells than
+    the smallest leaf found so far, and the leaves of the least size are
+    kept without the private-vertex test: a hitting set of the fewest
+    cells has no hitting proper subset."""
     edges = sorted(set(supports), key=lambda e: (e.bit_count(), e))
     if edges and not edges[0]:
         raise ValueError("empty support cannot be hit")
     found: list[int] = []
+    # the size of the smallest leaf so far; each step hits one more
+    # support, so no leaf holds more than len(edges) cells
+    best = len(edges) + 1
 
-    def branch(chosen: int, banned: int, first: int) -> None:
+    def branch(chosen: int, size: int, banned: int, first: int) -> None:
+        nonlocal best, found
         # supports before ``first`` are hit, and stay hit as chosen grows
         for k in range(first, len(edges)):
             e = edges[k]
             if not e & chosen:
+                if size >= best:
+                    return
                 allowed = e & ~banned
                 while allowed:
                     v = allowed & -allowed
-                    branch(chosen | v, banned, k + 1)
+                    branch(chosen | v, size + 1, banned, k + 1)
                     banned |= v
                     allowed ^= v
                 return
+        if smallest:
+            if size < best:
+                best, found = size, []
+            found.append(chosen)
+            return
         private = 0
         for e in edges:
             hit = e & chosen
@@ -87,7 +104,7 @@ def _hitting_masks(supports: Iterable[int]) -> list[int]:
         if private == chosen:
             found.append(chosen)
 
-    branch(0, 0, 0)
+    branch(0, 0, 0, 0)
     return found
 
 
@@ -120,6 +137,4 @@ def multidegree(a: Asm) -> Polynomial:
     the sum, over the minimum-size minimal hitting sets of the initial
     ideal's supports, of the product of x_i over their cells.  Those sets
     are the complements of the maximal-dimension Stanley-Reisner facets."""
-    transversals = _hitting_masks(_initial_masks(a))
-    low = min(h.bit_count() for h in transversals)
-    return grid_weight_sum((h for h in transversals if h.bit_count() == low), a.n)
+    return grid_weight_sum(_hitting_masks(_initial_masks(a), smallest=True), a.n)

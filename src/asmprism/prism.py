@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterator, Sequence, Set
+from collections.abc import Iterator, Sequence, Set
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -202,11 +202,12 @@ def _unstable(filling: Filling) -> bool:
     for _, cells, _ in entries:
         twice |= seen & cells
         seen |= cells
-    return bool(twice) and any(
-        bit & twice and higher & union
-        for _, _, candidates in entries
-        for bit, higher in candidates
-    )
+    if twice:
+        for _, _, candidates in entries:
+            for bit, higher in candidates:
+                if bit & twice and higher & union:
+                    return True
+    return False
 
 
 def _as_filling(t: PrismTableau) -> Filling:
@@ -231,13 +232,6 @@ def prism_weight(t: PrismTableau) -> Monomial:
     """The row-count weight of phi(t): x_v counts the antidiagonals that
     carry the label v."""
     return Monomial(_row_counts(_as_filling(t)[1], t.spec.ambient_size))
-
-
-def has_unstable_triple(t: PrismTableau) -> bool:
-    """Detect labels {l_c, l_d, l'_e} on one antidiagonal with l < l' such
-    that l appears in two distinct colors c != d and replacing the color-c
-    copy of l by l' stays a prism tableau."""
-    return _unstable(_as_filling(t))
 
 
 @lru_cache(maxsize=None)
@@ -268,43 +262,44 @@ class _Fillings:
     def tableau(self, filling: Filling) -> PrismTableau:
         return PrismTableau(self.spec, tuple(f for f, _, _ in filling[0]))
 
-    def walk(self, keep: Callable[[int], bool]) -> Iterator[Filling]:
-        """Depth-first over the product of the pools, in order: each
-        complete filling as its entries and the union of their phi cells.
-        The union only grows, and a branch goes on only while ``keep``
-        holds for it.  The walk is lazy, so ``keep`` may read state the
-        caller updates between fillings."""
+    def minimal(self) -> tuple[int, list[Filling]]:
+        """The least degree of a filling, and the fillings of that degree
+        in enumeration order: each as its entries and the union of their
+        phi cells.
+
+        A depth-first branch and bound over the product of the pools: the
+        degree of a filling is the number of its phi cells and the union
+        only grows, so a branch is dropped as soon as its union is larger
+        than the smallest complete filling seen so far.  The last
+        component's loop closes the leaves.  Ties are kept, so the
+        survivors come out in enumeration order."""
         pools = self.pools
+        if not pools:
+            return 0, [((), 0)]
+        last = len(pools) - 1
+        best = math.inf
+        found: list[Filling] = []
         chosen: list[Entry] = []
 
-        def walk(c: int, union: int) -> Iterator[Filling]:
-            if c == len(pools):
-                yield tuple(chosen), union
+        def walk(c: int, union: int) -> None:
+            nonlocal best, found
+            if c == last:
+                for entry in pools[c]:
+                    grown = union | entry[1]
+                    size = grown.bit_count()
+                    if size <= best:
+                        if size < best:
+                            best, found = size, []
+                        found.append(((*chosen, entry), grown))
                 return
             for entry in pools[c]:
                 grown = union | entry[1]
-                if keep(grown):
+                if grown.bit_count() <= best:
                     chosen.append(entry)
-                    yield from walk(c + 1, grown)
+                    walk(c + 1, grown)
                     chosen.pop()
 
-        return walk(0, 0)
-
-    def minimal(self) -> tuple[int, list[Filling]]:
-        """The least degree of a filling, and the fillings of that degree
-        in enumeration order.
-
-        A branch and bound: the degree of a filling is the number of its
-        phi cells, so a branch is dropped as soon as its union is larger
-        than the smallest complete filling seen so far.  Ties are kept, so
-        the survivors come out in enumeration order."""
-        best = math.inf
-        found: list[Filling] = []
-        for filling in self.walk(lambda union: union.bit_count() <= best):
-            size = filling[1].bit_count()
-            if size < best:
-                best, found = size, []
-            found.append(filling)
+        walk(0, 0)
         return best, found
 
     def prism(self) -> list[Filling]:

@@ -602,6 +602,15 @@ def brute_force_unstable_triple(t) -> bool:
     return False
 
 
+def has_unstable_triple(t) -> bool:
+    """The library's unstable-triple test on one prism tableau: ``_unstable``
+    on its entries at the spec's ambient size.  The tests read it against
+    ``brute_force_unstable_triple``."""
+    from asmprism.prism import _as_filling, _unstable
+
+    return _unstable(_as_filling(t))
+
+
 def brute_force_prism_weight(t):
     """The weight by its antidiagonal definition: x_v to the number of
     antidiagonals that carry the label v in some color."""
@@ -651,12 +660,18 @@ def phi_fibers(spec, images, n):
     return fillings.count(), fibers
 
 
+def brute_force_minimal_tableaux(spec):
+    """The prism tableaux of least weight degree by building the whole
+    product of component fillings, in enumeration order."""
+    degrees = [(t, brute_force_prism_weight(t).total_degree) for t in all_prism_tableaux(spec)]
+    lowest = min(d for _, d in degrees)
+    return [t for t, d in degrees if d == lowest]
+
+
 def brute_force_prism_set(spec):
     """The minimal stable prism tableaux by building the whole product of
     component fillings, in enumeration order."""
-    degrees = [(t, brute_force_prism_weight(t).total_degree) for t in all_prism_tableaux(spec)]
-    lowest = min(d for _, d in degrees)
-    return [t for t, d in degrees if d == lowest and not brute_force_unstable_triple(t)]
+    return [t for t in brute_force_minimal_tableaux(spec) if not brute_force_unstable_triple(t)]
 
 
 def brute_force_phi_image(t) -> frozenset[tuple[int, int]]:

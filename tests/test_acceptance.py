@@ -8,6 +8,8 @@ import random
 import time
 from contextlib import contextmanager
 
+from conftest import has_unstable_triple
+
 from asmprism.algebra import Monomial, Polynomial, poly_from_monomials
 from asmprism.asm import (
     asm_join,
@@ -36,7 +38,6 @@ from asmprism.prism import (
     PrismShapeSpec,
     asm_polynomial,
     bigrassmannian_model,
-    has_unstable_triple,
     parabolic_model,
     prism_set,
     prism_weight,

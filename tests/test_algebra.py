@@ -5,6 +5,7 @@ from asmprism.algebra import (
     Monomial,
     Polynomial,
     ZeroPolynomialError,
+    grid_weight_sum,
     poly_from_monomials,
 )
 
@@ -86,6 +87,53 @@ def test_render_format():
     assert Polynomial.one().render() == "1"
     assert Polynomial({Monomial.variable(2): 3}).render() == "3*x2"
     assert Polynomial({Monomial.one(): 2, Monomial.variable(1): 1}).render() == "x1 + 2"
+
+
+def test_constructor_rejects_keys_that_are_not_monomials():
+    with pytest.raises(TypeError):
+        Polynomial({(1,): 1})
+
+
+# cell sets of a 4-by-4 grid, with empty last rows, an empty set and a repeat
+CELL_SETS = [
+    {(1, 1), (1, 2), (2, 3), (3, 1)},
+    {(1, 4), (2, 2)},
+    {(4, 4)},
+    set(),
+    {(1, 1), (2, 1), (2, 2)},
+    {(1, 1), (1, 2), (2, 3), (3, 1)},
+]
+
+
+def _weight_sum(cell_sets, n: int) -> Polynomial:
+    return grid_weight_sum((sum(1 << (i - 1) * n + j - 1 for i, j in cells) for cells in cell_sets), n)
+
+
+def test_grid_weight_sum_does_not_depend_on_the_grid_width():
+    narrow, wide = _weight_sum(CELL_SETS, 4), _weight_sum(CELL_SETS, 6)
+    assert narrow == wide
+    assert hash(narrow) == hash(wide)
+    assert narrow.render() == wide.render() == "2*x1^2*x2*x3 + x1*x2^2 + x1*x2 + x4 + 1"
+
+
+def test_grid_weight_sum_is_the_sum_of_row_counts():
+    p = _weight_sum(CELL_SETS, 5)
+    assert p == poly_from_monomials(Monomial.counting(i for i, _ in cells) for cells in CELL_SETS)
+    assert all(type(m) is Monomial for m in p.terms)
+    assert p.coefficient(Monomial((2, 1, 1))) == 2
+    assert p.coefficient(Monomial((0, 0, 0, 1))) == 1
+    assert p.coefficient(Monomial.one()) == 1
+    assert p.coefficient(Monomial((5,))) == 0
+    assert p.min_total_degree() == 0
+    assert _weight_sum(CELL_SETS[:3], 5).min_total_degree() == 1
+
+
+def test_grid_weight_sum_cancels_to_zero():
+    p = _weight_sum(CELL_SETS, 4)
+    assert (p - _weight_sum(reversed(CELL_SETS), 6)).is_zero
+    assert (p + -p) == Polynomial.zero()
+    assert hash(p - p) == hash(Polynomial.zero())
+    assert not (p - _weight_sum(CELL_SETS[1:], 4)).is_zero
 
 
 monomials = st.lists(

@@ -15,6 +15,7 @@ from conftest import (
 from asmprism.algebra import Monomial, poly_from_monomials
 from asmprism.asm import enumerate_asms, identity_asm
 from asmprism.ideal import (
+    _hitting_masks,
     initial_ideal,
     minimal_hitting_sets,
     multidegree,
@@ -129,6 +130,22 @@ class TestInitialIdealRoute:
             self.assert_matches_minors(a)
 
 
+def assert_hitting_sets_match(supports) -> None:
+    """Both searches against the brute-force oracle: every minimal hitting
+    set, and with ``smallest`` those of the fewest cells, each once.  The
+    cells are numbered as in ``minimal_hitting_sets``."""
+    expected = brute_force_minimal_hitting_sets(supports)
+    assert minimal_hitting_sets(supports) == expected
+    supports = [frozenset(s) for s in supports]
+    cells = sorted(frozenset().union(*supports))
+    masks = [sum(1 << cells.index(c) for c in s) for s in supports]
+    smallest = _hitting_masks(masks, smallest=True)
+    assert len(smallest) == len(set(smallest))
+    fewest = min(map(len, expected))
+    assert {frozenset(c for k, c in enumerate(cells) if h >> k & 1) for h in smallest} == {
+        h for h in expected if len(h) == fewest}
+
+
 class TestHittingSets:
     def test_empty_family(self):
         assert minimal_hitting_sets([]) == {frozenset()}
@@ -145,6 +162,13 @@ class TestHittingSets:
     def test_empty_edge_rejected(self):
         with pytest.raises(ValueError):
             minimal_hitting_sets([frozenset()])
+        for smallest in (False, True):
+            for masks in ([0], [0b1, 0]):
+                with pytest.raises(ValueError):
+                    _hitting_masks(masks, smallest=smallest)
+
+    def test_smallest_of_the_empty_family_is_the_empty_set(self):
+        assert _hitting_masks([], smallest=True) == [0]
 
     def test_three_disjoint_pairs(self):
         pairs = [[(k, 1), (k, 2)] for k in (1, 2, 3)]
@@ -162,20 +186,20 @@ class TestHittingSets:
         [[(1, 1), (1, 2), (1, 3)], [(1, 3), (2, 3), (3, 3)], [(1, 1), (2, 2), (3, 3)]],
         # cells off any square grid: the search numbers the cells it is given
         [[(0, 1), (9, 2)], [(9, 2), (1, 0)], [(0, 1), (-3, 7)], [(1, 0)]],
+        # the first leaf reached holds four cells, and a later one holds one
+        [[(k, 1), (9, 9)] for k in (1, 2, 3, 4)],
     ])
     def test_hand_made_families_match_brute_force(self, supports):
-        assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
+        assert_hitting_sets_match(supports)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force_asm(self, n):
         for a in enumerate_asms(n):
-            supports = initial_ideal(a)
-            assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
+            assert_hitting_sets_match(initial_ideal(a))
 
     def test_matches_brute_force_asm6_sample(self):
         for a in [identity_asm(6)] + list(enumerate_asms(6))[::500]:
-            supports = initial_ideal(a)
-            assert minimal_hitting_sets(supports) == brute_force_minimal_hitting_sets(supports)
+            assert_hitting_sets_match(initial_ideal(a))
 
 
 class TestStanleyReisner:

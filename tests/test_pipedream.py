@@ -19,6 +19,7 @@ from conftest import (
     diagram_word,
     divided_difference,
     dominates_fiber,
+    has_unstable_triple,
     phi_fibers,
     schubert_oracle,
     square_word,
@@ -52,7 +53,6 @@ from asmprism.prism import (
     _Fillings,
     asm_polynomial,
     bigrassmannian_model,
-    has_unstable_triple,
     parabolic_model,
 )
 

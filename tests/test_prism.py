@@ -5,17 +5,19 @@ import pytest
 
 from conftest import (
     all_prism_tableaux,
+    brute_force_minimal_tableaux,
     brute_force_phi_image,
     brute_force_prism_set,
     brute_force_prism_weight,
     brute_force_unstable_triple,
     component_cells,
+    has_unstable_triple,
     partition_leq,
     relaxed_unstable_triple,
     _replacement_valid,
 )
 
-from asmprism.algebra import Monomial, grid_cells, poly_from_monomials
+from asmprism.algebra import Monomial, Polynomial, grid_cells, poly_from_monomials
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, monotone_triangle
 from asmprism.prism import (
     PrismShapeSpec,
@@ -28,7 +30,6 @@ from asmprism.prism import (
     asm_polynomial,
     bigrassmannian_model,
     enumerate_rssyt,
-    has_unstable_triple,
     parabolic_model,
     partition,
     phi_cells,
@@ -316,10 +317,16 @@ class TestPrismSet:
 
 
 def assert_matches_oracle(spec):
-    expected = brute_force_prism_set(spec)
+    """The minimal walk's fillings, ties and all, then prism_set and the
+    polynomial, each in enumeration order against the full product."""
+    minimal = brute_force_minimal_tableaux(spec)
+    fillings = _Fillings(spec, spec.ambient_size)
+    degree, found = fillings.minimal()
+    assert [fillings.tableau(f) for f in found] == minimal
+    assert degree == brute_force_prism_weight(minimal[0]).total_degree == prism_min_degree(spec)
+    expected = [t for t in minimal if not brute_force_unstable_triple(t)]
     assert prism_set(spec) == expected
     assert asm_polynomial(spec) == poly_from_monomials(brute_force_prism_weight(t) for t in expected)
-    assert prism_min_degree(spec) == brute_force_prism_weight(expected[0]).total_degree
 
 
 class TestPrismSetOracle:
@@ -340,10 +347,15 @@ class TestPrismSetOracle:
             assert_matches_oracle(parabolic_model(a))
 
     def test_identity_has_one_empty_tableau(self):
-        for spec in (bigrassmannian_model(identity_asm(6)), parabolic_model(identity_asm(6))):
+        for spec in (
+            bigrassmannian_model(identity_asm(6)),
+            parabolic_model(identity_asm(6)),
+            PrismShapeSpec((), ()),
+        ):
             assert spec.k == 0
             assert prism_set(spec) == [PrismTableau(spec, ())]
             assert prism_min_degree(spec) == 0
+            assert asm_polynomial(spec) == Polynomial.one()
             assert_matches_oracle(spec)
 
     def test_empty_shapes(self):
@@ -352,6 +364,22 @@ class TestPrismSetOracle:
             PrismShapeSpec(((),), (4,)),
         ):
             assert_matches_oracle(spec)
+
+    @pytest.mark.parametrize("spec", [
+        # n = 1: empty shapes at depth 1 (the one ASM's models have none)
+        PrismShapeSpec(((),), (1,)),
+        PrismShapeSpec(((), ()), (1, 1)),
+        # one component: the last component's loop is the whole walk
+        PrismShapeSpec(((1,),), (1,)),
+        PrismShapeSpec(((3,),), (2,)),
+        PrismShapeSpec(((1, 1),), (3,)),
+        PrismShapeSpec(((2, 1),), (3,)),
+        PrismShapeSpec(((2, 2),), (3,)),
+        PrismShapeSpec(((3, 2, 1),), (4,)),
+    ], ids=lambda spec: f"{spec.lambdas}-{spec.ds}")
+    def test_single_component_and_n1(self, spec):
+        assert spec.ambient_size == 1 or spec.k == 1
+        assert_matches_oracle(spec)
 
     def test_weight_is_the_antidiagonal_count(self):
         for a in enumerate_asms(4):
