@@ -223,7 +223,11 @@ def _row_counts(mask: int, n: int) -> tuple[int, ...]:
     last nonempty row: the popcount of each row's n-bit stretch, as a
     normalized exponent tuple."""
     full = (1 << n) - 1
-    return tuple((mask >> k & full).bit_count() for k in range(0, mask.bit_length(), n))
+    counts = []
+    while mask:
+        counts.append((mask & full).bit_count())
+        mask >>= n
+    return tuple(counts)
 
 
 def grid_weight_sum(masks: Iterable[int], n: int) -> Polynomial:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import Polynomial, grid_cells, grid_weight_sum
 from .asm import Asm, Cell, rank_conditions
@@ -28,20 +29,28 @@ class SRComplexFacets:
     facets: frozenset[frozenset[Cell]]
 
 
-def _initial_masks(a: Asm) -> list[int]:
-    """The initial ideal's minimal supports as grid masks (see ``algebra``),
-    in order of size.  The generators of I_A are the (r+1)-minors of
-    Z_{[i],[j]} over the rank conditions (i, j, r); a minor's lead term is
-    its antidiagonal, read straight off its rows and columns.  A support
-    is kept unless a kept one lies inside it; in order of size, every
-    smaller one is seen first."""
-    n = a.n
-    supports = {
+@lru_cache(maxsize=None)
+def _antidiagonals(i: int, j: int, r: int, n: int) -> frozenset[int]:
+    """The supports of the (r+1)-minors of Z_{[i],[j]} as n-by-n grid
+    masks: a minor's lead term is its antidiagonal, read straight off its
+    rows and columns.  Kept per process, as they do not depend on the ASM
+    whose rank condition (i, j, r) asks for them.  Ess(A) lies off the last
+    row and column, so at n = 7 there are at most 91 keys."""
+    return frozenset(
         sum(1 << row + col for row, col in zip(rows, reversed(cols)))
-        for i, j, r in rank_conditions(a)
         for rows in itertools.combinations(range(0, i * n, n), r + 1)
         for cols in itertools.combinations(range(j), r + 1)
-    }
+    )
+
+
+def _initial_masks(a: Asm) -> list[int]:
+    """The initial ideal's minimal supports as grid masks (see ``algebra``),
+    in order of size: the antidiagonals of the rank conditions (i, j, r)
+    of A, which give the generators of I_A, the (r+1)-minors of
+    Z_{[i],[j]}.  A support is kept unless a kept one lies inside it; in
+    order of size, every smaller one is seen first."""
+    n = a.n
+    supports = frozenset().union(*(_antidiagonals(i, j, r, n) for i, j, r in rank_conditions(a)))
     kept: list[int] = []
     for s in sorted(supports, key=int.bit_count):
         if not any(h & s == h for h in kept):

@@ -113,9 +113,19 @@ def pipe_dreams_of(w: Perm, n: int) -> frozenset[PlusDiagram]:
 
 
 def schubert_polynomial(w: Perm, n: int | None = None) -> Polynomial:
-    """Pipe-dream formula: sum of row-count monomials over pipe dreams."""
+    """Pipe-dream formula: sum of row-count monomials over pipe dreams.
+
+    The sum is kept per process, keyed on w's one-line word and the grid
+    width: it does not depend on the ASM that asks for it, and ASMs share
+    most of their minimal permutations.  All of S_7 at width 7 holds about
+    16 MB."""
     n = max(w.size, 1) if n is None else n
-    return grid_weight_sum(_pipe_dream_masks(w, n), n)
+    return _schubert(w.one_line, n)
+
+
+@lru_cache(maxsize=None)
+def _schubert(line: tuple[int, ...], n: int) -> Polynomial:
+    return grid_weight_sum(_pipe_dream_masks(Perm(line), n), n)
 
 
 def min_perm_schubert_sum(a: Asm) -> Polynomial:

@@ -66,6 +66,16 @@ class PrismShapeSpec:
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "ds", ds)
 
+    @classmethod
+    def _of_shapes(cls, lambdas: tuple[Partition, ...], ds: tuple[int, ...]) -> PrismShapeSpec:
+        """Trusted: each shape is a normalized partition (weakly
+        decreasing positive parts) no longer than its depth, and the
+        depths are positive ints, one per shape."""
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "lambdas", lambdas)
+        object.__setattr__(spec, "ds", ds)
+        return spec
+
     @property
     def k(self) -> int:
         return len(self.lambdas)
@@ -382,17 +392,24 @@ def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:
 def bigrassmannian_model(a: Asm) -> PrismShapeSpec:
     """One rectangle (i - r) x (j - r) with depth i per essential cell."""
     conds = rank_conditions(a)
-    return PrismShapeSpec(
+    return PrismShapeSpec._of_shapes(
         tuple(rectangle(i - r, j - r) for i, j, r in conds),
         tuple(i for i, _, _ in conds),
     )
 
 
 def parabolic_model(a: Asm) -> PrismShapeSpec:
-    """One monotone-triangle shape per essential row."""
-    ess_rows = sorted({i for i, _, _ in rank_conditions(a)})
-    mt = monotone_triangle(a)
-    return PrismShapeSpec(tuple(mt.partition(i) for i in ess_rows), tuple(ess_rows))
+    """One monotone-triangle shape per essential row: row i of the
+    triangle gives (m(i, i) - i, ..., m(i, 1) - 1) less its zeros, as in
+    ``MonotoneTriangle.partition``.  The row strictly increases from at
+    least 1, so the parts weakly decrease and none is negative."""
+    ess_rows = tuple(sorted({i for i, _, _ in rank_conditions(a)}))
+    rows = monotone_triangle(a).rows
+    shapes = []
+    for i in ess_rows:
+        row = rows[i - 1]
+        shapes.append(tuple(p for p in (row[k] - k - 1 for k in range(i - 1, -1, -1)) if p))
+    return PrismShapeSpec._of_shapes(tuple(shapes), ess_rows)
 
 
 def schur_polynomial_ssyt(lam: Sequence[int], d: int) -> Polynomial:

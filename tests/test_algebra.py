@@ -5,6 +5,8 @@ from asmprism.algebra import (
     Monomial,
     Polynomial,
     ZeroPolynomialError,
+    _row_counts,
+    grid_cells,
     grid_weight_sum,
     poly_from_monomials,
 )
@@ -126,6 +128,12 @@ def test_grid_weight_sum_is_the_sum_of_row_counts():
     assert p.coefficient(Monomial((5,))) == 0
     assert p.min_total_degree() == 0
     assert _weight_sum(CELL_SETS[:3], 5).min_total_degree() == 1
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1))))
+def test_row_counts_is_the_normalized_count_of_each_row(grid):
+    n, mask = grid
+    assert _row_counts(mask, n) == Monomial.counting(i for i, _ in grid_cells(mask, n)).exponents
 
 
 def test_grid_weight_sum_cancels_to_zero():

@@ -13,8 +13,9 @@ from conftest import (
 )
 
 from asmprism.algebra import Monomial, poly_from_monomials
-from asmprism.asm import enumerate_asms, identity_asm
+from asmprism.asm import embed, enumerate_asms, identity_asm, rank_conditions
 from asmprism.ideal import (
+    _antidiagonals,
     _hitting_masks,
     initial_ideal,
     minimal_hitting_sets,
@@ -128,6 +129,23 @@ class TestInitialIdealRoute:
     def test_asm6_every_50th(self):
         for a in list(enumerate_asms(6))[::50]:
             self.assert_matches_minors(a)
+
+    def test_cached_supports_every_asm5(self):
+        # a cold pass fills the cache and a warm one reads it back
+        _antidiagonals.cache_clear()
+        for _ in range(2):
+            for a in enumerate_asms(5):
+                self.assert_matches_minors(a)
+
+    def test_cache_is_keyed_on_the_width(self):
+        # A and its embedding have the same rank conditions, whose supports
+        # sit on grids of different widths
+        _antidiagonals.cache_clear()
+        for a in enumerate_asms(4):
+            assert initial_ideal(embed(a)) == initial_ideal(a)
+        assert _antidiagonals.cache_info().currsize == 2 * len(
+            {cond for a in enumerate_asms(4) for cond in rank_conditions(a)}
+        )
 
 
 def assert_hitting_sets_match(supports) -> None:

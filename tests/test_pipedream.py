@@ -37,6 +37,7 @@ from asmprism.pipedream import (
     _facet_masks_of,
     _fewest,
     _pipe_dream_masks,
+    _schubert,
     bottom_pipe_dream,
     delta_facets,
     delta_fmax,
@@ -180,6 +181,42 @@ class TestSchubert:
     def test_oracle_matches_pipe_dreams_s6(self):
         for w in all_perms(6):
             assert schubert_polynomial(w, 6) == schubert_oracle(w), w
+
+    def test_cached_sums_match_the_oracle_s5_at_widths_5_and_6(self):
+        # a cold pass fills the cache and a warm one reads it back
+        _schubert.cache_clear()
+        for _ in range(2):
+            for w in all_perms(5):
+                for n in (5, 6):
+                    assert schubert_polynomial(w, n) == schubert_oracle(w), (w, n)
+        assert _schubert.cache_info().currsize == 2 * 120
+
+    def test_cache_is_keyed_on_the_word_and_the_width(self):
+        _schubert.cache_clear()
+        narrow = schubert_polynomial(W4123, 4)
+        wide = schubert_polynomial(W4123, 5)
+        assert _schubert.cache_info().currsize == 2
+        assert narrow == wide and narrow is not wide
+        # no width means the smallest one, and trailing fixed points are
+        # stripped from the word, so both calls reuse the width-4 entry
+        assert schubert_polynomial(W4123) is narrow
+        assert schubert_polynomial(Perm((4, 1, 2, 3, 5)), 4) is narrow
+        assert _schubert.cache_info().currsize == 2
+        # a failed call leaves no entry behind
+        with pytest.raises(ValueError):
+            schubert_polynomial(W4123, 3)
+        assert _schubert.cache_info().currsize == 2
+
+    def test_summing_a_cached_sum_leaves_it_unchanged(self):
+        _schubert.cache_clear()
+        p = schubert_polynomial(W3412, 4)
+        before = p.sorted_terms()
+        assert p + p == p + p == sum([p, p], Polynomial.zero())
+        assert p - p == Polynomial.zero()
+        assert p.sorted_terms() == before
+        assert schubert_polynomial(W3412, 4) is p
+        a = W3412.matrix(4)
+        assert min_perm_schubert_sum(a) == min_perm_schubert_sum(a) == p
 
     def test_divided_difference_staircase(self):
         # d_1 applied to x1^3 x2^2 x3 gives Schubert of 3421... spot check

@@ -300,6 +300,18 @@ class TestPrismSet:
         assert len(chosen) == 2
         assert asm_polynomial(model) == asm_polynomial(bigrassmannian_model(asmdiag))
 
+    def test_models_are_valid_specs_every_asm5(self):
+        # the models skip PrismShapeSpec's checks: rebuilding through them
+        # gives the same spec, and the parabolic shapes are the triangle's
+        for n in range(1, 6):
+            for a in enumerate_asms(n):
+                bigr, parab = bigrassmannian_model(a), parabolic_model(a)
+                for spec in (bigr, parab):
+                    rebuilt = PrismShapeSpec(spec.lambdas, spec.ds)
+                    assert rebuilt == spec and hash(rebuilt) == hash(spec)
+                mt = monotone_triangle(a)
+                assert parab.lambdas == tuple(mt.partition(i) for i in parab.ds)
+
     def test_facet_example_polynomial(self, noneqi):
         for model in (bigrassmannian_model(noneqi), parabolic_model(noneqi)):
             assert model == PrismShapeSpec(((2,), (2,)), (1, 2))
