@@ -12,6 +12,7 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 
 from .asm import Asm, _permutation_asm, bigrassmannian_one_line, join_all, rank_conditions
 
@@ -49,17 +50,22 @@ class Perm:
         return sum(1 for a, b in itertools.combinations(w, 2) if a > b)
 
     def matrix(self, n: int | None = None) -> Asm:
-        n = self.size if n is None else n
-        n = max(n, 1)
-        if n < self.size:
-            raise ValueError(f"{self} does not fit in S_{n}")
-        return _permutation_asm(self.padded(n), n)
+        """The permutation matrix in ASM(n), n defaulting to the size.  It
+        is kept per process, keyed on (one-line word, n)."""
+        return _matrix(self.one_line, max(self.size if n is None else n, 1))
 
     def render(self, n: int | None = None) -> str:
         return " ".join(str(x) for x in self.padded(n if n else max(self.size, 1)))
 
     def __repr__(self) -> str:
         return f"Perm({''.join(map(str, self.one_line)) or 'id'})"
+
+
+@cache
+def _matrix(word: tuple[int, ...], n: int) -> Asm:
+    if n < len(word):
+        raise ValueError(f"{Perm(word)} does not fit in S_{n}")
+    return _permutation_asm(word + tuple(range(len(word) + 1, n + 1)), n)
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -86,9 +92,11 @@ def grassmannian_encode(lam: Sequence[int], d: int, n: int) -> Perm:
     return Perm(tuple(head + tail))
 
 
+@cache
 def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:
     """The block biGrassmannian [i, j, r]_b in S_n; the identity when
-    r = min(i, j)."""
+    r = min(i, j).  Kept per process: S_n has C(n + 1, 3) biGrassmannians,
+    and a call that raises leaves no entry."""
     if i < 1 or j < 1:
         raise ValueError("need 1 <= i, j (B1)")
     if not 0 <= r <= min(i, j):

@@ -18,9 +18,17 @@ from conftest import (
     word_product,
 )
 
-from asmprism.asm import asm_leq, enumerate_asms, identity_asm, join_all, validate_asm
+from asmprism.asm import (
+    asm_leq,
+    bigrassmannian_one_line,
+    enumerate_asms,
+    identity_asm,
+    join_all,
+    validate_asm,
+)
 from asmprism.perm import (
     Perm,
+    _matrix,
     _perms_above,
     all_perms,
     asm_from_shape_tuple,
@@ -183,6 +191,56 @@ class TestBiGrassmannian:
             bigrassmannian_encode(2, 2, -1, 4)
         with pytest.raises(ValueError, match="B2"):
             bigrassmannian_encode(2, 2, 3, 4)
+
+
+class TestTables:
+    """bigrassmannian_encode and Perm.matrix are served from per-process
+    tables; a call that raises leaves no entry."""
+
+    def test_encode_equals_a_fresh_perm(self):
+        for n in range(1, 7):
+            for i, j in itertools.product(range(1, n + 1), repeat=2):
+                for r in range(max(0, i + j - n), min(i, j) + 1):
+                    u = bigrassmannian_encode(i, j, r, n)
+                    assert u == Perm(bigrassmannian_one_line(i, j, r, n))
+                    assert bigrassmannian_encode(i, j, r, n) is u
+
+    @pytest.mark.parametrize("args,axiom", [
+        ((0, 2, 0, 4), "B1"),
+        ((2, 2, -1, 4), "B2"),
+        ((2, 2, 3, 4), "B2"),
+        ((3, 3, 0, 4), "B3"),
+    ])
+    def test_violations_raise_every_time(self, args, axiom):
+        bigrassmannian_encode(3, 3, 0, 6)  # B3 holds at n = 6, so n must be part of the key
+        before = bigrassmannian_encode.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=axiom):
+                bigrassmannian_encode(*args)
+        assert bigrassmannian_encode.cache_info().currsize == before
+
+    def test_matrix_is_kept_per_width(self):
+        _matrix.cache_clear()
+        w = Perm((3, 1, 4, 2))
+        for n in (4, 5, 4):
+            m = w.matrix(n)
+            padded = w.padded(n)
+            expected = validate_asm([[int(padded[i] == j) for j in range(1, n + 1)] for i in range(n)])
+            assert m.n == n and m.entries == expected.entries
+            assert w.matrix(n) is m
+        assert _matrix.cache_info().currsize == 2
+
+    def test_matrix_too_narrow_raises_every_time(self):
+        before = _matrix.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not fit in S_3"):
+                W3412.matrix(3)
+        assert _matrix.cache_info().currsize == before
+
+    def test_matrix_default_width(self):
+        assert Perm((3, 1, 2)).matrix().entries == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+        assert Perm.identity().matrix() == identity_asm(1)
+        assert Perm.identity().matrix().n == 1
 
 
 class TestShapeTuple:
