@@ -92,20 +92,39 @@ def _check_sums(entries: tuple[tuple[int, ...], ...], allowed: tuple[int, ...]) 
                 raise AsmValidationError(f"{kind} {i} sums to {s}, expected {expected}")
 
 
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, eq=False)
 class Asm:
     """An alternating sign matrix.  :func:`validate_asm` checks matrices
     from outside; :func:`enumerate_asms`, the lattice operations and
-    ``Perm.matrix`` build valid ones.  The packed corner sums (see
-    :func:`_packed`) are kept in the slot ``_sums``, set by those builders
-    or once computed, outside equality, hashing, ``repr`` and pickles."""
+    ``Perm.matrix`` build valid ones.  The size is the slot ``n``.  The
+    packed corner sums (see :func:`_packed`) are kept in the slot
+    ``_sums``, set by those builders or once computed.  The lattice
+    operations set only ``n`` and ``_sums``, and ``entries`` is decoded
+    from the sums on first read.  Hashing, ``repr`` and pickles read the
+    entries; equality reads the sums when both sides hold them at the same
+    size, where equal sums mean equal entries."""
 
-    __slots__ = ("entries", "_sums")
+    __slots__ = ("n", "entries", "_sums")
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    def __post_init__(self) -> None:
+        _set(self, "n", len(self.entries))
+
+    def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
+        # called only for an unset slot; ``entries`` is unset on an ASM built from its sums
+        if name != "entries":
+            raise AttributeError(f"'Asm' object has no attribute {name!r}")
+        n, p = self.n, self._sums
+        k = _layout(n)
+        # a(i, j) is the column sum down to (i, j) less the one down to (i, j-1)
+        col = p - ((p << 8 * n) & k.full)
+        e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(n * n, "little")
+        entries = tuple(map(_entry_row, map(e.__getitem__, k.rows)))
+        _set(self, "entries", entries)
+        return entries
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]
@@ -122,6 +141,11 @@ class Asm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Asm):
             return NotImplemented
+        if self.n == other.n:
+            try:
+                return self._sums == other._sums
+            except AttributeError:
+                pass
         return self.canonical().entries == other.canonical().entries
 
     def __hash__(self) -> int:
@@ -290,7 +314,7 @@ def _layout(n: int) -> _Layout:
 def _packed(a: Asm, m: int) -> int:
     """The corner sums of a at size m >= a.n (see :func:`corner_rows`),
     packed; kept on a when m = a.n."""
-    own = m == len(a.entries)
+    own = m == a.n
     if own:
         try:
             return a._sums
@@ -299,13 +323,15 @@ def _packed(a: Asm, m: int) -> int:
     _layout(m)  # refuses an m the guard bits cannot hold
     p = int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
     if own:
-        object.__setattr__(a, "_sums", p)
+        _set(a, "_sums", p)
     return p
 
 
 def _with_sums(entries: tuple[tuple[int, ...], ...], p: int) -> Asm:
-    a = Asm(entries)
-    object.__setattr__(a, "_sums", p)
+    a = Asm.__new__(Asm)  # enumerate_asms builds every ASM here, so skip __init__
+    _set(a, "entries", entries)
+    _set(a, "n", len(entries))
+    _set(a, "_sums", p)
     return a
 
 
@@ -339,18 +365,18 @@ def _is_corner_sums(p: int, m: int) -> bool:
 
 
 def _asm_of_sums(p: int, m: int) -> Asm:
-    """The ASM whose packed corner sums of size m are p, keeping p.  If p
-    fails :func:`_is_corner_sums`, :func:`validate_asm` raises on the
-    entries recovered from it, naming a row or column."""
+    """The ASM whose packed corner sums of size m are p, holding only m and
+    p; its entries are decoded on first read.  If p fails
+    :func:`_is_corner_sums`, :func:`validate_asm` raises on the entries
+    recovered from it, naming a row or column."""
     if not _is_corner_sums(p, m):
         sums = p.to_bytes(m * m, "little")
         asm_from_corner_sum([tuple(sums[s]) for s in _layout(m).rows])
         raise AsmValidationError("corner sums fail the Robbins-Rumsey test")
-    k = _layout(m)
-    # a(i, j) is the column sum down to (i, j) less the one down to (i, j-1)
-    col = p - ((p << 8 * m) & k.full)
-    e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(m * m, "little")
-    return _with_sums(tuple(map(_entry_row, map(e.__getitem__, k.rows))), p)
+    a = Asm.__new__(Asm)
+    _set(a, "n", m)
+    _set(a, "_sums", p)
+    return a
 
 
 def _bytewise_min(p: int, q: int, g: int) -> int:
@@ -369,20 +395,20 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     Inputs of different sizes are compared after embedding to a common
     size, which is an order embedding.
     """
-    m = max(len(a.entries), len(b.entries))
+    m = max(a.n, b.n)
     g = _layout(m).guard
     return ((_packed(a, m) | g) - _packed(b, m)) & g == g
 
 
 def asm_join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
-    m = max(len(a.entries), len(b.entries))
+    m = max(a.n, b.n)
     return _asm_of_sums(_bytewise_min(_packed(a, m), _packed(b, m), _layout(m).guard), m)
 
 
 def asm_meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
-    m = max(len(a.entries), len(b.entries))
+    m = max(a.n, b.n)
     return _asm_of_sums(_bytewise_max(_packed(a, m), _packed(b, m), _layout(m).guard), m)
 
 

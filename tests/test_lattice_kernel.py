@@ -28,11 +28,13 @@ from asmprism.asm import (
     asm_leq,
     asm_meet,
     corner_rows,
+    embed,
     enumerate_asms,
     identity_asm,
     inversions,
     join_all,
     rank_conditions,
+    validate_asm,
 )
 from asmprism.perm import Perm, bigr_of
 
@@ -151,3 +153,74 @@ class TestEdgeCases:
     def test_size_beyond_the_guard_bit(self):
         with pytest.raises(ValueError, match="n <= 127"):
             asm_leq(identity_asm(128), identity_asm(1))
+
+
+def decoded(a: Asm) -> bool:
+    """Whether a's entries are set, read without decoding them."""
+    try:
+        Asm.entries.__get__(a)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_lazy_equals(got: Asm, want: Asm) -> None:
+    """got comes from the lattice with its entries not yet decoded; want,
+    built by validate_asm, holds entries and no sums.  got equals want, at
+    the same size and across sizes, in every way a caller can tell."""
+    assert not decoded(got) and got.n == want.n
+    assert got == want and want == got
+    assert decoded(got) and got.entries == want.entries
+    assert hash(got) == hash(want) and repr(got) == repr(want) == f"Asm({want.entries!r})"
+    wider = embed(want)
+    assert got == wider and wider == got and hash(got) == hash(wider)
+    assert got == asm_join(got, wider) and asm_join(got, wider).n == want.n + 1
+
+
+class TestDecodeOnDemand:
+    """Join, meet and join_all return ASMs that hold only their size and
+    packed sums; the entries are decoded on first read."""
+
+    ASM4 = list(enumerate_asms(4))
+
+    def test_every_pair_of_asm4(self):
+        for a, b in itertools.product(self.ASM4, repeat=2):
+            for got, want in (
+                (asm_join(a, b), corner_join(a, b)),
+                (asm_meet(a, b), corner_meet(a, b)),
+                (join_all([a, b]), corner_join_all([a, b])),
+            ):
+                assert_lazy_equals(got, validate_asm(want.entries))
+
+    def test_equal_sums_compare_without_decoding(self):
+        for a, b in itertools.product(self.ASM4, repeat=2):
+            j, k = asm_join(a, b), asm_join(b, a)
+            assert j == k and not decoded(j) and not decoded(k)
+            assert (j == asm_meet(a, b)) == (corner_join(a, b) == corner_meet(a, b))
+            assert not decoded(j)
+
+    def test_equality_across_sizes_reads_entries(self):
+        # equal ASMs of sizes 4 and 5 have different packed sums
+        for a, b in itertools.product(self.ASM4, repeat=2):
+            small, large = asm_join(a, b), join_all([a, b], 5)
+            assert small.n == 4 and large.n == 5
+            assert small == large and large == small and hash(small) == hash(large)
+
+    def test_pickle_round_trip(self):
+        for a, b in itertools.product(self.ASM4[::5], repeat=2):
+            j = asm_meet(a, b)
+            c = pickle.loads(pickle.dumps(j))
+            assert c.n == j.n and c.entries == j.entries and c == j and hash(c) == hash(j)
+
+    def test_attributes_cannot_be_set(self):
+        j = asm_join(*self.ASM4[-2:])
+        for name in ("entries", "n", "_sums", "other"):
+            with pytest.raises(AttributeError):
+                setattr(j, name, ())
+            with pytest.raises(AttributeError):
+                delattr(j, name)
+        assert j.n == 4 and j == corner_join(*self.ASM4[-2:])
+
+    def test_missing_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'other'"):
+            asm_join(*self.ASM4[:2]).other
