@@ -142,19 +142,23 @@ def _verify_each(
 
 
 def _check_lattice(k: int, asms: Sequence[Asm]) -> bool:
-    """Join and meet of a = asms[k] with a and every later b bound both,
-    and A = join(biGr(A)).  Join and meet are symmetric, so this covers
-    every pair once over k."""
+    """Join and meet of a = asms[k] with a and every later b are ASMs that
+    bound both, and A = join(biGr(A)).  Join and meet are symmetric, so
+    this covers every pair once over k.  A join or meet whose corner sums
+    are not an ASM's raises AsmValidationError, which fails the check."""
     a = asms[k]
-    for b in asms[k:]:
-        j = asm_mod.asm_join(a, b)
-        m = asm_mod.asm_meet(a, b)
-        if not (
-            asm_mod.asm_leq(a, j) and asm_mod.asm_leq(b, j)
-            and asm_mod.asm_leq(m, a) and asm_mod.asm_leq(m, b)
-        ):
-            return False
-    return asm_mod.join_all([u.matrix(a.n) for u in perm_mod.bigr_of(a)], a.n) == a
+    try:
+        for b in asms[k:]:
+            j = asm_mod.asm_join(a, b)
+            m = asm_mod.asm_meet(a, b)
+            if not (
+                asm_mod.asm_leq(a, j) and asm_mod.asm_leq(b, j)
+                and asm_mod.asm_leq(m, a) and asm_mod.asm_leq(m, b)
+            ):
+                return False
+        return asm_mod.join_all([u.matrix(a.n) for u in perm_mod.bigr_of(a)], a.n) == a
+    except AsmValidationError:
+        return False
 
 
 def _verify_lattice(n: int, jobs: int) -> tuple[bool, str]:

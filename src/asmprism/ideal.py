@@ -117,18 +117,6 @@ def _hitting_masks(supports: Iterable[int], smallest: bool = False) -> list[int]
     return found
 
 
-def minimal_hitting_sets(supports: Iterable[Iterable[Cell]]) -> frozenset[frozenset[Cell]]:
-    """All inclusion-minimal sets of cells meeting every support.  The
-    cells may lie anywhere: they are numbered in sorted order over the
-    union of the supports, and the search runs on masks of those
-    numbers."""
-    supports = [frozenset(s) for s in supports]
-    cells = sorted(frozenset().union(*supports))
-    bit = {c: 1 << k for k, c in enumerate(cells)}
-    found = _hitting_masks(sum(bit[c] for c in s) for s in supports)
-    return frozenset(frozenset(c for k, c in enumerate(cells) if h >> k & 1) for h in found)
-
-
 def stanley_reisner_facets(supports: Iterable[frozenset[Cell]], n: int) -> SRComplexFacets:
     """Facets of the complex whose non-faces are the generator supports:
     complements in the n-by-n grid of the minimal hitting sets."""

@@ -67,11 +67,6 @@ def _bottom_mask(w: Perm, n: int) -> int:
     return mask
 
 
-def bottom_pipe_dream(w: Perm, n: int) -> PlusDiagram:
-    """Left-justified pluses: code(w)_i cells at the start of row i."""
-    return PlusDiagram(n, grid_cells(_bottom_mask(w, n), n))
-
-
 def _pipe_dream_masks(w: Perm, n: int) -> set[int]:
     """The ladder-move closure of the bottom pipe dream, on grid masks.  A
     ladder move slides the plus at bit b, whose right neighbour b + 1 is

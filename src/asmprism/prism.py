@@ -371,11 +371,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def prism_min_degree(spec: PrismShapeSpec) -> int:
-    """deg(lambda, d): minimum weight degree over all prism fillings."""
-    return _Fillings(spec, spec.ambient_size).minimal()[0]
-
-
 def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:
     """The minimal prism tableaux with no unstable triples, in enumeration
     order."""

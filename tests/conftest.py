@@ -472,6 +472,15 @@ def partition_leq(inner, outer) -> bool:
     return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
 
 
+def bottom_pipe_dream(w: Perm, n: int) -> PlusDiagram:
+    """Left-justified pluses: code(w)_i cells at the start of row i, the
+    library's bottom mask decoded."""
+    from asmprism.algebra import grid_cells
+    from asmprism.pipedream import _bottom_mask
+
+    return PlusDiagram(n, grid_cells(_bottom_mask(w, n), n))
+
+
 def brute_force_pipe_dreams(w, n: int) -> frozenset[frozenset[tuple[int, int]]]:
     """All subsets of the staircase with |P| = l(w) whose reading word is a
     reduced expression for w."""
@@ -600,6 +609,14 @@ def brute_force_unstable_triple(t) -> bool:
                 if _replacement_valid(comp, q, b, bigger):
                     return True
     return False
+
+
+def prism_min_degree(spec) -> int:
+    """deg(lambda, d): the least weight degree over all prism fillings,
+    the first result of the library's minimal walk."""
+    from asmprism.prism import _Fillings
+
+    return _Fillings(spec, spec.ambient_size).minimal()[0]
 
 
 def has_unstable_triple(t) -> bool:
@@ -877,6 +894,19 @@ def brute_force_minimal_hitting_sets(supports) -> frozenset[frozenset[tuple[int,
 
     branch(frozenset())
     return frozenset(found)
+
+
+def minimal_hitting_sets(supports) -> frozenset[frozenset[tuple[int, int]]]:
+    """The library's hitting-set search on cells anywhere: the cells are
+    numbered in sorted order over the union of the supports, the search
+    runs on masks of those numbers, and its result is decoded."""
+    from asmprism.ideal import _hitting_masks
+
+    supports = [frozenset(s) for s in supports]
+    cells = sorted(frozenset().union(*supports))
+    bit = {c: 1 << k for k, c in enumerate(cells)}
+    found = _hitting_masks(sum(bit[c] for c in s) for s in supports)
+    return frozenset(frozenset(c for k, c in enumerate(cells) if h >> k & 1) for h in found)
 
 
 def multidegree_from_sr_facets(a: Asm):

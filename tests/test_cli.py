@@ -148,6 +148,15 @@ class TestVerify:
         assert code == 2
         assert out.startswith("FAIL")
 
+    def test_lattice_join_outside_asm_n_exits_2(self, monkeypatch):
+        # sums that fail Robbins-Rumsey are a failed check, not bad input
+        bytewise_min = cli.asm_mod._bytewise_min
+        monkeypatch.setattr("asmprism.asm._bytewise_min", lambda p, q, g: bytewise_min(p, q, g) + 1)
+        code, out, err = run(["verify", "lattice", "--n", "3", "--jobs", "1"])
+        assert code == 2
+        assert out == "FAIL: 7 ASMs, joins/meets closed, A = join(biGr(A))\n"
+        assert err == ""
+
     def test_failure_exits_2(self, monkeypatch):
         monkeypatch.setitem(cli.VERIFIERS, "theorem1", (7, lambda n, jobs: (False, "0/7 ASMs")))
         code, out, _ = run(["verify", "theorem1", "--n", "3"])

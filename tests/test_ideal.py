@@ -8,6 +8,7 @@ from conftest import (
     brute_force_minimal_hitting_sets,
     defining_generators,
     essential_generators,
+    minimal_hitting_sets,
     minimalize,
     multidegree_from_sr_facets,
 )
@@ -18,7 +19,6 @@ from asmprism.ideal import (
     _antidiagonals,
     _hitting_masks,
     initial_ideal,
-    minimal_hitting_sets,
     multidegree,
     stanley_reisner_facets,
 )

@@ -14,6 +14,7 @@ from conftest import (
     grassmannian_decode,
     is_identity,
     perm_value,
+    prism_min_degree,
     reduced_words,
     word_product,
 )
@@ -39,7 +40,7 @@ from asmprism.perm import (
     min_perm_set,
     perm_set,
 )
-from asmprism.prism import bigrassmannian_model, parabolic_model, prism_min_degree
+from asmprism.prism import bigrassmannian_model, parabolic_model
 
 
 W3412 = Perm((3, 4, 1, 2))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     all_prism_tableaux,
     asm_from_monotone_triangle,
+    bottom_pipe_dream,
     brute_force_fiber_max,
     brute_force_fibers,
     brute_force_pipe_dreams,
@@ -38,7 +39,6 @@ from asmprism.pipedream import (
     _fewest,
     _pipe_dream_masks,
     _schubert,
-    bottom_pipe_dream,
     delta_facets,
     delta_fmax,
     min_perm_schubert_sum,

@@ -13,6 +13,7 @@ from conftest import (
     component_cells,
     has_unstable_triple,
     partition_leq,
+    prism_min_degree,
     relaxed_unstable_triple,
     _replacement_valid,
 )
@@ -33,7 +34,6 @@ from asmprism.prism import (
     parabolic_model,
     partition,
     phi_cells,
-    prism_min_degree,
     prism_set,
     prism_weight,
     rectangle,
