@@ -130,20 +130,34 @@ def bigr_of(a: Asm) -> frozenset[Perm]:
     return frozenset(bigrassmannian_encode(i, j, r, a.n) for i, j, r in rank_conditions(a))
 
 
-def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[int, ...]]]:
-    """(length, one-line word) of each w in S_n with w >= A, words in
-    lexicographic order, built a row at a time; with ``shortest_only``,
-    just those of least length.
+def _minimal_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[int, ...]]]:
+    """(length, one-line word) of each Bruhat-minimal w in S_n with w >= A,
+    words in lexicographic order, built a row at a time; with
+    ``shortest_only``, just those of least length.
 
     By Fulton's essential-set theorem (A = join(biGr(A))), w >= A iff
     r_w(i, j) <= r_A(i, j) at every (i, j) in Ess(A).  The prefix's values
     are a bitmask (value v is bit v - 1), and the prefix w(1..i-1) holds
     c = r_w(i-1, j) values up to j.  So row i's tests run once per node:
     c > r ends the branch, c == r bars the values up to j, and the walk
-    visits the values still allowed.  Placing v commits code(w)_i, the
-    unused values below v; these sum to l(w) and never fall, so with
-    ``shortest_only`` a prefix is dropped once its committed length
-    exceeds the least length of a complete word seen; ties are kept."""
+    visits the values still allowed.
+
+    The permutations above A form an upper set, so w is minimal in it iff
+    no lower cover w t_(p,q) lies in it.  Such a cover swaps w(p) > w(q),
+    p < q, with no w(c) between them for p < c < q, and raises r_w by one
+    on rows p..q-1 and columns w(q)..w(p)-1, so it stays above A iff no
+    essential cell in that rectangle is tight (r_w(i, j) = r_A(i, j)).
+    All of this is fixed once row q is placed, so every completion of a
+    prefix with such a cover is non-minimal: row q bars the values w(q)
+    that would make one (``covered``) next to its rank tests.  Row p's
+    tight columns are a bitmask, ``tight[p]``, set when the walk enters
+    row p + 1.
+
+    Placing v commits code(w)_i, the unused values below v; these sum to
+    l(w) and never fall, so with ``shortest_only`` a prefix is dropped
+    once its committed length exceeds the least length of a complete word
+    seen; ties are kept.  A least-length w >= A has no shorter u >= A
+    below it, so it is minimal, and that mode skips the cover test."""
     n = a.n
     tests: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, j, r in rank_conditions(a):
@@ -152,6 +166,23 @@ def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[i
     best = math.inf
     found: list[tuple[int, tuple[int, ...]]] = []
     prefix: list[int] = []
+    tight = [0] * (n + 1)  # tight[p] has bit j for each tight essential (p, j)
+
+    def covered(q: int) -> int:
+        """The values v (as bit v - 1) that w(q) may not take because a
+        lower cover w t_(p,q) would still be above A.  Scanning p from
+        q - 1 up, x = w(p) makes a cover with every v < x above the values
+        of rows p+1..q-1 below x (``between``); it stays above A when v
+        also lies above every tight column below x of rows p..q-1."""
+        barred = rows = between = 0
+        for p in range(q - 1, 0, -1):
+            rows |= tight[p]
+            x = prefix[p - 1]
+            under = (1 << x - 1) - 1
+            low = max((between & under).bit_length(), (rows & (under << 1 | 1)).bit_length() - 1)
+            barred |= under >> low << low
+            between |= under + 1
+        return barred
 
     def extend(i: int, used: int, length: int) -> None:
         nonlocal best, found
@@ -162,6 +193,13 @@ def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[i
                 return
             if c == r:
                 allowed &= ~below
+        if not shortest_only:
+            row = 0
+            for below, r in tests[i - 1]:
+                if (used & below).bit_count() == r:
+                    row |= below + 1
+            tight[i - 1] = row
+            allowed &= ~covered(i)
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit
@@ -182,36 +220,19 @@ def _perms_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[i
 
 
 def perm_set(a: Asm) -> frozenset[Perm]:
-    """Perm(A): the Bruhat-minimal permutations above A in S_n.  Taken in
-    order of (length, word), w above A is kept unless it lies above some
-    u already kept, tested as r_w <= r_u on Ess(u).  This is sound since
-    u < w implies l(u) < l(w), so every minimal u below w comes first."""
-    kept: dict[Perm, list[tuple[int, int, int]]] = {}  # u -> (i, values up to j, r_u(i, j))
-    for _, w in sorted(_perms_above(a)):
-        prefixes = [0]  # the values of w(1..i) as a bitmask, for i = 0..n
-        for v in w:
-            prefixes.append(prefixes[-1] | 1 << v - 1)
-        for tests in kept.values():
-            for i, below, r in tests:
-                if (prefixes[i] & below).bit_count() > r:
-                    break
-            else:
-                break  # w passes every test of u, so w > u
-        else:
-            u = Perm(w)
-            kept[u] = [(i, (1 << j) - 1, r) for i, j, r in rank_conditions(u.matrix(a.n))]
-    return frozenset(kept)
+    """Perm(A): the Bruhat-minimal permutations above A in S_n."""
+    return frozenset(Perm(w) for _, w in _minimal_above(a))
 
 
 def min_perm_set(a: Asm) -> frozenset[Perm]:
     """MinPerm(A): the least-length elements of Perm(A), found as the
-    least-length permutations above A with no minimality check.  Every
+    least-length permutations above A with no cover test.  Every
     w >= A lies above some u in Perm(A) with l(u) <= l(w), and a
     least-length w >= A has no shorter u >= A below it, so it is
     Bruhat-minimal: both sets have the same least-length elements."""
-    return frozenset(Perm(w) for _, w in _perms_above(a, shortest_only=True))
+    return frozenset(Perm(w) for _, w in _minimal_above(a, shortest_only=True))
 
 
 def deg(a: Asm) -> int:
     """Minimum length of an honest permutation above A."""
-    return _perms_above(a, shortest_only=True)[0][0]
+    return _minimal_above(a, shortest_only=True)[0][0]

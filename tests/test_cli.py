@@ -173,6 +173,11 @@ class TestListingVerbs:
         code, out, _ = run(["perm-set", "--asm", noneqi_file])
         assert out == "3 4 1 2\n4 1 2 3\n"
 
+    def test_perm_set_identity_8(self, tmp_path):
+        p = tmp_path / "id8.txt"
+        p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
+        assert run(["perm-set", "--asm", str(p)]) == (0, "1 2 3 4 5 6 7 8\n", "")
+
     def test_min_perm(self, noneqi_file):
         assert run(["min-perm", "--asm", noneqi_file])[1] == "4 1 2 3\n"
 
@@ -306,7 +311,7 @@ class TestSizeLimits:
             (cli.asm_mod, "enumerate_asms"),
             (cli.asm_mod, "validate_asm"),
             (cli.asm_mod, "validate_partial_asm"),
-            (cli.perm_mod, "_perms_above"),
+            (cli.perm_mod, "_minimal_above"),
         ]:
             monkeypatch.setattr(mod, name, refuse)
 

@@ -2,11 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_bigrassmannians,
     brute_force_perm_set,
-    brute_force_perms_above,
     bruhat_leq,
     contains_reduced_word,
     demazure_product,
@@ -30,7 +30,7 @@ from asmprism.asm import (
 from asmprism.perm import (
     Perm,
     _matrix,
-    _perms_above,
+    _minimal_above,
     all_perms,
     asm_from_shape_tuple,
     bigr_of,
@@ -381,6 +381,13 @@ class TestPermSetOracle:
         assert perm_set(a) == min_perm_set(a) == {Perm.identity()}
         assert deg(a) == 0
 
+    def test_identity_8(self):
+        # the cover test bars every value but the least in each row, so
+        # the walk is one path, not the 40,320 permutations above A
+        a = identity_asm(8)
+        assert perm_set(a) == min_perm_set(a) == {Perm.identity()}
+        assert deg(a) == 0
+
     @pytest.mark.parametrize("w", [(3, 6, 1, 5, 2, 4), (6, 5, 4, 3, 2, 1), (2, 1, 3, 4, 5, 6)])
     def test_permutation_matrix(self, w):
         w = Perm(w)
@@ -404,28 +411,35 @@ class TestPermSetOracle:
             assert_matches_oracle(a)
 
 
-def assert_walk_is_upper_set(a):
-    """The unbounded walk yields each w >= A once, in word order, with
-    its length; so the per-node mask never bars a w above A."""
-    pairs = _perms_above(a)
+def assert_walk_is_perm_set(a):
+    """The walk yields exactly Perm(A), each word once, in word order,
+    with its length; so the cover test drops every non-minimal w above A
+    and never a minimal one."""
+    pairs = _minimal_above(a)
     words = [w for _, w in pairs]
     assert words == sorted(set(words))
     assert all(len(w) == a.n for w in words)
-    assert {Perm(w) for w in words} == brute_force_perms_above(a)
+    assert {Perm(w) for w in words} == brute_force_perm_set(a)
     assert all(length == Perm(w).length() for length, w in pairs)
 
 
 class TestWalkOracle:
-    """The row walk of _perms_above against the block-sum scan of S_n."""
+    """The row walk of _minimal_above against the block-sum scan of S_n."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_asm(self, n):
         for a in enumerate_asms(n):
-            assert_walk_is_upper_set(a)
+            assert_walk_is_perm_set(a)
 
     def test_asm6_every_250th(self):
         for a in list(enumerate_asms(6))[::250]:
-            assert_walk_is_upper_set(a)
+            assert_walk_is_perm_set(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.permutations(range(1, 7)), min_size=1, max_size=3))
+    def test_joins_of_permutations_s6(self, words):
+        a = join_all([Perm(tuple(w)).matrix(6) for w in words], 6)
+        assert perm_set(a) == brute_force_perm_set(a)
 
 
 class TestDegViaPrisms:
