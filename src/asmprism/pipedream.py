@@ -11,7 +11,6 @@ reverses containment of diagrams.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -192,19 +191,19 @@ class BijectionReport:
         return out
 
 
-def _entries(filling: Filling) -> list[int]:
-    """The labels of a filling, component by component, each component's
-    rows bottom first."""
-    return [v for f, _, _ in filling[0] for row in f.rows for v in row]
-
-
 def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
     """Is every entry of ``top`` at least the matching entry of every member
     of the fiber?  When ``top`` lies in the fiber, this says it is the
     fiber's entrywise maximum.  All fillings of one spec have one shape,
-    so their entries match up in order."""
-    highs = _entries(top)
-    return all(all(map(operator.ge, highs, _entries(f))) for f in fiber)
+    so their components' packed labels match up field by field (see
+    ``prism._entry``): one subtraction per component, skipped when the
+    member shares the component's entry with ``top``."""
+    highs = [(entry, entry[3] | entry[4], entry[4]) for entry in top[0]]
+    return all(
+        entry is high or (guarded - entry[3]) & guards == guards
+        for member, _ in fiber
+        for entry, (high, guarded, guards) in zip(member, highs)
+    )
 
 
 def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionReport:

@@ -163,13 +163,14 @@ class PrismTableau:
                 raise ValueError(f"component {c + 1} does not match its declared shape and depth")
 
 
-Entry = tuple[Rssyt, int, tuple[tuple[int, int], ...]]
+Entry = tuple[Rssyt, int, tuple[tuple[int, int], ...], int, int]
 Filling = tuple[tuple[Entry, ...], int]
 
 
 def _entry(f: Rssyt, n: int) -> Entry:
     """f with its phi cells and its replacement candidates, as n-by-n grid
-    masks (see ``algebra``), for n at least the spec's ambient size.
+    masks (see ``algebra``), for n at least the spec's ambient size, and
+    its labels packed with their guard mask.
 
     The label v in grid cell (a, b) is the plus (v, a + b - v), so the
     pair of v and the antidiagonal D = a + b - 1 is bit (v - 1) * n + D - v,
@@ -181,13 +182,22 @@ def _entry(f: Rssyt, n: int) -> Entry:
     strictly decrease up each column from at most d in grid row d, so
     every label and candidate v' is at most its grid row a, and the plus's
     column a + b - v' lies in b..D, inside the grid as the shape lies in
-    d x (n - d)."""
-    cells = 0
+    d x (n - d).
+
+    The labels, rows bottom first, sit in fields of one bit more than d
+    needs, and ``guards`` holds each field's top bit.  Every field of
+    (top | guards) - labels then keeps its guard bit iff top's label is
+    at least the other's: each field's difference is positive, so no
+    borrow crosses a field."""
+    cells = labels = guards = 0
+    width = f.depth.bit_length() + 1
     candidates = []
     below: tuple[int, ...] = ()
     for q, row in enumerate(f.rows):
         a = f.depth - q
         for b, v in enumerate(row):
+            labels = labels << width | v
+            guards = guards << width | 1 << width - 1
             bit = 1 << ((v - 1) * n + a + b - v)
             cells |= bit
             hi = row[b - 1] if b else f.depth
@@ -199,7 +209,7 @@ def _entry(f: Rssyt, n: int) -> Entry:
             if higher:
                 candidates.append((bit, higher))
         below = row
-    return f, cells, tuple(candidates)
+    return f, cells, tuple(candidates), labels, guards
 
 
 def _unstable(filling: Filling) -> bool:
@@ -209,12 +219,12 @@ def _unstable(filling: Filling) -> bool:
     copy can take a larger label found on its antidiagonal."""
     entries, union = filling
     seen = twice = 0
-    for _, cells, _ in entries:
-        twice |= seen & cells
-        seen |= cells
+    for entry in entries:
+        twice |= seen & entry[1]
+        seen |= entry[1]
     if twice:
-        for _, _, candidates in entries:
-            for bit, higher in candidates:
+        for entry in entries:
+            for bit, higher in entry[2]:
                 if bit & twice and higher & union:
                     return True
     return False
@@ -226,8 +236,8 @@ def _as_filling(t: PrismTableau) -> Filling:
     n = t.spec.ambient_size
     entries = tuple(_entry(comp, n) for comp in t.components)
     union = 0
-    for _, cells, _ in entries:
-        union |= cells
+    for entry in entries:
+        union |= entry[1]
     return entries, union
 
 
@@ -270,7 +280,7 @@ class _Fillings:
         return math.prod(map(len, self.pools))
 
     def tableau(self, filling: Filling) -> PrismTableau:
-        return PrismTableau(self.spec, tuple(f for f, _, _ in filling[0]))
+        return PrismTableau(self.spec, tuple(entry[0] for entry in filling[0]))
 
     def minimal(self) -> tuple[int, list[Filling]]:
         """The least degree of a filling, and the fillings of that degree

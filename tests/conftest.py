@@ -702,6 +702,20 @@ def brute_force_fibers(spec):
     return fibers
 
 
+def _labels(filling) -> list[int]:
+    """The labels of a filling, component by component, each component's
+    rows bottom first."""
+    return [v for entry in filling[0] for row in entry[0].rows for v in row]
+
+
+def entrywise_dominates(top, fiber) -> bool:
+    """The fiber-dominance test on flat label lists: is every label of the
+    filling ``top`` at least the matching label of every member?  The
+    oracle for the packed test ``pipedream._dominates``."""
+    highs = _labels(top)
+    return all(all(map(operator.ge, highs, _labels(f))) for f in fiber)
+
+
 def dominates_fiber(s, fiber) -> bool:
     """Is every entry of the prism tableau s at least the matching entry of
     every member of the fiber?  When s lies in the fiber, this says s is

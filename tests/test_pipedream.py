@@ -20,6 +20,7 @@ from conftest import (
     diagram_word,
     divided_difference,
     dominates_fiber,
+    entrywise_dominates,
     has_unstable_triple,
     phi_fibers,
     schubert_oracle,
@@ -51,6 +52,7 @@ from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
     Rssyt,
+    _entry,
     _Fillings,
     asm_polynomial,
     bigrassmannian_model,
@@ -489,6 +491,49 @@ class TestFiberDominance:
                             assert _dominates(s, fib) == (t == maxi) == dominates_fiber(t, tableaux)
                             non_max += t != maxi
         assert non_max > 0
+
+    def test_packed_matches_entrywise_asm5(self):
+        """The packed test against the flat label lists on every fiber of
+        ASM(n <= 5), both models, with every member as the top."""
+        verdicts = {True: 0, False: 0}
+        for n in (1, 2, 3, 4, 5):
+            for a in enumerate_asms(n):
+                targets = _facet_masks(a)
+                for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                    for fib in _Fillings(spec, a.n).fibers(targets).values():
+                        for top in fib:
+                            verdict = _dominates(top, fib)
+                            assert verdict == entrywise_dominates(top, fib)
+                            verdicts[verdict] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    @pytest.mark.parametrize("low,high", [
+        ([((8, 8, 7), (7, 6))], [((8, 8, 7), (7, 7))]),  # the last field
+        ([((8, 7),)], [((8, 8),)]),  # a label 8 in the last field
+        ([((6,),), ((3,),)], [((7,),), ((3,),)]),  # the last field before a component boundary
+        ([((6,),), ((3,),)], [((6,),), ((4,),)]),  # the first field after it
+    ])
+    def test_one_label_larger_by_one(self, low, high):
+        low, high = _filling_of(*low), _filling_of(*high)
+        fiber = [low, high]
+        assert _dominates(high, fiber) and entrywise_dominates(high, fiber)
+        assert not _dominates(low, fiber) and not entrywise_dominates(low, fiber)
+
+    def test_shared_entries(self):
+        """A member that shares a component's entry with the top, by
+        identity, is compared on its other components only."""
+        top = _filling_of(((8, 5),), ((4, 4), (2,)))
+        same = (top[0][0], _entry(top[0][1][0], 16)), 0
+        lower = (top[0][0], _entry(Rssyt((2, 1), 8, ((4, 3), (2,))), 16)), 0
+        higher = (top[0][0], _entry(Rssyt((2, 1), 8, ((4, 4), (3,))), 16)), 0
+        assert _dominates(top, [top, same, lower])
+        assert not _dominates(top, [top, same, higher])
+
+
+def _filling_of(*components):
+    """A filling on the 16-wide grid of depth-8 components, each given by
+    its rows bottom first; only its entries are read."""
+    return tuple(_entry(Rssyt(tuple(map(len, rows)), 8, rows), 16) for rows in components), 0
 
 
 @st.composite

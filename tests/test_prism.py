@@ -207,7 +207,7 @@ def assert_grid_layout(t: PrismTableau, width: int) -> None:
     wraps into another row."""
     union = 0
     for comp in t.components:
-        _, cells, candidates = _entry(comp, width)
+        _, cells, candidates, _, _ = _entry(comp, width)
         union |= cells
         where = {}  # (label, antidiagonal) -> (filling row, grid row, grid column)
         for q, row in enumerate(comp.rows, start=1):
