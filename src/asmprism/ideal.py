@@ -47,18 +47,16 @@ def _initial_masks(a: Asm) -> list[int]:
     """The initial ideal's minimal supports as grid masks (see ``algebra``),
     in order of size: the antidiagonals of the rank conditions (i, j, r)
     of A, which give the generators of I_A, the (r+1)-minors of
-    Z_{[i],[j]}.  The supports of a condition all have r + 1 cells, and
-    two supports of one size nest only when equal, so, smallest size
-    first, a support is kept unless a kept one of fewer cells lies inside
-    it; every smaller one is seen first."""
+    Z_{[i],[j]}.  A condition's supports all have r + 1 cells, and two of
+    one size nest only when equal, so size by size, smallest first, a
+    support is kept unless a kept one of fewer cells lies inside it."""
     n = a.n
     by_size: dict[int, set[int]] = {}
     for i, j, r in rank_conditions(a):
         by_size.setdefault(r + 1, set()).update(_antidiagonals(i, j, r, n))
     kept: list[int] = []
     for size in sorted(by_size):
-        smaller = tuple(kept)
-        kept += [s for s in by_size[size] if not any(h & s == h for h in smaller)]
+        kept += [s for s in by_size[size] if not any(h & s == h for h in kept)]
     return kept
 
 

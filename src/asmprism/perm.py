@@ -142,16 +142,12 @@ def _minimal_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple
     c > r ends the branch, c == r bars the values up to j, and the walk
     visits the values still allowed.
 
-    The permutations above A form an upper set, so w is minimal in it iff
-    no lower cover w t_(p,q) lies in it.  Such a cover swaps w(p) > w(q),
-    p < q, with no w(c) between them for p < c < q, and raises r_w by one
-    on rows p..q-1 and columns w(q)..w(p)-1, so it stays above A iff no
-    essential cell in that rectangle is tight (r_w(i, j) = r_A(i, j)).
-    All of this is fixed once row q is placed, so every completion of a
-    prefix with such a cover is non-minimal: row q bars the values w(q)
-    that would make one (``covered``) next to its rank tests.  Row p's
-    tight columns are a bitmask, ``tight[p]``, set when the walk enters
-    row p + 1.
+    The w >= A form an upper set, so w is minimal iff no lower cover
+    w t_(p,q) is still >= A.  That cover swaps w(p) > w(q), p < q, with no
+    w(c) between them for p < c < q, and raises r_w by one on rows
+    p..q-1 and columns w(q)..w(p)-1, so it is >= A iff no essential cell
+    there is tight (r_w = r_A).  All of this is fixed once row q is
+    placed, so row q bars the values that make such a cover (``covered``).
 
     Placing v commits code(w)_i, the unused values below v; these sum to
     l(w) and never fall, so with ``shortest_only`` a prefix is dropped
@@ -166,22 +162,21 @@ def _minimal_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple
     best = math.inf
     found: list[tuple[int, tuple[int, ...]]] = []
     prefix: list[int] = []
-    tight = [0] * (n + 1)  # tight[p] has bit j for each tight essential (p, j)
+    tight = [0] * (n + 1)  # tight[p] has bit j - 1 for each tight essential (p, j)
 
-    def covered(q: int) -> int:
-        """The values v (as bit v - 1) that w(q) may not take because a
-        lower cover w t_(p,q) would still be above A.  Scanning p from
-        q - 1 up, x = w(p) makes a cover with every v < x above the values
-        of rows p+1..q-1 below x (``between``); it stays above A when v
-        also lies above every tight column below x of rows p..q-1."""
-        barred = rows = between = 0
+    def covered(q: int, used: int) -> int:
+        """The values (bit v - 1) barred from w(q), given the values ``used``
+        by rows 1..q-1.  x = w(p) bars each v < x above every value of rows
+        p+1..q-1 and tight column of rows p..q-1 below x (``blocked``)."""
+        if tests[q - 1]:
+            tight[q - 1] = sum(below + 1 >> 1 for below, r in tests[q - 1] if (used & below).bit_count() == r)
+        barred = blocked = 0
         for p in range(q - 1, 0, -1):
-            rows |= tight[p]
-            x = prefix[p - 1]
-            under = (1 << x - 1) - 1
-            low = max((between & under).bit_length(), (rows & (under << 1 | 1)).bit_length() - 1)
+            blocked |= tight[p]
+            under = (1 << prefix[p - 1] - 1) - 1
+            low = (blocked & under).bit_length()
             barred |= under >> low << low
-            between |= under + 1
+            blocked |= under + 1
         return barred
 
     def extend(i: int, used: int, length: int) -> None:
@@ -194,12 +189,7 @@ def _minimal_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple
             if c == r:
                 allowed &= ~below
         if not shortest_only:
-            row = 0
-            for below, r in tests[i - 1]:
-                if (used & below).bit_count() == r:
-                    row |= below + 1
-            tight[i - 1] = row
-            allowed &= ~covered(i)
+            allowed &= ~covered(i, used)
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit

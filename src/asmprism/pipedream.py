@@ -199,11 +199,8 @@ def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
     ``prism._entry``): one subtraction per component, skipped when the
     member shares the component's entry with ``top``."""
     highs = [(entry, entry[3] | entry[4], entry[4]) for entry in top[0]]
-    return all(
-        entry is high or (guarded - entry[3]) & guards == guards
-        for member, _ in fiber
-        for entry, (high, guarded, guards) in zip(member, highs)
-    )
+    return all(entry is high or (guarded - entry[3]) & guards == guards
+               for member, _ in fiber for entry, (high, guarded, guards) in zip(member, highs))
 
 
 def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionReport:

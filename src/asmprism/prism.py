@@ -184,11 +184,10 @@ def _entry(f: Rssyt, n: int) -> Entry:
     column a + b - v' lies in b..D, inside the grid as the shape lies in
     d x (n - d).
 
-    The labels, rows bottom first, sit in fields of one bit more than d
-    needs, and ``guards`` holds each field's top bit.  Every field of
-    (top | guards) - labels then keeps its guard bit iff top's label is
-    at least the other's: each field's difference is positive, so no
-    borrow crosses a field."""
+    The labels, rows bottom first, fill fields one bit wider than d needs;
+    ``guards`` is each field's top bit.  A field of (top | guards) - labels
+    is positive, so no borrow crosses it, and keeps its guard bit iff top's
+    label is the larger or equal."""
     cells = labels = guards = 0
     width = f.depth.bit_length() + 1
     candidates = []
