@@ -382,8 +382,9 @@ class TestPermSetOracle:
         assert deg(a) == 0
 
     def test_identity_8(self):
-        # the cover test bars every value but the least in each row, so
-        # the walk is one path, not the 40,320 permutations above A
+        # with no essential cell nothing is tight, so each row bars every
+        # value below an earlier one: the walk visits the 255 increasing
+        # prefixes, not the 40,320 permutations above A
         a = identity_asm(8)
         assert perm_set(a) == min_perm_set(a) == {Perm.identity()}
         assert deg(a) == 0
