@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from itertools import accumulate, chain, product
 
@@ -95,39 +95,42 @@ def _check_sums(entries: tuple[tuple[int, ...], ...], allowed: tuple[int, ...]) 
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
 class Asm:
     """An alternating sign matrix.  :func:`validate_asm` checks matrices
     from outside; :func:`enumerate_asms`, the lattice operations and
-    ``Perm.matrix`` build valid ones.  The size is the slot ``n``.  The
-    packed corner sums (see :func:`_packed`) are kept in the slot
-    ``_sums``, set by those builders or once computed.  The lattice
-    operations set only ``n`` and ``_sums``, and ``entries`` is decoded
-    from the sums on first read.  Hashing, ``repr`` and pickles read the
-    entries; equality reads the sums when both sides hold them at the same
-    size, where equal sums mean equal entries."""
+    ``Perm.matrix`` build valid ones.  Every ``Asm`` holds its size ``n``
+    and its packed corner sums ``_sums`` (see :func:`_packed`) from
+    construction: ``Asm(entries)`` packs them, and the other builders hand
+    them to :func:`_trusted_asm`.  ``entries`` is held when the builder had
+    the rows, and otherwise decoded from the sums on first read.  Equality
+    compares the sums at the larger size, which is equality under iota;
+    hashing, ``repr`` and pickles read the entries."""
 
-    __slots__ = ("n", "entries", "_sums")
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "_sums", "_entries")
 
-    def __post_init__(self) -> None:
-        _set(self, "n", len(self.entries))
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "n", len(entries))
+        _set(self, "_entries", entries)
+        _set(self, "_sums", _pack(self, self.n))
 
-    def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
-        # called only for an unset slot; ``entries`` is unset on an ASM built from its sums
-        if name != "entries":
-            raise AttributeError(f"'Asm' object has no attribute {name!r}")
-        n, p = self.n, self._sums
-        k = _layout(n)
-        # a(i, j) is the column sum down to (i, j) less the one down to (i, j-1)
-        col = p - ((p << 8 * n) & k.full)
-        e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(n * n, "little")
-        entries = tuple(map(_entry_row, map(e.__getitem__, k.rows)))
-        _set(self, "entries", entries)
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        entries = self._entries
+        if entries is None:
+            n, p = self.n, self._sums
+            k = _layout(n)
+            # a(i, j) is the column sum down to (i, j) less the one down to (i, j-1)
+            col = p - ((p << 8 * n) & k.full)
+            e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(n * n, "little")
+            entries = tuple(map(_entry_row, map(e.__getitem__, k.rows)))
+            _set(self, "_entries", entries)
         return entries
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def canonical(self) -> Asm:
         """Strip trailing [A|0; 0|1] blocks; representative of the iota class."""
@@ -141,12 +144,8 @@ class Asm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Asm):
             return NotImplemented
-        if self.n == other.n:
-            try:
-                return self._sums == other._sums
-            except AttributeError:
-                pass
-        return self.canonical().entries == other.canonical().entries
+        m = max(self.n, other.n)
+        return _packed(self, m) == _packed(other, m)
 
     def __hash__(self) -> int:
         return hash(self.canonical().entries)
@@ -168,9 +167,6 @@ class PartialAsm:
     def n(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
-
 
 @dataclass(frozen=True)
 class MonotoneTriangle:
@@ -191,12 +187,18 @@ class MonotoneTriangle:
         return len(self.rows)
 
     def partition(self, ell: int) -> tuple[int, ...]:
-        """The partition recorded by row ell:
-        (m(ell, ell) - ell, m(ell, ell-1) - (ell-1), ..., m(ell, 1) - 1)."""
+        """The partition recorded by row ell (see :func:`_row_partition`)."""
         if not 1 <= ell <= self.n:
             raise ValueError(f"row index {ell} out of range for n={self.n}")
-        row = self.rows[ell - 1]
-        return tuple(p for p in (row[k - 1] - k for k in range(ell, 0, -1)) if p > 0)
+        return _row_partition(self.rows[ell - 1])
+
+
+def _row_partition(row: Sequence[int]) -> tuple[int, ...]:
+    """The partition recorded by a monotone-triangle row m(ell, 1..ell):
+    (m(ell, ell) - ell, ..., m(ell, 1) - 1) less its zeros.  The row
+    strictly increases from at least 1, so the parts weakly decrease and
+    none is negative."""
+    return tuple(p for p in (row[k - 1] - k for k in range(len(row), 0, -1)) if p)
 
 
 def validate_asm(m: Sequence[Sequence[int]]) -> Asm:
@@ -287,7 +289,6 @@ class _Layout:
     not_first_col: int  # the bytes with j >= 2
     rows: tuple[slice, ...]  # the bytes of each row
     steps: tuple[int, ...]  # steps[v]: 0x01 in bytes v-1..n-1, what a 1 at column v adds to a row of r
-    units: tuple[tuple[int, ...], ...]  # units[v]: the row of entries with its 1 at v
 
 
 @cache
@@ -298,7 +299,6 @@ def _layout(n: int) -> _Layout:
     ones = int.from_bytes(b"\x01" * size, "little")
     starts = sum(1 << 8 * n * i for i in range(n))  # 0x01 in the first byte of each row
     row_ones = (1 << 8 * n) // 0xFF  # 0x01 in bytes 0..n-1
-    zero = (0,) * n
     return _Layout(
         ones=ones,
         guard=0x80 * ones,
@@ -307,31 +307,27 @@ def _layout(n: int) -> _Layout:
         not_first_col=0xFF * (ones - starts),
         rows=tuple(slice(s, s + n) for s in range(0, size, n)),
         steps=(0, *(row_ones >> 8 * (v - 1) << 8 * (v - 1) for v in range(1, n + 1))),
-        units=((), *(zero[: v - 1] + (1,) + zero[v:] for v in range(1, n + 1))),
     )
 
 
-def _packed(a: Asm, m: int) -> int:
-    """The corner sums of a at size m >= a.n (see :func:`corner_rows`),
-    packed; kept on a when m = a.n."""
-    own = m == a.n
-    if own:
-        try:
-            return a._sums
-        except AttributeError:
-            pass
+def _pack(a: Asm, m: int) -> int:
+    """The corner sums of a at size m >= a.n (see :func:`corner_rows`), packed."""
     _layout(m)  # refuses an m the guard bits cannot hold
-    p = int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
-    if own:
-        _set(a, "_sums", p)
-    return p
+    return int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
 
 
-def _with_sums(entries: tuple[tuple[int, ...], ...], p: int) -> Asm:
-    a = Asm.__new__(Asm)  # enumerate_asms builds every ASM here, so skip __init__
-    _set(a, "entries", entries)
-    _set(a, "n", len(entries))
+def _packed(a: Asm, m: int) -> int:
+    """The packed corner sums of a at size m >= a.n: a's own when m = a.n."""
+    return a._sums if m == a.n else _pack(a, m)
+
+
+def _trusted_asm(n: int, p: int, entries: tuple[tuple[int, ...], ...] | None = None) -> Asm:
+    """The ASM of size n whose packed corner sums are p, holding ``entries``
+    if the caller has them; p is not checked."""
+    a = Asm.__new__(Asm)
+    _set(a, "n", n)
     _set(a, "_sums", p)
+    _set(a, "_entries", entries)
     return a
 
 
@@ -365,18 +361,15 @@ def _is_corner_sums(p: int, m: int) -> bool:
 
 
 def _asm_of_sums(p: int, m: int) -> Asm:
-    """The ASM whose packed corner sums of size m are p, holding only m and
-    p; its entries are decoded on first read.  If p fails
-    :func:`_is_corner_sums`, :func:`validate_asm` raises on the entries
-    recovered from it, naming a row or column."""
+    """The ASM whose packed corner sums of size m are p; its entries are
+    decoded on first read.  If p fails :func:`_is_corner_sums`,
+    :func:`validate_asm` raises on the entries recovered from it, naming a
+    row or column."""
     if not _is_corner_sums(p, m):
         sums = p.to_bytes(m * m, "little")
         asm_from_corner_sum([tuple(sums[s]) for s in _layout(m).rows])
         raise AsmValidationError("corner sums fail the Robbins-Rumsey test")
-    a = Asm.__new__(Asm)
-    _set(a, "n", m)
-    _set(a, "_sums", p)
-    return a
+    return _trusted_asm(m, p)
 
 
 def _bytewise_min(p: int, q: int, g: int) -> int:
@@ -429,14 +422,14 @@ def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
 
 def _permutation_asm(word: Sequence[int], n: int) -> Asm:
     """The permutation matrix with its 1 in row i at column word[i-1], for
-    a word of 1..n, with its packed corner sums: row i of r is row i-1
+    a word of 1..n, from its packed corner sums: row i of r is row i-1
     plus a step of 1 from column word[i-1] on."""
     k = _layout(n)
     p = row = 0
     for i, v in enumerate(word):
         row += k.steps[v]
         p |= row << 8 * n * i
-    return _with_sums(tuple(map(k.units.__getitem__, word)), p)
+    return _trusted_asm(n, p)
 
 
 def _diagram_bytes(a: Asm) -> tuple[int, int]:
@@ -444,7 +437,7 @@ def _diagram_bytes(a: Asm) -> tuple[int, int]:
     cells with r(i, j) = r(i-1, j) = r(i, j-1)."""
     n = a.n
     k = _layout(n)
-    p = _packed(a, n)
+    p = a._sums
     moves = (p - ((p << 8 * n) & k.full)) | (p - ((p << 8) & k.not_first_col))
     return p, k.ones & ~moves
 
@@ -483,15 +476,19 @@ def essential_set(a: Asm) -> frozenset[Cell]:
     return frozenset((i, j) for i, j, _ in rank_conditions(a))
 
 
+def _triangle_rows(a: Asm, rows: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Row i of the monotone triangle of a, for each i in ``rows``: the
+    columns j where the column sum down to row i, r(i, j) - r(i, j-1), is 1."""
+    n, p = a.n, a._sums
+    ones = p - ((p << 8) & _layout(n).not_first_col)
+    row_mask = (1 << 8 * n) - 1
+    for i in rows:
+        yield tuple(k + 1 for k in _set_bytes(ones >> 8 * n * (i - 1) & row_mask))
+
+
 def monotone_triangle(a: Asm) -> MonotoneTriangle:
-    """Row i lists the columns j where the column sum down to row i,
-    r(i, j) - r(i, j-1), is 1."""
-    n = a.n
-    p = _packed(a, n)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for k in _set_bytes(p - ((p << 8) & _layout(n).not_first_col)):
-        rows[k // n].append(k % n + 1)
-    return MonotoneTriangle(tuple(map(tuple, rows)))
+    """Every row of the monotone triangle of a (see :func:`_triangle_rows`)."""
+    return MonotoneTriangle(tuple(_triangle_rows(a, range(1, a.n + 1))))
 
 
 def enumerate_asms(n: int) -> Iterator[Asm]:
@@ -523,7 +520,7 @@ def enumerate_asms(n: int) -> Iterator[Asm]:
     def walk(prev: tuple[int, ...], entries: tuple[tuple[int, ...], ...], p: int) -> Iterator[Asm]:
         i = len(entries)
         if i == n:
-            yield _with_sums(entries, p)
+            yield _trusted_asm(n, p, entries)
             return
         for row, e, step in successors(prev):
             yield from walk(row, (*entries, e), p | step << 8 * n * i)

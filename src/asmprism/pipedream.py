@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Monomial, Polynomial, grid_cells, grid_weight_sum
-from .asm import Asm, Cell
+from .asm import Asm, Cell, _trusted_asm
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
 from .prism import Filling, PrismShapeSpec, PrismTableau, _Fillings, _unstable, phi_cells
 
@@ -137,15 +137,15 @@ def _facet_masks(a: Asm) -> frozenset[int]:
 
     The set of the last ASM asked for is kept, so ``verify bijection``,
     which asks for it once per model, walks Perm(A) once.  The key is the
-    matrix, not the Asm: A and its embedding in a larger grid are equal as
-    ASMs, but their masks sit on grids of different widths."""
-    return _facet_masks_of(a.entries)
+    size and the packed corner sums, not the Asm: A and its embedding in a
+    larger grid are equal as ASMs, but their masks sit on grids of
+    different widths."""
+    return _facet_masks_of(a.n, a._sums)
 
 
 @lru_cache(maxsize=1)
-def _facet_masks_of(entries: tuple[tuple[int, ...], ...]) -> frozenset[int]:
-    a = Asm(entries)
-    return frozenset(m for w in perm_set(a) for m in _pipe_dream_masks(w, a.n))
+def _facet_masks_of(n: int, sums: int) -> frozenset[int]:
+    return frozenset(m for w in perm_set(_trusted_asm(n, sums)) for m in _pipe_dream_masks(w, n))
 
 
 def _fewest(masks: Set[int]) -> set[int]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .algebra import Monomial, Polynomial, _row_counts, grid_cells, grid_weight_sum, poly_from_monomials
-from .asm import Asm, Cell, monotone_triangle, rank_conditions
+from .asm import Asm, Cell, _row_partition, _triangle_rows, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -403,17 +403,11 @@ def bigrassmannian_model(a: Asm) -> PrismShapeSpec:
 
 
 def parabolic_model(a: Asm) -> PrismShapeSpec:
-    """One monotone-triangle shape per essential row: row i of the
-    triangle gives (m(i, i) - i, ..., m(i, 1) - 1) less its zeros, as in
-    ``MonotoneTriangle.partition``.  The row strictly increases from at
-    least 1, so the parts weakly decrease and none is negative."""
+    """One monotone-triangle shape per essential row i: the partition that
+    row i of the triangle records, as in ``MonotoneTriangle.partition``."""
     ess_rows = tuple(sorted({i for i, _, _ in rank_conditions(a)}))
-    rows = monotone_triangle(a).rows
-    shapes = []
-    for i in ess_rows:
-        row = rows[i - 1]
-        shapes.append(tuple(p for p in (row[k] - k - 1 for k in range(i - 1, -1, -1)) if p))
-    return PrismShapeSpec._of_shapes(tuple(shapes), ess_rows)
+    shapes = tuple(map(_row_partition, _triangle_rows(a, ess_rows)))
+    return PrismShapeSpec._of_shapes(shapes, ess_rows)
 
 
 def schur_polynomial_ssyt(lam: Sequence[int], d: int) -> Polynomial:

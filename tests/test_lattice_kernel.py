@@ -139,9 +139,10 @@ class TestEdgeCases:
         a = asm_join(*ASMS_1_TO_4[-2:])
         b = Asm(a.entries)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.__reduce__() == (Asm, (a.entries,))  # a pickle carries the entries alone
         c = pickle.loads(pickle.dumps(a))
-        assert c.entries == a.entries
-        assert not hasattr(c, "_sums")
+        assert c.entries == a.entries and c._sums == a._sums
+        assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
 
     def test_invalid_input_raises_through_validate_asm(self):
         bad = Asm(((1, 1), (0, 0)))  # never validated: row 1 sums to 2
@@ -155,22 +156,70 @@ class TestEdgeCases:
             asm_leq(identity_asm(128), identity_asm(1))
 
 
+class TestSumsAtConstruction:
+    """Every builder gives an Asm its size and packed corner sums at once;
+    only the entries may wait for their first read."""
+
+    @staticmethod
+    def builders():
+        x = ASMS_1_TO_4[-3]
+        y = ASMS_1_TO_4[-7]
+        return {
+            "validate_asm": validate_asm(x.entries),
+            "Asm": Asm(x.entries),
+            "identity_asm": identity_asm(5),
+            "embed": embed(x),
+            "canonical": embed(embed(x)).canonical(),
+            "unpickle": pickle.loads(pickle.dumps(asm_meet(x, y))),
+            "enumerate_asms": list(enumerate_asms(4))[17],
+            "Perm.matrix": Perm((3, 1, 4, 2)).matrix(6),
+            "join": asm_join(x, y),
+            "meet": asm_meet(x, y),
+            "join_all": join_all([x, y, identity_asm(2)], 5),
+        }
+
+    def test_every_builder_sets_n_and_sums(self):
+        for name, a in self.builders().items():
+            p = Asm._sums.__get__(a)  # the slot itself: raises if unset
+            assert Asm.n.__get__(a) == len(a.entries), name
+            assert p == pack_rows(corner_rows(a)), name
+
+    def test_lattice_results_hold_no_entries_until_read(self):
+        # Perm.matrix is left out: its matrices are kept per process, so an
+        # earlier test may have read them
+        lazy = {"join", "meet", "join_all"}
+        for name, a in self.builders().items():
+            if name != "Perm.matrix":
+                assert decoded(a) == (name not in lazy), name
+        j = asm_join(*ASMS_1_TO_4[-2:])
+        assert not decoded(j)
+        j.entries
+        assert decoded(j) and j.entries is j.entries
+
+    def test_construction_refuses_n_above_127(self):
+        for build in (identity_asm, lambda n: Asm(identity_asm(1).entries * n)):
+            with pytest.raises(ValueError, match="n <= 127"):
+                build(128)
+        top = identity_asm(127)
+        assert top.n == 127 and top._sums >> 8 * (127 * 127 - 1) == 127
+        assert asm_leq(top, top) and asm_join(top, identity_asm(3)) == top
+
+
 def decoded(a: Asm) -> bool:
-    """Whether a's entries are set, read without decoding them."""
-    try:
-        Asm.entries.__get__(a)
-    except AttributeError:
-        return False
-    return True
+    """Whether a holds its entries, read off the optional slot without
+    decoding them."""
+    return a._entries is not None
 
 
 def assert_lazy_equals(got: Asm, want: Asm) -> None:
     """got comes from the lattice with its entries not yet decoded; want,
-    built by validate_asm, holds entries and no sums.  got equals want, at
-    the same size and across sizes, in every way a caller can tell."""
+    built by validate_asm, holds entries and sums.  got equals want, at
+    the same size and across sizes, in every way a caller can tell, and
+    equality at the same size reads only the sums."""
     assert not decoded(got) and got.n == want.n
     assert got == want and want == got
-    assert decoded(got) and got.entries == want.entries
+    assert not decoded(got)
+    assert got.entries == want.entries and decoded(got)
     assert hash(got) == hash(want) and repr(got) == repr(want) == f"Asm({want.entries!r})"
     wider = embed(want)
     assert got == wider and wider == got and hash(got) == hash(wider)
