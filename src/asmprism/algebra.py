@@ -9,6 +9,7 @@ All three routes carry a set of cells of the n-by-n grid (a support, a pipe
 dream, a phi image) as an int, with cell (i, j) at bit (i-1)*n + j-1, so row
 i is the n-bit stretch at (i-1)*n; ``grid_cells`` decodes such a mask,
 ``_row_counts`` reads its row-count weight and ``grid_weight_sum`` sums it.
+``grid_set`` is the whole grid as a set of cells, built once per width.
 """
 
 from __future__ import annotations
@@ -205,6 +206,13 @@ def poly_from_monomials(ms: Iterable[Monomial]) -> Polynomial:
 def _grid(n: int) -> tuple[tuple[int, int], ...]:
     """The cells of the n-by-n grid in bit order."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+@cache
+def grid_set(n: int) -> frozenset[tuple[int, int]]:
+    """All cells of the n-by-n grid, kept per width for the complements
+    that the facet routes take."""
+    return frozenset(_grid(n))
 
 
 def grid_cells(mask: int, n: int) -> frozenset[tuple[int, int]]:

@@ -132,14 +132,19 @@ class Asm:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def canonical(self) -> Asm:
-        """Strip trailing [A|0; 0|1] blocks; representative of the iota class."""
+    def _canonical_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries with trailing [A|0; 0|1] blocks stripped."""
         rows = self.entries
         n = len(rows)
         # The last row and column of an ASM each hold a single 1, so a 1 at (n, n) makes both e_n.
         while n > 1 and rows[n - 1][n - 1] == 1:
             n -= 1
-        return self if n == len(rows) else Asm(tuple(r[:n] for r in rows[:n]))
+        return rows if n == len(rows) else tuple(r[:n] for r in rows[:n])
+
+    def canonical(self) -> Asm:
+        """Strip trailing [A|0; 0|1] blocks; representative of the iota class."""
+        rows = self._canonical_rows()
+        return self if len(rows) == self.n else Asm(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Asm):
@@ -148,7 +153,7 @@ class Asm:
         return _packed(self, m) == _packed(other, m)
 
     def __hash__(self) -> int:
-        return hash(self.canonical().entries)
+        return hash(self._canonical_rows())
 
     def __repr__(self) -> str:
         return f"Asm({self.entries!r})"

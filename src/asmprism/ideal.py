@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Polynomial, grid_cells, grid_weight_sum
+from .algebra import Polynomial, grid_cells, grid_set, grid_weight_sum
 from .asm import Asm, Cell, rank_conditions
 
 
@@ -122,7 +122,7 @@ def _hitting_masks(supports: Iterable[int], smallest: bool = False) -> list[int]
 def stanley_reisner_facets(supports: Iterable[frozenset[Cell]], n: int) -> SRComplexFacets:
     """Facets of the complex whose non-faces are the generator supports:
     complements in the n-by-n grid of the minimal hitting sets."""
-    grid = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    grid = grid_set(n)
     masks = []
     for s in supports:
         if not s <= grid:

@@ -75,12 +75,18 @@ def all_perms(n: int) -> Iterator[Perm]:
 
 def grassmannian_encode(lam: Sequence[int], d: int, n: int) -> Perm:
     """The Grassmannian permutation [lam, d]_g in S_n: unique descent at d,
-    shape lam.  The empty shape encodes the identity."""
+    shape lam.  The empty shape encodes the identity.  The others are kept
+    per process, keyed on (lam less its zeros, d, n).  A kept shape fits
+    d x (n - d) for some 1 <= d < n, so S_n gives fewer than 2^n entries,
+    and a call that raises leaves no entry."""
     lam = tuple(p for p in lam if p)
+    return _grassmannian(lam, d, n) if lam else Perm.identity()
+
+
+@cache
+def _grassmannian(lam: tuple[int, ...], d: int, n: int) -> Perm:
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
         raise ValueError(f"not a partition: {lam}")
-    if not lam:
-        return Perm.identity()
     if d < 1:
         raise ValueError("descent position must be positive")
     if len(lam) > d or lam[0] > n - d:
@@ -120,8 +126,7 @@ def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int], n: in
             raise ValueError(f"descent {d} smaller than the length of {lam}")
     if n is None:
         n = max([d + lam[0] for lam, d in zip(shapes, ds) if lam], default=1)
-    perms = [grassmannian_encode(lam, d, n) for lam, d in zip(shapes, ds)]
-    return join_all([u.matrix(n) for u in perms], n)
+    return join_all([grassmannian_encode(lam, d, n).matrix(n) for lam, d in zip(shapes, ds)], n)
 
 
 def bigr_of(a: Asm) -> frozenset[Perm]:

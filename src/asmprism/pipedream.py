@@ -15,7 +15,7 @@ from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Monomial, Polynomial, grid_cells, grid_weight_sum
+from .algebra import Monomial, Polynomial, grid_cells, grid_set, grid_weight_sum
 from .asm import Asm, Cell, _trusted_asm
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
 from .prism import Filling, PrismShapeSpec, PrismTableau, _Fillings, _unstable, phi_cells
@@ -34,6 +34,15 @@ class PlusDiagram:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"cell ({i},{j}) outside the {self.n}x{self.n} grid")
 
+    @classmethod
+    def _of_mask(cls, mask: int, n: int) -> PlusDiagram:
+        """Trusted: the diagram of an n-by-n grid mask, whose decoded cells
+        are int pairs inside the grid, so they skip the checks."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "cells", grid_cells(mask, n))
+        return p
+
     def sorted_cells(self) -> list[Cell]:
         return sorted(self.cells)
 
@@ -43,8 +52,7 @@ class PlusDiagram:
 
     def complement_cells(self) -> frozenset[Cell]:
         """The facet Q - P of the subword complex that P stands for."""
-        grid = {(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
-        return frozenset(grid - self.cells)
+        return grid_set(self.n) - self.cells
 
     def render(self) -> str:
         return "\n".join(
@@ -103,7 +111,7 @@ def _pipe_dream_masks(w: Perm, n: int) -> set[int]:
 def pipe_dreams_of(w: Perm, n: int) -> frozenset[PlusDiagram]:
     """All plus diagrams whose word is a reduced expression for w, computed
     as the ladder-move closure of the bottom pipe dream."""
-    return frozenset(PlusDiagram(n, grid_cells(m, n)) for m in _pipe_dream_masks(w, n))
+    return frozenset(PlusDiagram._of_mask(m, n) for m in _pipe_dream_masks(w, n))
 
 
 def schubert_polynomial(w: Perm, n: int | None = None) -> Polynomial:
@@ -158,14 +166,13 @@ def _fewest(masks: Set[int]) -> set[int]:
 def delta_facets(a: Asm) -> frozenset[PlusDiagram]:
     """Facets of Delta(Q_{n x n}, A), each given by its plus diagram: pipe
     dreams of the minimal permutations above A."""
-    return frozenset(PlusDiagram(a.n, grid_cells(m, a.n)) for m in _facet_masks(a))
+    return frozenset(PlusDiagram._of_mask(m, a.n) for m in _facet_masks(a))
 
 
 def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
     """The maximal-dimension facets: pipe dreams over MinPerm(A)."""
-    return frozenset(
-        PlusDiagram(a.n, grid_cells(m, a.n)) for w in min_perm_set(a) for m in _pipe_dream_masks(w, a.n)
-    )
+    n = a.n
+    return frozenset(PlusDiagram._of_mask(m, n) for w in min_perm_set(a) for m in _pipe_dream_masks(w, n))
 
 
 def phi(t: PrismTableau) -> PlusDiagram:

@@ -30,6 +30,7 @@ from asmprism.asm import (
     MonotoneTriangle,
     _is_corner_sums,
     _packed,
+    _trusted_asm,
     asm_from_corner_sum,
     asm_join,
     asm_leq,
@@ -443,6 +444,16 @@ class TestEmbed:
         for a in enumerate_asms(n):
             for b in (a, embed(a), embed(embed(a))):
                 assert b.canonical().entries == brute_force_canonical(b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_hash_is_the_hash_of_the_canonical_rows(self, n):
+        """hash(A) is the hash of its stripped rows, as a tuple of tuples,
+        at every size A is embedded in, and it does not depend on whether
+        the entries were held or decoded from the sums."""
+        for a in enumerate_asms(n):
+            want = hash(brute_force_canonical(a))
+            for b in (a, embed(a), embed(embed(a)), _trusted_asm(a.n, a._sums)):
+                assert hash(b) == want
 
 
 class TestPartialAsm:

@@ -257,6 +257,18 @@ class TestStanleyReisner:
             sr = stanley_reisner_facets(initial_ideal(a), 4)
             assert sr.facets == frozenset(f.complement_cells() for f in delta_facets(a))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_facets_are_grid_complements_of_the_hitting_sets(self, n):
+        """The facets, taken in the kept grid, against the complements of
+        the minimal hitting sets in a grid built here, every ASM(n)."""
+        grid = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+        for a in enumerate_asms(n):
+            gens = initial_ideal(a)
+            sr = stanley_reisner_facets(gens, n)
+            assert sr.n == n
+            assert sr.facets == frozenset(grid - h for h in minimal_hitting_sets(gens))
+            assert sr.facets == frozenset(f.complement_cells() for f in delta_facets(a))
+
 
 class TestMultidegree:
     def test_identity_one(self):

@@ -29,6 +29,7 @@ from asmprism.asm import (
 )
 from asmprism.perm import (
     Perm,
+    _grassmannian,
     _matrix,
     _minimal_above,
     all_perms,
@@ -195,8 +196,8 @@ class TestBiGrassmannian:
 
 
 class TestTables:
-    """bigrassmannian_encode and Perm.matrix are served from per-process
-    tables; a call that raises leaves no entry."""
+    """bigrassmannian_encode, grassmannian_encode and Perm.matrix are served
+    from per-process tables; a call that raises leaves no entry."""
 
     def test_encode_equals_a_fresh_perm(self):
         for n in range(1, 7):
@@ -219,6 +220,48 @@ class TestTables:
             with pytest.raises(ValueError, match=axiom):
                 bigrassmannian_encode(*args)
         assert bigrassmannian_encode.cache_info().currsize == before
+
+    def test_grassmannian_encode_equals_a_fresh_perm(self):
+        """Every Grassmannian permutation of S_n, n <= 6, is sorted(S) then
+        the rest sorted, for a d-subset S of 1..n; its (shape, d) is its
+        key, and the table holds one entry per nonempty shape."""
+        _grassmannian.cache_clear()
+        keys = 0
+        for n in range(1, 7):
+            for d in range(1, n):
+                for head in itertools.combinations(range(1, n + 1), d):
+                    fresh = Perm(head + tuple(v for v in range(1, n + 1) if v not in head))
+                    lam = tuple(sorted((v - p for p, v in enumerate(head, start=1)), reverse=True))
+                    u = grassmannian_encode(lam, d, n)
+                    assert u == fresh
+                    if fresh.size:  # the empty shape's identity is not kept
+                        assert grassmannian_encode(lam, d, n) is u
+                        assert grassmannian_decode(u) == (tuple(p for p in lam if p), d)
+                        keys += 1
+        assert _grassmannian.cache_info().currsize == keys == sum(2 ** n - n - 1 for n in range(1, 7))
+
+    def test_grassmannian_list_and_tuple_share_an_entry(self):
+        u = grassmannian_encode((2, 1), 2, 5)
+        assert grassmannian_encode([2, 1], 2, 5) is u
+        assert grassmannian_encode([2, 1, 0, 0], 2, 5) is u
+        assert grassmannian_encode((), 2, 5) == grassmannian_encode([0], 4, 5) == Perm.identity()
+
+    @pytest.mark.parametrize("lam,d,n,match", [
+        ((1, 2), 2, 5, "not a partition"),
+        ((2, -1), 2, 5, "not a partition"),
+        ([-1], 2, 5, "not a partition"),
+        ((1,), 0, 4, "descent position must be positive"),
+        ((1,), -2, 4, "descent position must be positive"),
+        ((3,), 2, 4, "does not fit in 2 x 2"),
+        ((1, 1, 1), 2, 5, "does not fit in 2 x 3"),
+    ])
+    def test_grassmannian_violations_raise_every_time(self, lam, d, n, match):
+        grassmannian_encode((3,), 2, 5)  # fits at n = 5, so n must be part of the key
+        before = _grassmannian.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                grassmannian_encode(lam, d, n)
+        assert _grassmannian.cache_info().currsize == before
 
     def test_matrix_is_kept_per_width(self):
         _matrix.cache_clear()

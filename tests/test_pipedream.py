@@ -68,6 +68,11 @@ def diagram(n, *cells) -> PlusDiagram:
     return PlusDiagram(n, frozenset(cells))
 
 
+def checked_diagram(mask: int, n: int) -> PlusDiagram:
+    """The validated diagram of a grid mask, its cells read bit by bit."""
+    return PlusDiagram(n, frozenset((b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1))
+
+
 class TestSquareWord:
     def test_n3_letters(self):
         assert square_word(3).letters == (3, 2, 1, 4, 3, 2, 5, 4, 3)
@@ -312,6 +317,42 @@ class TestFacetMemo:
         assert _facet_masks_of.cache_info().currsize == 1
 
 
+class TestMaskBoundary:
+    """The facet routes build their diagrams from masks without the
+    constructor's checks, and take complements in one kept grid; each must
+    agree with the checked diagram of the same mask."""
+
+    @staticmethod
+    def assert_matches_checked(got, masks, n):
+        want = {m: checked_diagram(m, n) for m in masks}
+        assert got == frozenset(want.values())
+        by_cells = {p.cells: p for p in got}
+        grid = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+        for m, q in want.items():
+            p = by_cells[q.cells]
+            assert p == q and hash(p) == hash(q) and p.render() == q.render()
+            assert p == PlusDiagram._of_mask(m, n)
+            assert p.complement_cells() == frozenset(grid - q.cells)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_facet_and_fmax_facet_of_asm(self, n):
+        for a in enumerate_asms(n):
+            masks = _facet_masks(a)
+            self.assert_matches_checked(delta_facets(a), masks, n)
+            self.assert_matches_checked(delta_fmax(a), _fewest(masks), n)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_pipe_dream_of_s_n(self, n):
+        for w in all_perms(n):
+            self.assert_matches_checked(pipe_dreams_of(w, n), _pipe_dream_masks(w, n), n)
+
+    def test_complement_of_every_mask_at_small_widths(self):
+        for n in (1, 2, 3):
+            full = (1 << n * n) - 1
+            for m in range(full + 1):
+                assert PlusDiagram._of_mask(m, n).complement_cells() == checked_diagram(full ^ m, n).cells
+
+
 class TestPhi:
     def test_seven_by_seven_example(self):
         spec = PrismShapeSpec(((1,), (3, 2), (2, 1, 1)), (2, 5, 6))
@@ -376,6 +417,16 @@ class TestVerifyBijection:
             for model in (bigrassmannian_model(a), parabolic_model(a)):
                 report = verify_bijection(model)
                 assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rebuilt_asm_gives_the_given_asm_report_every_asm(self, n):
+        """verify_bijection rebuilds A_{lambda, d} from its tables when no A
+        is given; the report matches the one on A itself."""
+        for a in enumerate_asms(n):
+            for model in (bigrassmannian_model(a), parabolic_model(a)):
+                given_a, rebuilt = verify_bijection(model, a), verify_bijection(model)
+                assert given_a.passed and rebuilt.passed
+                assert (given_a.checks, given_a.counts) == (rebuilt.checks, rebuilt.counts)
 
     def test_given_asm_gives_the_spec_only_report(self):
         """A passed in by the caller, often in a larger ambient size than
