@@ -25,7 +25,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, product
 
 Cell = tuple[int, int]
 
@@ -92,14 +92,11 @@ def _check_sums(entries: tuple[tuple[int, ...], ...], allowed: tuple[int, ...]) 
                 raise AsmValidationError(f"{kind} {i} sums to {s}, expected {expected}")
 
 
-_set = object.__setattr__
-
-
 class Asm:
     """An alternating sign matrix.  :func:`validate_asm` checks matrices
     from outside; :func:`enumerate_asms`, the lattice operations and
     ``Perm.matrix`` build valid ones.  Every ``Asm`` holds its size ``n``
-    and its packed corner sums ``_sums`` (see :func:`_packed`) from
+    and its packed corner sums ``_sums`` (see :func:`_pack`) from
     construction: ``Asm(entries)`` packs them, and the other builders hand
     them to :func:`_trusted_asm`.  ``entries`` is held when the builder had
     the rows, and otherwise decoded from the sums on first read.  Equality
@@ -109,9 +106,9 @@ class Asm:
     __slots__ = ("n", "_sums", "_entries")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        _set(self, "n", len(entries))
-        _set(self, "_entries", entries)
-        _set(self, "_sums", _pack(self, self.n))
+        _set_n(self, len(entries))
+        _set_entries(self, entries)
+        _set_sums(self, _pack(self, self.n))
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -123,7 +120,7 @@ class Asm:
             col = p - ((p << 8 * n) & k.full)
             e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(n * n, "little")
             entries = tuple(map(_entry_row, map(e.__getitem__, k.rows)))
-            _set(self, "_entries", entries)
+            _set_entries(self, entries)
         return entries
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -149,8 +146,10 @@ class Asm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Asm):
             return NotImplemented
-        m = max(self.n, other.n)
-        return _packed(self, m) == _packed(other, m)
+        if self.n == other.n:
+            return self._sums == other._sums
+        m = self.n if self.n > other.n else other.n
+        return _pack(self, m) == _pack(other, m)
 
     def __hash__(self) -> int:
         return hash(self._canonical_rows())
@@ -160,6 +159,10 @@ class Asm:
 
     def __reduce__(self) -> tuple:
         return Asm, (self.entries,)
+
+
+# the slots are set through their descriptors, past the frozen __setattr__
+_set_n, _set_sums, _set_entries = Asm.n.__set__, Asm._sums.__set__, Asm._entries.__set__
 
 
 @dataclass(frozen=True)
@@ -321,18 +324,13 @@ def _pack(a: Asm, m: int) -> int:
     return int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
 
 
-def _packed(a: Asm, m: int) -> int:
-    """The packed corner sums of a at size m >= a.n: a's own when m = a.n."""
-    return a._sums if m == a.n else _pack(a, m)
-
-
 def _trusted_asm(n: int, p: int, entries: tuple[tuple[int, ...], ...] | None = None) -> Asm:
     """The ASM of size n whose packed corner sums are p, holding ``entries``
     if the caller has them; p is not checked."""
-    a = Asm.__new__(Asm)
-    _set(a, "n", n)
-    _set(a, "_sums", p)
-    _set(a, "_entries", entries)
+    a = object.__new__(Asm)
+    _set_n(a, n)
+    _set_sums(a, p)
+    _set_entries(a, entries)
     return a
 
 
@@ -393,36 +391,52 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     Inputs of different sizes are compared after embedding to a common
     size, which is an order embedding.
     """
-    m = max(a.n, b.n)
+    m, p, q = a.n, a._sums, b._sums
+    if m != b.n:
+        m = m if m > b.n else b.n
+        p, q = _pack(a, m), _pack(b, m)
     g = _layout(m).guard
-    return ((_packed(a, m) | g) - _packed(b, m)) & g == g
+    return ((p | g) - q) & g == g
 
 
 def asm_join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
-    m = max(a.n, b.n)
-    return _asm_of_sums(_bytewise_min(_packed(a, m), _packed(b, m), _layout(m).guard), m)
+    m, p, q = a.n, a._sums, b._sums
+    if m != b.n:
+        m = m if m > b.n else b.n
+        p, q = _pack(a, m), _pack(b, m)
+    return _asm_of_sums(_bytewise_min(p, q, _layout(m).guard), m)
 
 
 def asm_meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
-    m = max(a.n, b.n)
-    return _asm_of_sums(_bytewise_max(_packed(a, m), _packed(b, m), _layout(m).guard), m)
+    m, p, q = a.n, a._sums, b._sums
+    if m != b.n:
+        m = m if m > b.n else b.n
+        p, q = _pack(a, m), _pack(b, m)
+    return _asm_of_sums(_bytewise_max(p, q, _layout(m).guard), m)
 
 
 def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
     """Join of a finite family in ASM(m), m the largest of n and the members'
-    sizes: the entrywise minimum of all their corner sums at size m.  The
-    empty join is the identity (lattice minimum)."""
-    items = list(asms)
-    if not items:
-        return identity_asm(n if n else 1)
-    m = max(n or 1, max(a.n for a in items))
-    g = _layout(m).guard
-    p = _packed(items[0], m)
-    for a in items[1:]:
-        p = _bytewise_min(p, _packed(a, m), g)
-    return _asm_of_sums(p, m)
+    sizes: the entrywise minimum of all their corner sums at size m, in one
+    pass.  A larger member re-embeds the minimum so far, which commutes with
+    embedding.  The empty join is the identity (lattice minimum)."""
+    m, p = n or 1, None
+    for a in asms:
+        q = a._sums
+        if a.n != m:
+            if a.n < m:
+                q = _pack(a, m)
+            else:
+                if p is not None:
+                    p = _pack(_trusted_asm(m, p), a.n)
+                m, g = a.n, _layout(a.n).guard
+        if p is None:
+            p, g = q, _layout(m).guard
+        else:
+            p = _bytewise_min(p, q, g)
+    return identity_asm(m) if p is None else _asm_of_sums(p, m)
 
 
 def _permutation_asm(word: Sequence[int], n: int) -> Asm:
@@ -447,20 +461,12 @@ def _diagram_bytes(a: Asm) -> tuple[int, int]:
     return p, k.ones & ~moves
 
 
-def _set_bytes(bits: int) -> Iterator[int]:
-    """The indices, in increasing order, of the bytes of bits that are not
-    zero; byte k is cell (k // n + 1, k % n + 1)."""
-    while bits:
-        low = bits & -bits
-        yield (low.bit_length() - 1) >> 3
-        bits ^= low
-
-
 def inversions(a: Asm) -> frozenset[Cell]:
     """The Rothe diagram D(A): the cells where both the column sum down to
     (i, j) and the row sum up to it vanish, i.e. r(i, j) = r(i-1, j) = r(i, j-1)."""
     n = a.n
-    return frozenset((k // n + 1, k % n + 1) for k in _set_bytes(_diagram_bytes(a)[1]))
+    d = _diagram_bytes(a)[1].to_bytes(n * n, "little")
+    return frozenset((k // n + 1, k % n + 1) for k in compress(range(n * n), d))
 
 
 def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
@@ -468,11 +474,18 @@ def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
     Ess(A), in increasing order of (i, j).  They determine A.  Ess(A) is
     the cells of D(A) whose south and east neighbours are not in D(A).
     Column n holds no cell of D(A), since r(i, n) = i > r(i-1, n), so the
-    east shift, which brings (i+1, 1) to (i, n), needs no mask."""
+    east shift, which brings (i+1, 1) to (i, n), needs no mask.  The
+    essential bytes and the sums are each decoded with one ``to_bytes``."""
     n = a.n
     p, d = _diagram_bytes(a)
-    ess = d & ~(d >> 8 * n) & ~(d >> 8)
-    return [(k // n + 1, k % n + 1, p >> 8 * k & 0xFF) for k in _set_bytes(ess)]
+    ess = (d & ~(d >> 8 * n) & ~(d >> 8)).to_bytes(n * n, "little")
+    sums = p.to_bytes(n * n, "little")
+    out = []
+    k = ess.find(1)
+    while k >= 0:
+        out.append((k // n + 1, k % n + 1, sums[k]))
+        k = ess.find(1, k + 1)
+    return out
 
 
 def essential_set(a: Asm) -> frozenset[Cell]:
@@ -485,10 +498,9 @@ def _triangle_rows(a: Asm, rows: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Row i of the monotone triangle of a, for each i in ``rows``: the
     columns j where the column sum down to row i, r(i, j) - r(i, j-1), is 1."""
     n, p = a.n, a._sums
-    ones = p - ((p << 8) & _layout(n).not_first_col)
-    row_mask = (1 << 8 * n) - 1
+    ones = (p - ((p << 8) & _layout(n).not_first_col)).to_bytes(n * n, "little")
     for i in rows:
-        yield tuple(k + 1 for k in _set_bytes(ones >> 8 * n * (i - 1) & row_mask))
+        yield tuple(compress(range(1, n + 1), ones[n * i - n:n * i]))
 
 
 def monotone_triangle(a: Asm) -> MonotoneTriangle:

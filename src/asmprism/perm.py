@@ -50,9 +50,10 @@ class Perm:
         return sum(1 for a, b in itertools.combinations(w, 2) if a > b)
 
     def matrix(self, n: int | None = None) -> Asm:
-        """The permutation matrix in ASM(n), n defaulting to the size.  It
-        is kept per process, keyed on (one-line word, n)."""
-        return _matrix(self.one_line, max(self.size if n is None else n, 1))
+        """The permutation matrix in ASM(n), n defaulting to the size; an n
+        below 1 reads as 1.  It is kept per process, keyed on (one-line
+        word, n)."""
+        return _matrix(self.one_line, len(self.one_line) if n is None else n)
 
     def render(self, n: int | None = None) -> str:
         return " ".join(str(x) for x in self.padded(n if n else max(self.size, 1)))
@@ -60,9 +61,14 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm({''.join(map(str, self.one_line)) or 'id'})"
 
+    def __hash__(self) -> int:
+        return hash(self.one_line)
+
 
 @cache
 def _matrix(word: tuple[int, ...], n: int) -> Asm:
+    if n < 1:
+        n = 1
     if n < len(word):
         raise ValueError(f"{Perm(word)} does not fit in S_{n}")
     return _permutation_asm(word + tuple(range(len(word) + 1, n + 1)), n)
@@ -129,10 +135,20 @@ def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int], n: in
     return join_all([grassmannian_encode(lam, d, n).matrix(n) for lam, d in zip(shapes, ds)], n)
 
 
+@cache
+def _bigrassmannians(n: int) -> dict[tuple[int, int, int], Perm]:
+    """Every biGrassmannian of S_n, keyed on its rank condition (i, j, r):
+    0 <= r < min(i, j) and i + j - r <= n, so C(n + 1, 3) of them."""
+    return {
+        (i, j, r): bigrassmannian_encode(i, j, r, n)
+        for i in range(1, n + 1) for j in range(1, n + 1) for r in range(max(0, i + j - n), min(i, j))
+    }
+
+
 def bigr_of(a: Asm) -> frozenset[Perm]:
     """biGr(A) = {[i, j, r_A(i,j)]_b : (i, j) essential}; the unique
     antichain of biGrassmannians whose join is A."""
-    return frozenset(bigrassmannian_encode(i, j, r, a.n) for i, j, r in rank_conditions(a))
+    return frozenset(map(_bigrassmannians(a.n).__getitem__, rank_conditions(a)))
 
 
 def _minimal_above(a: Asm, shortest_only: bool = False) -> list[tuple[int, tuple[int, ...]]]:

@@ -29,7 +29,6 @@ from asmprism.asm import (
     MatrixParseError,
     MonotoneTriangle,
     _is_corner_sums,
-    _packed,
     _trusted_asm,
     asm_from_corner_sum,
     asm_join,
@@ -388,7 +387,7 @@ class TestEnumeration:
         assert all(map(operator.lt, flats, flats[1:]))
         for a in asms:
             assert validate_asm(a.entries) == a
-            assert a._sums == _packed(Asm(a.entries), n)
+            assert a._sums == Asm(a.entries)._sums
 
     def test_walk_n7_count_and_sums(self):
         sums = [a._sums for a in enumerate_asms(7)]

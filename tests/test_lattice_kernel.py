@@ -17,12 +17,12 @@ from conftest import (
     table_rank_conditions,
 )
 
+from asmprism import asm as asm_mod
 from asmprism.asm import (
     Asm,
     AsmValidationError,
     _asm_of_sums,
     _is_corner_sums,
-    _packed,
     asm_from_corner_sum,
     asm_join,
     asm_leq,
@@ -48,7 +48,7 @@ def assert_same_asm(got: Asm, want: Asm) -> None:
     """Equal entries at the same size, and packed sums that are the corner
     sums of those entries."""
     assert got.entries == want.entries
-    assert _packed(got, got.n) == pack_rows(corner_rows(Asm(got.entries)))
+    assert got._sums == pack_rows(corner_rows(Asm(got.entries)))
 
 
 def assert_lattice_ops(a: Asm, b: Asm) -> None:
@@ -273,3 +273,66 @@ class TestDecodeOnDemand:
     def test_missing_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'other'"):
             asm_join(*self.ASM4[:2]).other
+
+
+class TestOnePath:
+    """asm_join, asm_meet and join_all each have one body: at equal sizes
+    and at mixed sizes they reach the same min, max and Robbins-Rumsey
+    kernels, and agree with the tables when one side is embedded."""
+
+    ASM4 = list(enumerate_asms(4))
+
+    # which kernel each operation must reach
+    USES = {
+        "_bytewise_min": {"asm_join", "join_all"},
+        "_bytewise_max": {"asm_meet"},
+        "_is_corner_sums": {"asm_join", "asm_meet", "join_all"},
+    }
+    OPS = {
+        "asm_join": lambda a, b: asm_join(a, b),
+        "asm_meet": lambda a, b: asm_meet(a, b),
+        "join_all": lambda a, b: join_all([a, b, a]),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(USES))
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+    def test_every_path_reaches_the_kernel(self, monkeypatch, kernel, op, mixed):
+        a, b = self.ASM4[9], self.ASM4[30]
+        if mixed:
+            b = embed(b)
+        real = getattr(asm_mod, kernel)
+        calls = []
+        monkeypatch.setattr(asm_mod, kernel, lambda *args: calls.append(args) or real(*args))
+        got = self.OPS[op](a, b)
+        assert bool(calls) == (op in self.USES[kernel])
+        want = {"asm_join": corner_join, "asm_meet": corner_meet, "join_all": corner_join}[op](a, b)
+        assert_same_asm(got, want)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+    def test_every_path_uses_what_the_kernel_returns(self, monkeypatch, mixed):
+        a, b = self.ASM4[9], self.ASM4[30]
+        if mixed:
+            a = embed(embed(a))
+        real_min, real_max = asm_mod._bytewise_min, asm_mod._bytewise_max
+        monkeypatch.setattr(asm_mod, "_bytewise_min", real_max)
+        monkeypatch.setattr(asm_mod, "_bytewise_max", real_min)
+        assert_same_asm(asm_join(a, b), corner_meet(a, b))
+        assert_same_asm(asm_meet(a, b), corner_join(a, b))
+        assert_same_asm(join_all([b, a]), corner_meet(a, b))
+        monkeypatch.setattr(asm_mod, "_is_corner_sums", lambda p, m: False)
+        for op in self.OPS.values():
+            with pytest.raises(AsmValidationError, match="Robbins-Rumsey"):
+                op(a, b)
+
+    def test_every_pair_of_asm4_with_one_side_embedded(self):
+        for a, b in itertools.product(self.ASM4, repeat=2):
+            wide = embed(b)
+            assert asm_leq(a, wide) == corner_leq(a, wide) and asm_leq(wide, a) == corner_leq(wide, a)
+            assert (a == wide) == (wide == a) == (a == b)
+            assert_same_asm(asm_join(a, wide), corner_join(a, wide))
+            assert_same_asm(asm_meet(wide, a), corner_meet(wide, a))
+            # the minimum so far is re-embedded when a larger member comes last
+            for family in ([a, wide], [wide, a], [a, b, wide]):
+                assert_same_asm(join_all(family), corner_join_all(family))
+            assert_same_asm(join_all(iter([a, b]), 5), corner_join_all([a, b], 5))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -25,10 +26,12 @@ from asmprism.asm import (
     enumerate_asms,
     identity_asm,
     join_all,
+    rank_conditions,
     validate_asm,
 )
 from asmprism.perm import (
     Perm,
+    _bigrassmannians,
     _grassmannian,
     _matrix,
     _minimal_above,
@@ -65,6 +68,16 @@ class TestPerm:
     def test_matrix_is_asm(self):
         m = W3412.matrix(4)
         assert validate_asm(m.entries) == m
+
+
+def test_hash_and_equality_agree_across_padding():
+    for w in itertools.permutations(range(1, 5)):
+        u = Perm(w)
+        for padded in (u.padded(4), u.padded(5), u.padded(6)):
+            v = Perm(padded)
+            assert v == u and hash(v) == hash(u) == hash(u.one_line)
+        assert len({u, Perm(u.padded(6)), Perm(u.padded(7))}) == 1
+    assert Perm((2, 1)) != Perm((1, 3, 2)) and Perm.identity() == Perm((1, 2))
 
 
 class TestLength:
@@ -221,6 +234,16 @@ class TestTables:
                 bigrassmannian_encode(*args)
         assert bigrassmannian_encode.cache_info().currsize == before
 
+    def test_bigrassmannians_of_s_n_keyed_on_their_rank_condition(self):
+        for n in range(1, 8):
+            table = _bigrassmannians(n)
+            assert len(table) == len(set(table.values())) == math.comb(n + 1, 3)
+            assert set(table.values()) == set(all_bigrassmannians(n))
+            for (i, j, r), u in table.items():
+                assert u is bigrassmannian_encode(i, j, r, n)
+                assert rank_conditions(u.matrix(n)) == [(i, j, r)]
+                assert bigr_of(u.matrix(n)) == {u}
+
     def test_grassmannian_encode_equals_a_fresh_perm(self):
         """Every Grassmannian permutation of S_n, n <= 6, is sorted(S) then
         the rest sorted, for a d-subset S of 1..n; its (shape, d) is its
@@ -280,6 +303,14 @@ class TestTables:
             with pytest.raises(ValueError, match="does not fit in S_3"):
                 W3412.matrix(3)
         assert _matrix.cache_info().currsize == before
+
+    def test_matrix_below_width_1_reads_as_1(self):
+        for n in (0, -2):
+            assert Perm.identity().matrix(n) == identity_asm(1) and Perm.identity().matrix(n).n == 1
+            with pytest.raises(ValueError, match=r"^Perm\(21\) does not fit in S_1$"):
+                Perm((2, 1)).matrix(n)
+        with pytest.raises(ValueError, match=r"^Perm\(312\) does not fit in S_2$"):
+            Perm((3, 1, 2)).matrix(2)
 
     def test_matrix_default_width(self):
         assert Perm((3, 1, 2)).matrix().entries == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
