@@ -16,14 +16,19 @@ import pytest
 from asmprism.algebra import Monomial, Polynomial
 from asmprism.asm import (
     Asm,
+    AsmValidationError,
     Cell,
     MonotoneTriangle,
     PartialAsm,
     _entries_from_corner_rows,
     asm_from_corner_sum,
+    asm_join,
+    asm_leq,
+    asm_meet,
     bigrassmannian_one_line,
     corner_rows,
     identity_asm,
+    join_all,
     rank_conditions,
     validate_asm,
     validate_partial_asm,
@@ -237,6 +242,26 @@ def corner_join_all(asms: Sequence[Asm], n: int | None = None) -> Asm:
         return identity_asm(n if n else 1)
     m = max(n or 1, max(a.n for a in asms))
     return asm_from_corner_sum(_entrywise_min([corner_rows(a, m) for a in asms]))
+
+
+def pair_lattice_check(asms: Sequence[Asm]) -> bool:
+    """verify lattice by pairs, as it ran before it moved to
+    join-irreducibles: the join and meet of every pair of asms are ASMs
+    that bound the pair, and every A = join(biGr(A)).  Quadratic in the
+    number of ASMs; the oracle for ``cli._check_lattice``."""
+    from asmprism.perm import bigr_of
+
+    try:
+        for k, a in enumerate(asms):
+            for b in asms[k:]:
+                j, m = asm_join(a, b), asm_meet(a, b)
+                if not (asm_leq(a, j) and asm_leq(b, j) and asm_leq(m, a) and asm_leq(m, b)):
+                    return False
+            if join_all([u.matrix(a.n) for u in bigr_of(a)], a.n) != a:
+                return False
+    except AsmValidationError:
+        return False
+    return True
 
 
 def _table_diagram(rows: Sequence[Sequence[int]]) -> frozenset[Cell]:

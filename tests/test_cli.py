@@ -7,6 +7,8 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
+from conftest import pair_lattice_check
+
 from asmprism import cli
 from asmprism.algebra import Polynomial
 from asmprism.asm import render_asm, validate_asm
@@ -130,6 +132,12 @@ class TestVerify:
         assert run(["verify", name, "--n", "2", "--jobs", "2"])[0] == 0
         assert seen == [cli._bounded_jobs(2)]
 
+    @pytest.mark.slow
+    def test_lattice_n6_exhaustive(self):
+        assert run(["verify", "lattice", "--n", "6"]) == (
+            0, "OK: 7436 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
+        )
+
     def test_lattice_n5_exhaustive(self):
         assert run(["verify", "lattice", "--n", "5"]) == (
             0, "OK: 429 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
@@ -163,6 +171,93 @@ class TestVerify:
         assert code == 2
         assert out.startswith("FAIL")
         assert "OK" not in out
+
+
+def _drop_last_rank_condition(monkeypatch):
+    """Make every module's rank_conditions lose its last condition."""
+    rank_conditions = cli.asm_mod.rank_conditions
+    for mod in ("asm", "perm", "ideal", "prism"):
+        monkeypatch.setattr(f"asmprism.{mod}.rank_conditions", lambda a: rank_conditions(a)[:-1])
+
+
+class TestAnchors:
+    """Every per-ASM check compares join(biGr(A)) with A's own corner sums,
+    so an error in rank_conditions, which every route reads, fails it."""
+
+    @pytest.mark.parametrize("name,line", [
+        ("groebner", "FAIL: 1/42 ASMs\n"),
+        ("theorem1", "FAIL: 1/42 ASMs, both models\n"),
+        ("bijection", "FAIL: 1/42 ASMs, both models\n"),
+        ("lattice", "FAIL: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+    ])
+    def test_dropped_rank_condition_fails_every_check(self, monkeypatch, name, line):
+        _drop_last_rank_condition(monkeypatch)
+        assert run(["verify", name, "--n", "4", "--jobs", "1"]) == (2, line, "")
+
+    def test_groebner_needs_the_anchor(self, monkeypatch):
+        # both sides of the groebner comparison read the same wrong conditions
+        _drop_last_rank_condition(monkeypatch)
+        monkeypatch.setattr(cli, "_anchored", lambda a: True)
+        assert run(["verify", "groebner", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs\n", "")
+
+
+def _first_row_from(real, operand: int):
+    """A kernel that is right everywhere but row 1, which it copies from
+    operand 0 (p) or 1 (q)."""
+    def kernel(p, q, g):
+        row = (1 << 8 * math.isqrt(g.bit_length() // 8)) - 1
+        return real(p, q, g) & ~row | (p, q)[operand] & row
+    return kernel
+
+
+_MIN, _MAX = cli.asm_mod._bytewise_min, cli.asm_mod._bytewise_max
+KERNEL_CORRUPTIONS = {
+    "min+1": ("_bytewise_min", lambda p, q, g: _MIN(p, q, g) + 1),
+    "min=max": ("_bytewise_min", _MAX),
+    "min row 1 from p": ("_bytewise_min", _first_row_from(_MIN, 0)),
+    "max+1": ("_bytewise_max", lambda p, q, g: _MAX(p, q, g) + 1),
+    "max=min": ("_bytewise_max", _MIN),
+    "max row 1 from q": ("_bytewise_max", _first_row_from(_MAX, 1)),
+}
+
+
+class TestLatticeOracle:
+    """verify lattice on join-irreducibles against the pair check it
+    replaced (conftest's pair_lattice_check)."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_verdict(self, n):
+        asms = list(cli.asm_mod.enumerate_asms(n))
+        assert all(map(cli._check_lattice, asms)) is pair_lattice_check(asms) is True
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("corruption", sorted(KERNEL_CORRUPTIONS))
+    def test_same_verdict_under_a_corrupted_kernel(self, monkeypatch, n, corruption):
+        asms = list(cli.asm_mod.enumerate_asms(n))
+        kernel, wrong = KERNEL_CORRUPTIONS[corruption]
+        monkeypatch.setattr(cli.asm_mod, kernel, wrong)
+        assert all(map(cli._check_lattice, asms)) is pair_lattice_check(asms) is False
+
+    def test_joins_take_g_and_meets_take_g_flipped(self, monkeypatch):
+        calls = {"asm_join": [], "asm_meet": []}
+        for name, seen in calls.items():
+            real = getattr(cli.asm_mod, name)
+            monkeypatch.setattr(cli.asm_mod, name, lambda a, b, real=real, seen=seen: seen.append(b) or real(a, b))
+        a = list(cli.asm_mod.enumerate_asms(5))[200]
+        assert cli._check_lattice(a)
+        pairs = cli._bigrassmannian_pairs(5)
+        assert calls["asm_join"] == [g for g, _ in pairs] and calls["asm_meet"] == [h for _, h in pairs]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_flipped_biGrassmannians(self, n):
+        pairs = cli._bigrassmannian_pairs(n)
+        assert len(pairs) == math.comb(n + 1, 3)
+        for g, flipped in pairs:
+            assert flipped.entries == tuple(row[::-1] for row in g.entries)
+            # the flip reverses the order: r'(i, j) = i - r(i, n - j)
+            r, flip = cli.asm_mod.corner_rows(g), cli.asm_mod.corner_rows(flipped)
+            assert all(flip[i - 1][j - 1] == i - (r[i - 1][n - j - 1] if j < n else 0)
+                       for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 class TestListingVerbs:
@@ -320,13 +415,14 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("name", ["theorem1", "lattice"])
     def test_verify_n8(self, name):
-        ceiling = {"theorem1": 7, "lattice": 6}[name]
+        ceiling = {"theorem1": 7, "lattice": 7}[name]
         assert run(["verify", name, "--n", "8"]) == (
             1, "", f"error: --n must be at most {ceiling}, got 8\n")
 
-    def test_verify_lattice_n7(self):
-        # quadratic in the 218,348 ASMs of ASM(7): refused before enumeration
-        assert run(["verify", "lattice", "--n", "7"]) == (1, "", "error: --n must be at most 6, got 7\n")
+    def test_verify_lattice_n8(self):
+        # the 10,850,216 ASMs of ASM(8) would be listed in the parent: refused before enumeration
+        assert run(["verify", "lattice", "--n", "8", "--jobs", "2"]) == (
+            1, "", "error: --n must be at most 7, got 8\n")
 
     @pytest.mark.parametrize("argv", [
         ["perm-set"], ["deg"], ["poly", "--model", "bigr"], ["facets"], ["complete"],
@@ -342,7 +438,7 @@ class TestSizeLimits:
 def test_size_limits_admit_8x8(tmp_path):
     assert cli.MAX_N == 8
     assert {name: max_n for name, (max_n, _) in cli.VERIFIERS.items()} == {
-        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 6, "schur": 7}
+        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 7, "schur": 7}
     p = tmp_path / "id8.txt"
     p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
     assert run(["deg", "--asm", str(p)]) == (0, "0\n", "")
