@@ -33,7 +33,7 @@ from asmprism.asm import (
     validate_asm,
     validate_partial_asm,
 )
-from asmprism.perm import Perm
+from asmprism.perm import Perm, bigr_of
 from asmprism.pipedream import PlusDiagram
 
 
@@ -249,8 +249,6 @@ def pair_lattice_check(asms: Sequence[Asm]) -> bool:
     join-irreducibles: the join and meet of every pair of asms are ASMs
     that bound the pair, and every A = join(biGr(A)).  Quadratic in the
     number of ASMs; the oracle for ``cli._check_lattice``."""
-    from asmprism.perm import bigr_of
-
     try:
         for k, a in enumerate(asms):
             for b in asms[k:]:

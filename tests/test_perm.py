@@ -69,15 +69,14 @@ class TestPerm:
         m = W3412.matrix(4)
         assert validate_asm(m.entries) == m
 
-
-def test_hash_and_equality_agree_across_padding():
-    for w in itertools.permutations(range(1, 5)):
-        u = Perm(w)
-        for padded in (u.padded(4), u.padded(5), u.padded(6)):
-            v = Perm(padded)
-            assert v == u and hash(v) == hash(u) == hash(u.one_line)
-        assert len({u, Perm(u.padded(6)), Perm(u.padded(7))}) == 1
-    assert Perm((2, 1)) != Perm((1, 3, 2)) and Perm.identity() == Perm((1, 2))
+    def test_hash_and_equality_agree_across_padding(self):
+        for w in itertools.permutations(range(1, 5)):
+            u = Perm(w)
+            for padded in (u.padded(4), u.padded(5), u.padded(6)):
+                v = Perm(padded)
+                assert v == u and hash(v) == hash(u) == hash(u.one_line)
+            assert len({u, Perm(u.padded(6)), Perm(u.padded(7))}) == 1
+        assert Perm((2, 1)) != Perm((1, 3, 2)) and Perm.identity() == Perm((1, 2))
 
 
 class TestLength:
