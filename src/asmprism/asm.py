@@ -48,26 +48,17 @@ def _as_rows(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_alternating(entries: tuple[tuple[int, ...], ...]) -> None:
-    """A1 plus the partial-ASM axiom: each row/column's nonzero entries
-    alternate in sign starting with +1."""
-    n = len(entries)
-    for i in range(n):
-        expected = 1
-        for x in entries[i]:
-            if x == 0:
-                continue
-            if x != expected:
-                raise AsmValidationError(f"sign alternation fails in row {i + 1}")
-            expected = -expected
-    for j in range(n):
-        expected = 1
-        for i in range(n):
-            x = entries[i][j]
-            if x == 0:
-                continue
-            if x != expected:
-                raise AsmValidationError(f"sign alternation fails in column {j + 1}")
-            expected = -expected
+    """A1 plus the partial-ASM axiom: each row's, then each column's,
+    nonzero entries alternate in sign starting with +1."""
+    for kind, lines in (("row", entries), ("column", zip(*entries))):
+        for i, line in enumerate(lines, start=1):
+            expected = 1
+            for x in line:
+                if x == 0:
+                    continue
+                if x != expected:
+                    raise AsmValidationError(f"sign alternation fails in {kind} {i}")
+                expected = -expected
 
 
 def _check_entries(entries: tuple[tuple[int, ...], ...]) -> None:

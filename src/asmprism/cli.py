@@ -12,7 +12,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache, partial
+from functools import cache
 from itertools import combinations_with_replacement
 
 from . import asm as asm_mod
@@ -98,10 +98,7 @@ def _anchored(a: Asm) -> bool:
     """A = join(biGr(A)), compared with A's own corner sums.  Every route
     reads Ess(A) through ``rank_conditions``, so a check that compares two
     routes cannot see an error there; this anchor does."""
-    try:
-        return asm_mod.join_all([u.matrix(a.n) for u in perm_mod.bigr_of(a)], a.n) == a
-    except AsmValidationError:
-        return False
+    return asm_mod.join_all([u.matrix(a.n) for u in perm_mod.bigr_of(a)], a.n) == a
 
 
 def _check_theorem1(a: Asm) -> bool:
@@ -144,14 +141,15 @@ def _schur_shapes(n: int) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
-def _verify_each(
-    items_for: Callable[[int], list], check: Callable, detail: str, n: int, jobs: int
-) -> tuple[bool, str]:
-    """Run check on every item for n; detail is formatted with the number
-    that passed and the total."""
-    items = items_for(n)
-    results = _pmap(check, items, jobs)
-    return all(results), detail.format(ok=sum(results), total=len(items))
+def _passes(task: tuple[Callable, object]) -> bool:
+    """check(item) for task = (check, item).  A check that raises ValueError
+    (AsmValidationError is one) has failed on its item: the item is a
+    counterexample, not bad input."""
+    check, item = task
+    try:
+        return check(item)
+    except ValueError:
+        return False
 
 
 @cache
@@ -167,7 +165,8 @@ def _bigrassmannian_pairs(n: int) -> list[tuple[Asm, Asm]]:
 def _check_lattice(a: Asm) -> bool:
     """For each of the C(n + 1, 3) biGrassmannians g of S_n, A join g and
     A meet g w0 are ASMs that bound their arguments; and A = join(biGr(A)).
-    A join or meet that is not an ASM raises AsmValidationError: a failure.
+    A join or meet that is not an ASM raises AsmValidationError, which
+    ``_passes`` counts as a failure.
 
     On all of ASM(n) this proves closure.  Joins are entrywise minima of
     corner sums, and r_B = min(r_g1, ..., r_gk) over biGr(B) (the anchor),
@@ -176,13 +175,10 @@ def _check_lattice(a: Asm) -> bool:
     r'(i, j) = i - r(i, n - j), maps ASM(n) onto itself and turns maxima
     into minima, so r_{B w0} = max(r_g1 w0, ..., r_gk w0): meets chain alike."""
     join, meet, leq = asm_mod.asm_join, asm_mod.asm_meet, asm_mod.asm_leq
-    try:
-        for g, flipped in _bigrassmannian_pairs(a.n):
-            j, m = join(a, g), meet(a, flipped)
-            if not (leq(a, j) and leq(g, j) and leq(m, a) and leq(m, flipped)):
-                return False
-    except AsmValidationError:
-        return False
+    for g, flipped in _bigrassmannian_pairs(a.n):
+        j, m = join(a, g), meet(a, flipped)
+        if not (leq(a, j) and leq(g, j) and leq(m, a) and leq(m, flipped)):
+            return False
     return _anchored(a)
 
 
@@ -196,17 +192,16 @@ def _partitions_in_box(rows: int, cols: int) -> list[tuple[int, ...]]:
     ]
 
 
-# each verify name's largest --n and its run
+# each verify name: its largest --n, its items for n, the check run on each
+# item, and the detail line, filled with the items that passed and the total.
+# schur keeps every tableau it lists (prism._pool): 161,246 at n = 5 and
+# 18,781,524 at n = 6, so its ceiling is 5
 VERIFIERS = {
-    "theorem1": (7, partial(_verify_each, _asms, _check_theorem1, "{ok}/{total} ASMs, both models")),
-    "bijection": (7, partial(_verify_each, _asms, _check_bijection, "{ok}/{total} ASMs, both models")),
-    "groebner": (7, partial(_verify_each, _asms, _check_groebner, "{ok}/{total} ASMs")),
-    "lattice": (7, partial(
-        _verify_each, _asms, _check_lattice, "{total} ASMs, joins/meets closed, A = join(biGr(A))"
-    )),
-    "schur": (7, partial(
-        _verify_each, _schur_shapes, _check_schur, "{ok}/{total} single shapes match the tableau Schur"
-    )),
+    "theorem1": (7, _asms, _check_theorem1, "{ok}/{total} ASMs, both models"),
+    "bijection": (7, _asms, _check_bijection, "{ok}/{total} ASMs, both models"),
+    "groebner": (7, _asms, _check_groebner, "{ok}/{total} ASMs"),
+    "lattice": (7, _asms, _check_lattice, "{total} ASMs, joins/meets closed, A = join(biGr(A))"),
+    "schur": (5, _schur_shapes, _check_schur, "{ok}/{total} single shapes match the tableau Schur"),
 }
 
 
@@ -262,132 +257,115 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run(args: argparse.Namespace) -> int:
-    out = sys.stdout
+def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
+    """The exit code and the output lines of one command."""
+    if args.verb == "count":
+        if args.n < 1:
+            raise CliError("n must be positive")
+        if args.n > MAX_N:
+            raise CliError(f"n must be at most {MAX_N}, got {args.n}")
+        return 0, [str(sum(1 for _ in asm_mod.enumerate_asms(args.n)))]
+
+    if args.verb == "verify":
+        if args.n < 1:
+            raise CliError("--n must be positive")
+        max_n, items_for, check, detail = VERIFIERS[args.name]
+        if args.n > max_n:
+            raise CliError(f"--n must be at most {max_n}, got {args.n}")
+        jobs = _bounded_jobs(args.jobs)
+        items = items_for(args.n)
+        results = _pmap(_passes, [(check, item) for item in items], jobs)
+        detail = detail.format(ok=sum(results), total=len(items))
+        return (0, [f"OK: {detail}"]) if all(results) else (2, [f"FAIL: {detail}"])
+
+    if args.verb == "complete":
+        return 0, [asm_mod.render_asm(asm_mod.canonical_completion(_load_partial(args.asm)))]
+
+    a = _load_asm(args.asm)
     if args.verb == "poly":
-        a = _load_asm(args.asm)
         if args.model in _PRISM_MODELS:
             poly = prism_mod.asm_polynomial(_PRISM_MODELS[args.model](a))
         elif args.model == "schubert-sum":
             poly = pd_mod.min_perm_schubert_sum(a)
         else:
             poly = ideal_mod.multidegree(a)
-        print(poly.render(), file=out)
-        return 0
+        lines = [poly.render()]
 
-    if args.verb == "prism":
-        a = _load_asm(args.asm)
+    elif args.verb == "prism":
         tableaux = sorted(
             prism_mod.prism_set(_PRISM_MODELS[args.model](a)),
             key=prism_mod.serialize_prism_tableau,
         )
-        for idx, t in enumerate(tableaux):
-            if args.format == "structured":
-                line = prism_mod.serialize_prism_tableau(t)
-                if args.verbose:
-                    line += f" wt={prism_mod.prism_weight(t).render()}"
-                print(line, file=out)
-            else:
-                if idx:
-                    print(file=out)
-                print(prism_mod.render_prism_tableau(t), file=out)
-                if args.verbose:
-                    print(f"  wt: {prism_mod.prism_weight(t).render()}", file=out)
-        return 0
+        if args.format == "structured":
+            lines = [
+                prism_mod.serialize_prism_tableau(t)
+                + (f" wt={prism_mod.prism_weight(t).render()}" if args.verbose else "")
+                for t in tableaux
+            ]
+        else:
+            lines = ["\n\n".join(
+                prism_mod.render_prism_tableau(t)
+                + (f"\n  wt: {prism_mod.prism_weight(t).render()}" if args.verbose else "")
+                for t in tableaux
+            )]
 
-    if args.verb == "facets":
-        a = _load_asm(args.asm)
+    elif args.verb == "facets":
         facets = pd_mod.delta_fmax(a) if args.max else pd_mod.delta_facets(a)
         diagrams = sorted(facets, key=lambda d: d.sorted_cells())
-        for idx, d in enumerate(diagrams):
-            if args.format == "structured":
-                print(_cells_line(d.cells), file=out)
-            else:
-                if idx:
-                    print(file=out)
-                print(d.render(), file=out)
-        return 0
+        if args.format == "structured":
+            lines = [_cells_line(d.cells) for d in diagrams]
+        else:
+            lines = ["\n\n".join(d.render() for d in diagrams)]
 
-    if args.verb in ("perm-set", "min-perm"):
-        a = _load_asm(args.asm)
+    elif args.verb in ("perm-set", "min-perm"):
         ws = perm_mod.perm_set(a) if args.verb == "perm-set" else perm_mod.min_perm_set(a)
-        for w in sorted(ws, key=lambda w: w.padded(a.n)):
-            print(w.render(a.n), file=out)
-        return 0
+        lines = [w.render(a.n) for w in sorted(ws, key=lambda w: w.padded(a.n))]
 
-    if args.verb == "deg":
-        print(perm_mod.deg(_load_asm(args.asm)), file=out)
-        return 0
+    elif args.verb == "deg":
+        lines = [str(perm_mod.deg(a))]
 
-    if args.verb == "diagram":
-        a = _load_asm(args.asm)
+    elif args.verb == "diagram":
         cells = asm_mod.inversions(a)
         if args.format == "structured":
-            print(_cells_line(cells), file=out)
+            lines = [_cells_line(cells)]
         else:
-            for i in range(1, a.n + 1):
-                print("".join("#" if (i, j) in cells else "." for j in range(1, a.n + 1)), file=out)
-        return 0
+            lines = [
+                "".join("#" if (i, j) in cells else "." for j in range(1, a.n + 1))
+                for i in range(1, a.n + 1)
+            ]
 
-    if args.verb == "essential":
-        a = _load_asm(args.asm)
-        print(_cells_line(asm_mod.essential_set(a)), file=out)
-        return 0
+    elif args.verb == "essential":
+        lines = [_cells_line(asm_mod.essential_set(a))]
 
-    if args.verb == "triangle":
-        a = _load_asm(args.asm)
-        for row in asm_mod.monotone_triangle(a).rows:
-            print(" ".join(str(x) for x in row), file=out)
-        return 0
+    elif args.verb == "triangle":
+        lines = [" ".join(str(x) for x in row) for row in asm_mod.monotone_triangle(a).rows]
 
-    if args.verb == "ideal":
-        a = _load_asm(args.asm)
+    elif args.verb == "ideal":
         if args.init:
-            for s in sorted(ideal_mod.initial_ideal(a), key=lambda s: (len(s), sorted(s))):
-                print("*".join(f"z[{i}][{j}]" for i, j in sorted(s)), file=out)
+            lines = [
+                "*".join(f"z[{i}][{j}]" for i, j in sorted(s))
+                for s in sorted(ideal_mod.initial_ideal(a), key=lambda s: (len(s), sorted(s)))
+            ]
         else:
             sr = ideal_mod.stanley_reisner_facets(ideal_mod.initial_ideal(a), a.n)
-            for f in sorted(sr.facets, key=lambda f: sorted(f)):
-                print(_cells_line(f), file=out)
-        return 0
+            lines = [_cells_line(f) for f in sorted(sr.facets, key=lambda f: sorted(f))]
 
-    if args.verb == "count":
-        if args.n < 1:
-            raise CliError("n must be positive")
-        if args.n > MAX_N:
-            raise CliError(f"n must be at most {MAX_N}, got {args.n}")
-        print(sum(1 for _ in asm_mod.enumerate_asms(args.n)), file=out)
-        return 0
-
-    if args.verb == "verify":
-        if args.n < 1:
-            raise CliError("--n must be positive")
-        max_n, verify = VERIFIERS[args.name]
-        if args.n > max_n:
-            raise CliError(f"--n must be at most {max_n}, got {args.n}")
-        passed, detail = verify(args.n, _bounded_jobs(args.jobs))
-        if passed:
-            print(f"OK: {detail}", file=out)
-            return 0
-        print(f"FAIL: {detail}", file=out)
-        return 2
-
-    if args.verb == "complete":
-        p = _load_partial(args.asm)
-        print(asm_mod.render_asm(asm_mod.canonical_completion(p)), file=out)
-        return 0
-
-    raise CliError(f"unknown verb {args.verb!r}")
+    else:
+        raise CliError(f"unknown verb {args.verb!r}")
+    return 0, lines
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code, lines = _run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

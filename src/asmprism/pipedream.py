@@ -18,7 +18,7 @@ from functools import lru_cache
 from .algebra import Monomial, Polynomial, grid_cells, grid_set, grid_weight_sum
 from .asm import Asm, Cell, _trusted_asm
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
-from .prism import Filling, PrismShapeSpec, PrismTableau, _Fillings, _unstable, phi_cells
+from .prism import Filling, PrismShapeSpec, PrismTableau, _as_filling, _Fillings, _unstable
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,11 @@ def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
 
 
 def phi(t: PrismTableau) -> PlusDiagram:
-    """The overlay map as a plus diagram (see prism.phi_cells)."""
-    return PlusDiagram(t.spec.ambient_size, phi_cells(t))
+    """The overlay map: a label v in grid cell (a, b) places a plus at
+    (v, a + b - v), and the components are unioned, so each plus is one
+    (label, antidiagonal) pair of t.  The union is an in-grid mask (see
+    ``prism._entry``)."""
+    return PlusDiagram._of_mask(_as_filling(t)[1], t.spec.ambient_size)
 
 
 @dataclass
@@ -188,14 +191,6 @@ class BijectionReport:
     checks: dict[str, bool]
     counts: dict[str, int]
     failure: str | None = None
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
-        out = f"{status} ({counts})"
-        if self.failure:
-            out += f"\n  counterexample: {self.failure}"
-        return out
 
 
 def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
@@ -236,39 +231,31 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
     fillings = _Fillings(spec, a.n)
     fibers = fillings.fibers(facets)
 
-    checks: dict[str, bool] = {}
     failure: str | None = None
-
-    def fail(msg: str) -> None:
-        nonlocal failure
-        if failure is None:
-            failure = msg
-
-    missing = [m for m in facets if m not in fibers]
-    checks["facets_covered"] = not missing
-    if missing:
-        fail(f"facet with pluses {sorted(grid_cells(missing[0], a.n))} has empty fiber")
-
-    fiber_ok = True
+    covered = unique = True
     stable_count = 0
     for mask in facets:
         fib = fibers.get(mask, [])
         stable = [f for f in fib if not _unstable(f)]
         stable_count += len(stable)
-        if len(stable) != 1:
-            fiber_ok = False
-            fail(f"facet {sorted(grid_cells(mask, a.n))} has {len(stable)} stable tableaux in its fiber")
+        if len(stable) == 1 and _dominates(stable[0], fib):
             continue
-        if not _dominates(stable[0], fib):
-            fiber_ok = False
-            fail(f"stable tableau in fiber of {sorted(grid_cells(mask, a.n))} is not the fiber maximum")
-    checks["unique_stable_per_fiber"] = fiber_ok
+        unique = False
+        pluses = sorted(grid_cells(mask, a.n))
+        if not fib:
+            covered = False
+            problem = f"facet with pluses {pluses} has empty fiber"
+        elif len(stable) != 1:
+            problem = f"facet {pluses} has {len(stable)} stable tableaux in its fiber"
+        else:
+            problem = f"stable tableau in fiber of {pluses} is not the fiber maximum"
+        failure = failure or problem
 
     prism = fillings.prism()
-    dmatch = {union for _, union in prism} == fmax and len(prism) == len(fmax)
-    if not dmatch:
-        fail("prism set does not biject with the maximal-dimension facets")
-    checks["prism_matches_fmax"] = dmatch
+    matches = {union for _, union in prism} == fmax and len(prism) == len(fmax)
+    if not matches:
+        failure = failure or "prism set does not biject with the maximal-dimension facets"
+    checks = {"facets_covered": covered, "unique_stable_per_fiber": unique, "prism_matches_fmax": matches}
 
     counts = {
         "all_prism": fillings.count(),

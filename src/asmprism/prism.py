@@ -10,7 +10,7 @@ A cell (a, b) lies on antidiagonal a + b - 1.  The weight of a prism
 tableau is prod x_v^{n_v} where n_v counts the antidiagonals containing
 the label v in any color; a label repeated across colors on one
 antidiagonal counts once.  It is computed as the row-count weight of the
-tableau's image under the overlay map phi (``phi_cells``), which has one
+tableau's image under the overlay map phi (``pipedream.phi``), which has one
 plus per (label, antidiagonal) pair.  The searches carry those images as
 grid masks (see ``algebra``), built once per component filling (see
 ``_entry``), so a union of images is a plus diagram's mask.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .algebra import Monomial, Polynomial, _row_counts, grid_cells, grid_weight_sum, poly_from_monomials
-from .asm import Asm, Cell, _row_partition, _triangle_rows, rank_conditions
+from .algebra import Monomial, Polynomial, _row_counts, grid_weight_sum, poly_from_monomials
+from .asm import Asm, _row_partition, _triangle_rows, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -240,13 +240,6 @@ def _as_filling(t: PrismTableau) -> Filling:
     return entries, union
 
 
-def phi_cells(t: PrismTableau) -> frozenset[Cell]:
-    """The cells of the overlay map phi: a label v in grid cell (a, b)
-    places a plus at (v, a + b - v); the components are unioned.  Each
-    cell is one (label, antidiagonal) pair of t."""
-    return grid_cells(_as_filling(t)[1], t.spec.ambient_size)
-
-
 def prism_weight(t: PrismTableau) -> Monomial:
     """The row-count weight of phi(t): x_v counts the antidiagonals that
     carry the label v."""
@@ -450,22 +443,17 @@ def schur_polynomial_ssyt(lam: Sequence[int], d: int) -> Polynomial:
 
 
 def render_prism_tableau(t: PrismTableau) -> str:
-    """Per component: the filled grid rows, bottom-aligned at the depth."""
+    """Per component: the filled grid rows, top row first, each padded
+    with '.' to the longest row."""
     blocks = []
     for c, comp in enumerate(t.components, start=1):
-        lam, d = comp.shape, comp.depth
-        header = f"color {c} (d={d}, shape={lam if lam else '()'})"
+        lam = comp.shape
+        header = f"color {c} (d={comp.depth}, shape={lam if lam else '()'})"
         if not lam:
             blocks.append(header + "\n  (empty)")
             continue
-        width = lam[0]
-        grid = {(a, b): v for a, b, v in comp.cells()}
-        lines = []
-        for a in range(d - len(lam) + 1, d + 1):
-            lines.append("  " + " ".join(
-                str(grid[(a, b)]) if (a, b) in grid else "." for b in range(1, width + 1)
-            ))
-        blocks.append(header + "\n" + "\n".join(lines))
+        lines = ["  " + " ".join(map(str, row)) + " ." * (lam[0] - len(row)) for row in reversed(comp.rows)]
+        blocks.append("\n".join([header, *lines]))
     return "\n".join(blocks)
 
 

@@ -114,7 +114,7 @@ def test_criterion_4_bijection_theorem():
         specs.append(PrismShapeSpec(((2,), (2,)), (1, 2)))  # shared model of NONEQI
         for spec in specs:
             report = verify_bijection(spec)
-            assert report.passed, report.summary()
+            assert report.passed, report.failure
             assert report.checks["unique_stable_per_fiber"]
 
 

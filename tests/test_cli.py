@@ -166,23 +166,40 @@ class TestVerify:
         assert err == ""
 
     def test_failure_exits_2(self, monkeypatch):
-        monkeypatch.setitem(cli.VERIFIERS, "theorem1", (7, lambda n, jobs: (False, "0/7 ASMs")))
+        monkeypatch.setitem(cli.VERIFIERS, "theorem1", (7, cli._asms, lambda a: False, "0/{total} ASMs"))
         code, out, _ = run(["verify", "theorem1", "--n", "3"])
         assert code == 2
         assert out.startswith("FAIL")
         assert "OK" not in out
 
 
-def _drop_last_rank_condition(monkeypatch):
-    """Make every module's rank_conditions lose its last condition."""
-    rank_conditions = cli.asm_mod.rank_conditions
+RANK_CORRUPTIONS = {
+    "drop last": lambda conds: conds[:-1],
+    "drop first": lambda conds: conds[1:],
+    "raise r below min(i, j)": lambda conds: [
+        (i, j, r + 1 if r + 1 < min(i, j) else r) for i, j, r in conds
+    ],
+}
+
+
+def _corrupt_rank_conditions(monkeypatch, corruption: str):
+    """Make every module's rank_conditions apply the named corruption."""
+    rank_conditions, wrong = cli.asm_mod.rank_conditions, RANK_CORRUPTIONS[corruption]
     for mod in ("asm", "perm", "ideal", "prism"):
-        monkeypatch.setattr(f"asmprism.{mod}.rank_conditions", lambda a: rank_conditions(a)[:-1])
+        monkeypatch.setattr(f"asmprism.{mod}.rank_conditions", lambda a: wrong(rank_conditions(a)))
+
+
+def _triangle_rows_one_down(monkeypatch):
+    """Make the parabolic model read triangle row i + 1 for row i."""
+    triangle_rows = cli.asm_mod._triangle_rows
+    monkeypatch.setattr("asmprism.prism._triangle_rows", lambda a, rows: triangle_rows(a, [i + 1 for i in rows]))
 
 
 class TestAnchors:
-    """Every per-ASM check compares join(biGr(A)) with A's own corner sums,
-    so an error in rank_conditions, which every route reads, fails it."""
+    """Route-level mutation tests: a shared kernel made wrong, and the line
+    each verify name prints over ASM(4).  Every per-ASM check compares
+    join(biGr(A)) with A's own corner sums, so an error in rank_conditions,
+    which every route reads, fails it."""
 
     @pytest.mark.parametrize("name,line", [
         ("groebner", "FAIL: 1/42 ASMs\n"),
@@ -191,14 +208,42 @@ class TestAnchors:
         ("lattice", "FAIL: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
     ])
     def test_dropped_rank_condition_fails_every_check(self, monkeypatch, name, line):
-        _drop_last_rank_condition(monkeypatch)
+        _corrupt_rank_conditions(monkeypatch, "drop last")
         assert run(["verify", name, "--n", "4", "--jobs", "1"]) == (2, line, "")
+
+    @pytest.mark.parametrize("corruption,ok", [("drop first", 1), ("raise r below min(i, j)", 38)])
+    @pytest.mark.parametrize("name,line", [
+        ("groebner", "FAIL: {ok}/42 ASMs\n"),
+        ("theorem1", "FAIL: {ok}/42 ASMs, both models\n"),
+        ("bijection", "FAIL: {ok}/42 ASMs, both models\n"),
+        ("lattice", "FAIL: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+    ])
+    def test_other_rank_corruptions_fail_every_check(self, monkeypatch, corruption, ok, name, line):
+        _corrupt_rank_conditions(monkeypatch, corruption)
+        assert run(["verify", name, "--n", "4", "--jobs", "1"]) == (2, line.format(ok=ok), "")
 
     def test_groebner_needs_the_anchor(self, monkeypatch):
         # both sides of the groebner comparison read the same wrong conditions
-        _drop_last_rank_condition(monkeypatch)
+        _corrupt_rank_conditions(monkeypatch, "drop last")
         monkeypatch.setattr(cli, "_anchored", lambda a: True)
         assert run(["verify", "groebner", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs\n", "")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("name,n,code,line", [
+        # the wrong triangle asks for a shape deeper than its depth, and the
+        # ValueError that raises is a failed ASM, not bad input
+        ("theorem1", "3", 2, "FAIL: 1/7 ASMs, both models\n"),
+        ("theorem1", "4", 2, "FAIL: 1/42 ASMs, both models\n"),
+        ("bijection", "3", 2, "FAIL: 1/7 ASMs, both models\n"),
+        ("bijection", "4", 2, "FAIL: 1/42 ASMs, both models\n"),
+        # neither reads the triangle
+        ("groebner", "4", 0, "OK: 42/42 ASMs\n"),
+        ("lattice", "4", 0, "OK: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+    ])
+    def test_triangle_rows_one_down(self, monkeypatch, jobs, name, n, code, line):
+        # the pool's workers are forked, so they run the patched kernel too
+        _triangle_rows_one_down(monkeypatch)
+        assert run(["verify", name, "--n", n, "--jobs", jobs]) == (code, line, "")
 
 
 def _first_row_from(real, operand: int):
@@ -221,6 +266,12 @@ KERNEL_CORRUPTIONS = {
 }
 
 
+def _lattice_verdict(asms) -> bool:
+    """verify lattice's verdict on asms: a join or meet outside ASM(n)
+    raises, and _passes counts that as a failure."""
+    return all(cli._passes((cli._check_lattice, a)) for a in asms)
+
+
 class TestLatticeOracle:
     """verify lattice on join-irreducibles against the pair check it
     replaced (conftest's pair_lattice_check)."""
@@ -228,7 +279,7 @@ class TestLatticeOracle:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_verdict(self, n):
         asms = list(cli.asm_mod.enumerate_asms(n))
-        assert all(map(cli._check_lattice, asms)) is pair_lattice_check(asms) is True
+        assert _lattice_verdict(asms) is pair_lattice_check(asms) is True
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("corruption", sorted(KERNEL_CORRUPTIONS))
@@ -236,7 +287,7 @@ class TestLatticeOracle:
         asms = list(cli.asm_mod.enumerate_asms(n))
         kernel, wrong = KERNEL_CORRUPTIONS[corruption]
         monkeypatch.setattr(cli.asm_mod, kernel, wrong)
-        assert all(map(cli._check_lattice, asms)) is pair_lattice_check(asms) is False
+        assert _lattice_verdict(asms) is pair_lattice_check(asms) is False
 
     def test_joins_take_g_and_meets_take_g_flipped(self, monkeypatch):
         calls = {"asm_join": [], "asm_meet": []}
@@ -407,6 +458,7 @@ class TestSizeLimits:
             (cli.asm_mod, "validate_asm"),
             (cli.asm_mod, "validate_partial_asm"),
             (cli.perm_mod, "_minimal_above"),
+            (cli, "_schur_shapes"),
         ]:
             monkeypatch.setattr(mod, name, refuse)
 
@@ -418,6 +470,10 @@ class TestSizeLimits:
         ceiling = {"theorem1": 7, "lattice": 7}[name]
         assert run(["verify", name, "--n", "8"]) == (
             1, "", f"error: --n must be at most {ceiling}, got 8\n")
+
+    def test_verify_schur_n6(self):
+        # the Schur side alone would list 18,781,524 tableaux and keep them
+        assert run(["verify", "schur", "--n", "6"]) == (1, "", "error: --n must be at most 5, got 6\n")
 
     def test_verify_lattice_n8(self):
         # the 10,850,216 ASMs of ASM(8) would be listed in the parent: refused before enumeration
@@ -437,8 +493,8 @@ class TestSizeLimits:
 
 def test_size_limits_admit_8x8(tmp_path):
     assert cli.MAX_N == 8
-    assert {name: max_n for name, (max_n, _) in cli.VERIFIERS.items()} == {
-        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 7, "schur": 7}
+    assert {name: max_n for name, (max_n, *_) in cli.VERIFIERS.items()} == {
+        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 7, "schur": 5}
     p = tmp_path / "id8.txt"
     p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
     assert run(["deg", "--asm", str(p)]) == (0, "0\n", "")

@@ -14,7 +14,7 @@ from conftest import (
 )
 
 from asmprism.algebra import Monomial, poly_from_monomials
-from asmprism.asm import embed, enumerate_asms, identity_asm, rank_conditions
+from asmprism.asm import embed, enumerate_asms, identity_asm, rank_conditions, validate_asm
 from asmprism.ideal import (
     _antidiagonals,
     _hitting_masks,
@@ -218,6 +218,24 @@ class TestHittingSets:
     def test_matches_brute_force_asm6_sample(self):
         for a in [identity_asm(6)] + list(enumerate_asms(6))[::500]:
             assert_hitting_sets_match(initial_ideal(a))
+
+
+def transposed(cells) -> frozenset:
+    return frozenset((j, i) for i, j in cells)
+
+
+class TestTranspose:
+    """A metamorphic check that reads one route at a time: transposing A
+    transposes the facets of its subword complex and the Stanley-Reisner
+    facets of its initial ideal."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_facets_of_the_transpose(self, n):
+        for a in enumerate_asms(n):
+            at = validate_asm(list(zip(*a.entries)))
+            assert {d.cells for d in delta_facets(at)} == {transposed(d.cells) for d in delta_facets(a)}
+            sr, sr_t = (stanley_reisner_facets(initial_ideal(b), n).facets for b in (a, at))
+            assert sr_t == {transposed(f) for f in sr}
 
 
 class TestStanleyReisner:

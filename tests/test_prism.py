@@ -20,6 +20,7 @@ from conftest import (
 
 from asmprism.algebra import Monomial, Polynomial, grid_cells, poly_from_monomials
 from asmprism.asm import asm_leq, enumerate_asms, identity_asm, monotone_triangle
+from asmprism.pipedream import phi
 from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
@@ -33,7 +34,6 @@ from asmprism.prism import (
     enumerate_rssyt,
     parabolic_model,
     partition,
-    phi_cells,
     prism_set,
     prism_weight,
     rectangle,
@@ -255,7 +255,7 @@ class TestUnstableTripleKernel:
                 for spec in (bigrassmannian_model(a), parabolic_model(a)):
                     for t in all_prism_tableaux(spec):
                         assert has_unstable_triple(t) == brute_force_unstable_triple(t)
-                        assert phi_cells(t) == brute_force_phi_image(t)
+                        assert phi(t).cells == brute_force_phi_image(t)
 
     def test_minimal_fillings_asm5_and_asm6_sample(self):
         asms = list(enumerate_asms(5)) + list(enumerate_asms(6))[::500]
