@@ -2,7 +2,7 @@
 prism tableaux, pipe dreams and subword-complex facets, determinantal
 initial ideals, and the polynomials they all compute."""
 
-from .algebra import Monomial, Polynomial, ZeroPolynomialError, poly_from_monomials
+from .algebra import Monomial, Polynomial, poly_from_monomials
 from .asm import (
     Asm,
     AsmValidationError,

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from functools import cache
 
 
-class ZeroPolynomialError(ValueError):
-    """Raised for operations undefined on the zero polynomial."""
-
-
 @dataclass(frozen=True)
 class Monomial:
     """A product of variable powers, as a normalized exponent tuple."""
@@ -128,25 +124,12 @@ class Polynomial:
     def one(cls) -> Polynomial:
         return cls({Monomial.one(): 1})
 
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff: int = 1) -> Polynomial:
-        return cls({m: coeff})
-
     @property
     def terms(self) -> dict[Monomial, int]:
         return {Monomial(e): c for e, c in self._terms.items()}
 
     def coefficient(self, m: Monomial) -> int:
         return self._terms.get(m.exponents, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def min_total_degree(self) -> int:
-        if not self._terms:
-            raise ZeroPolynomialError("undefined degree: zero polynomial")
-        return min(map(sum, self._terms))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         merged = dict(self._terms)

@@ -20,6 +20,7 @@ from . import ideal as ideal_mod
 from . import perm as perm_mod
 from . import pipedream as pd_mod
 from . import prism as prism_mod
+from .algebra import Monomial, Polynomial
 from .asm import Asm, AsmValidationError, MatrixParseError, PartialAsm
 
 
@@ -102,17 +103,25 @@ def _anchored(a: Asm) -> bool:
 
 
 def _check_theorem1(a: Asm) -> bool:
-    target = pd_mod.min_perm_schubert_sum(a)
+    """Every route weighs through ``algebra._row_counts``, so the weights are
+    anchored too: each w in MinPerm(A) adds x^code(w), the weight of its
+    bottom pipe dream, and coefficients count pipe dreams, so none cancels."""
+    mins = perm_mod.min_perm_set(a)
+    target = sum((pd_mod.schubert_polynomial(w, a.n) for w in mins), Polynomial.zero())
     return (
         _anchored(a)
+        and all(target.coefficient(Monomial(w.code())) > 0 for w in mins)
         and all(prism_mod.asm_polynomial(model(a)) == target for model in _PRISM_MODELS.values())
         and ideal_mod.multidegree(a) == target
     )
 
 
 def _check_bijection(a: Asm) -> bool:
+    """Each model's A_{lambda, d}, rebuilt at the spec's ambient size, is A
+    under the embedding, and the model's bijection report passes."""
+    specs = [model(a) for model in _PRISM_MODELS.values()]
     return _anchored(a) and all(
-        pd_mod.verify_bijection(model(a), a).passed for model in _PRISM_MODELS.values()
+        perm_mod.asm_from_shape_tuple(s.lambdas, s.ds) == a and pd_mod.verify_bijection(s).passed for s in specs
     )
 
 

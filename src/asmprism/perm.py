@@ -46,8 +46,12 @@ class Perm:
         return self.one_line + tuple(range(self.size + 1, n + 1))
 
     def length(self) -> int:
+        return sum(self.code())
+
+    def code(self) -> tuple[int, ...]:
+        """The Lehmer code: entry i counts the later values below w(i)."""
         w = self.one_line
-        return sum(1 for a, b in itertools.combinations(w, 2) if a > b)
+        return tuple(sum(1 for later in w[i + 1:] if later < v) for i, v in enumerate(w))
 
     def matrix(self, n: int | None = None) -> Asm:
         """The permutation matrix in ASM(n), n defaulting to the size; an n
@@ -104,11 +108,9 @@ def _grassmannian(lam: tuple[int, ...], d: int, n: int) -> Perm:
     return Perm(tuple(head + tail))
 
 
-@cache
 def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:
     """The block biGrassmannian [i, j, r]_b in S_n; the identity when
-    r = min(i, j).  Kept per process: S_n has C(n + 1, 3) biGrassmannians,
-    and a call that raises leaves no entry."""
+    r = min(i, j).  ``_bigrassmannians`` keeps those of S_n per process."""
     if i < 1 or j < 1:
         raise ValueError("need 1 <= i, j (B1)")
     if not 0 <= r <= min(i, j):
@@ -120,18 +122,17 @@ def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:
     return Perm(bigrassmannian_one_line(i, j, r, n))
 
 
-def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int], n: int | None = None) -> Asm:
+def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int]) -> Asm:
     """A_{lambda, d}: the join of the Grassmannian permutation matrices
-    [lam^(i), d_i]_g in ASM(n).  When n is omitted the smallest ambient
-    size containing every shape is used."""
+    [lam^(i), d_i]_g in ASM(n), n the smallest ambient size containing
+    every shape."""
     if len(lams) != len(ds):
         raise ValueError(f"{len(lams)} shapes but {len(ds)} descents")
     shapes = [tuple(p for p in lam if p) for lam in lams]
     for lam, d in zip(shapes, ds):
         if d < max(1, len(lam)):
             raise ValueError(f"descent {d} smaller than the length of {lam}")
-    if n is None:
-        n = max([d + lam[0] for lam, d in zip(shapes, ds) if lam], default=1)
+    n = max([d + lam[0] for lam, d in zip(shapes, ds) if lam], default=1)
     return join_all([grassmannian_encode(lam, d, n).matrix(n) for lam, d in zip(shapes, ds)], n)
 
 

@@ -11,14 +11,14 @@ reverses containment of diagrams.
 
 from __future__ import annotations
 
-from collections.abc import Sequence, Set
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Monomial, Polynomial, grid_cells, grid_set, grid_weight_sum
+from .algebra import Polynomial, grid_cells, grid_set, grid_weight_sum
 from .asm import Asm, Cell, _trusted_asm
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
-from .prism import Filling, PrismShapeSpec, PrismTableau, _as_filling, _Fillings, _unstable
+from .prism import PrismShapeSpec, PrismTableau, _as_filling, _dominates, _Fillings, _unstable
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class PlusDiagram:
     def sorted_cells(self) -> list[Cell]:
         return sorted(self.cells)
 
-    def weight(self) -> Monomial:
-        """prod x_i^(number of pluses in row i)."""
-        return Monomial.counting(i for i, _ in self.cells)
-
     def complement_cells(self) -> frozenset[Cell]:
         """The facet Q - P of the subword complex that P stands for."""
         return grid_set(self.n) - self.cells
@@ -66,10 +62,8 @@ def _bottom_mask(w: Perm, n: int) -> int:
     code(w)_i left-justified pluses in row i."""
     if w.size > n:
         raise ValueError(f"{w} does not fit in the {n}x{n} grid")
-    line = w.padded(n)
     mask = 0
-    for i in range(n):
-        code = sum(1 for later in line[i + 1:] if later < line[i])
+    for i, code in enumerate(w.code()):
         mask |= ((1 << code) - 1) << i * n
     return mask
 
@@ -116,26 +110,26 @@ def pipe_dreams_of(w: Perm, n: int) -> frozenset[PlusDiagram]:
 
 def schubert_polynomial(w: Perm, n: int | None = None) -> Polynomial:
     """Pipe-dream formula: sum of row-count monomials over pipe dreams.
+    A given n only checks that w fits in S_n.
 
-    The sum is kept per process, keyed on w's one-line word and the grid
-    width: it does not depend on the ASM that asks for it, and ASMs share
-    most of their minimal permutations.  All of S_7 at width 7 holds about
-    16 MB."""
-    n = max(w.size, 1) if n is None else n
-    return _schubert(w.one_line, n)
+    The sum is kept per process, keyed on w's one-line word: a reduced
+    word of w in S_k uses only s_1..s_{k-1}, so its pipe dreams lie in the
+    k-by-k staircase at any width, and ASMs share most of their minimal
+    permutations.  All of S_7 holds about 16 MB."""
+    if n is not None and w.size > n:
+        raise ValueError(f"{w} does not fit in the {n}x{n} grid")
+    return _schubert(w.one_line)
 
 
 @lru_cache(maxsize=None)
-def _schubert(line: tuple[int, ...], n: int) -> Polynomial:
+def _schubert(line: tuple[int, ...]) -> Polynomial:
+    n = max(len(line), 1)
     return grid_weight_sum(_pipe_dream_masks(Perm(line), n), n)
 
 
 def min_perm_schubert_sum(a: Asm) -> Polynomial:
     """The sum of the Schubert polynomials of MinPerm(A)."""
-    total = Polynomial.zero()
-    for w in min_perm_set(a):
-        total = total + schubert_polynomial(w, a.n)
-    return total
+    return sum((schubert_polynomial(w, a.n) for w in min_perm_set(a)), Polynomial.zero())
 
 
 def _facet_masks(a: Asm) -> frozenset[int]:
@@ -193,19 +187,7 @@ class BijectionReport:
     failure: str | None = None
 
 
-def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
-    """Is every entry of ``top`` at least the matching entry of every member
-    of the fiber?  When ``top`` lies in the fiber, this says it is the
-    fiber's entrywise maximum.  All fillings of one spec have one shape,
-    so their components' packed labels match up field by field (see
-    ``prism._entry``): one subtraction per component, skipped when the
-    member shares the component's entry with ``top``."""
-    highs = [(entry, entry[3] | entry[4], entry[4]) for entry in top[0]]
-    return all(entry is high or (guarded - entry[3]) & guards == guards
-               for member, _ in fiber for entry, (high, guarded, guards) in zip(member, highs))
-
-
-def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionReport:
+def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     """Check, exhaustively over the prism tableaux that phi maps onto a
     facet of Delta(Q, A):
 
@@ -220,15 +202,13 @@ def verify_bijection(spec: PrismShapeSpec, a: Asm | None = None) -> BijectionRep
     phi preserves weights by construction: a prism weight is the row-count
     weight of the tableau's phi image.
 
-    ``a`` is A_{lambda, d}, the ASM whose model the spec is; a caller that
-    built the spec from A passes it, and otherwise it is rebuilt from the
-    spec.
+    A is A_{lambda, d}, rebuilt from the spec at its ambient size, so the
+    facets and the fillings share one grid.
     """
-    if a is None:
-        a = asm_from_shape_tuple(spec.lambdas, spec.ds)
+    a = asm_from_shape_tuple(spec.lambdas, spec.ds)
     facets = _facet_masks(a)
     fmax = _fewest(facets)
-    fillings = _Fillings(spec, a.n)
+    fillings = _Fillings(spec)
     fibers = fillings.fibers(facets)
 
     failure: str | None = None

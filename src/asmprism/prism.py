@@ -211,6 +211,18 @@ def _entry(f: Rssyt, n: int) -> Entry:
     return f, cells, tuple(candidates), labels, guards
 
 
+def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
+    """Is every entry of ``top`` at least the matching entry of every member
+    of the fiber?  When ``top`` lies in the fiber, this says it is the
+    fiber's entrywise maximum.  All fillings of one spec have one shape,
+    so their components' packed labels match up field by field (see
+    ``_entry``): one subtraction per component, skipped when the member
+    shares the component's entry with ``top``."""
+    highs = [(entry, entry[3] | entry[4], entry[4]) for entry in top[0]]
+    return all(entry is high or (guarded - entry[3]) & guards == guards
+               for member, _ in fiber for entry, (high, guarded, guards) in zip(member, highs))
+
+
 def _unstable(filling: Filling) -> bool:
     """Does the filling have an unstable triple?  A label sits at most once
     on an antidiagonal of one component, so ``twice`` holds the (label,
@@ -252,20 +264,17 @@ def _pool(lam: Partition, d: int, n: int) -> tuple[Entry, ...]:
     entries on the n-by-n grid; built once per process.  The grid width
     is part of the key because it sets the entries' bits.  A spec of
     ambient size m has its shapes inside d x (m - d), and it is walked at
-    width m or at the n of its ASM, so the cache stays small."""
+    width m, so the cache stays small."""
     return tuple(_entry(f, n) for f in enumerate_rssyt(lam, d))
 
 
 class _Fillings:
-    """The fillings of one spec on the n-by-n grid, n at least its
-    ambient size: each component's pool (see _pool), with the walks over
-    their product."""
+    """The fillings of one spec on the grid of its ambient size n: each
+    component's pool (see _pool), with the walks over their product."""
 
-    def __init__(self, spec: PrismShapeSpec, n: int) -> None:
-        if n < spec.ambient_size:
-            raise ValueError(f"grid width {n} below the ambient size {spec.ambient_size}")
+    def __init__(self, spec: PrismShapeSpec) -> None:
         self.spec = spec
-        self.n = n
+        self.n = n = spec.ambient_size
         self.pools = [_pool(lam, d, n) for lam, d in zip(spec.lambdas, spec.ds)]
 
     def count(self) -> int:
@@ -376,14 +385,14 @@ def _bits(mask: int) -> Iterator[int]:
 def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:
     """The minimal prism tableaux with no unstable triples, in enumeration
     order."""
-    fillings = _Fillings(spec, spec.ambient_size)
+    fillings = _Fillings(spec)
     return [fillings.tableau(f) for f in fillings.prism()]
 
 
 def asm_polynomial(spec: PrismShapeSpec) -> Polynomial:
     """The weighted sum over prism_set(spec)."""
-    n = spec.ambient_size
-    return grid_weight_sum((union for _, union in _Fillings(spec, n).prism()), n)
+    fillings = _Fillings(spec)
+    return grid_weight_sum((union for _, union in fillings.prism()), fillings.n)
 
 
 def bigrassmannian_model(a: Asm) -> PrismShapeSpec:

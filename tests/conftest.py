@@ -473,7 +473,7 @@ def _schubert_by_descent(line: tuple[int, ...]) -> Polynomial:
     n = len(line)
     staircase = tuple(range(n, 0, -1))
     if line == staircase:
-        return Polynomial.from_monomial(Monomial(tuple(n - i for i in range(1, n + 1))))
+        return Polynomial({Monomial(tuple(n - i for i in range(1, n + 1))): 1})
     i = next(k for k in range(1, n) if line[k - 1] < line[k])
     longer = list(line)
     longer[i - 1], longer[i] = longer[i], longer[i - 1]
@@ -633,7 +633,7 @@ def prism_min_degree(spec) -> int:
     the first result of the library's minimal walk."""
     from asmprism.prism import _Fillings
 
-    return _Fillings(spec, spec.ambient_size).minimal()[0]
+    return _Fillings(spec).minimal()[0]
 
 
 def has_unstable_triple(t) -> bool:
@@ -677,15 +677,16 @@ def all_prism_tableaux(spec):
         yield PrismTableau(spec, tuple(combo))
 
 
-def phi_fibers(spec, images, n):
-    """The fiber search inside verify_bijection on the n-by-n grid, with
-    its images as sets of cells and its fillings as prism tableaux: the
-    number of fillings of spec, and the fibers over ``images`` in
-    enumeration order."""
+def phi_fibers(spec, images):
+    """The fiber search inside verify_bijection on the grid of the spec's
+    ambient size, with its images as sets of cells and its fillings as
+    prism tableaux: the number of fillings of spec, and the fibers over
+    ``images`` in enumeration order."""
     from asmprism.algebra import grid_cells
     from asmprism.prism import _Fillings
 
-    fillings = _Fillings(spec, n)
+    fillings = _Fillings(spec)
+    n = fillings.n
     targets = {sum(1 << (i - 1) * n + j - 1 for i, j in image) for image in images}
     fibers = {
         grid_cells(mask, n): [fillings.tableau(f) for f in fib]
@@ -734,7 +735,7 @@ def _labels(filling) -> list[int]:
 def entrywise_dominates(top, fiber) -> bool:
     """The fiber-dominance test on flat label lists: is every label of the
     filling ``top`` at least the matching label of every member?  The
-    oracle for the packed test ``pipedream._dominates``."""
+    oracle for the packed test ``prism._dominates``."""
     highs = _labels(top)
     return all(all(map(operator.ge, highs, _labels(f))) for f in fiber)
 

@@ -4,14 +4,16 @@ import os
 import runpy
 import sys
 from contextlib import redirect_stdout, redirect_stderr
+from unittest import mock
 
 import pytest
 
 from conftest import pair_lattice_check
 
-from asmprism import cli
+from asmprism import algebra, cli
 from asmprism.algebra import Polynomial
 from asmprism.asm import render_asm, validate_asm
+from asmprism.pipedream import _schubert
 
 
 ASMDIAG_TEXT = "0 0 0 1\n0 1 0 0\n1 -1 1 0\n0 1 0 0\n"
@@ -195,9 +197,54 @@ def _triangle_rows_one_down(monkeypatch):
     monkeypatch.setattr("asmprism.prism._triangle_rows", lambda a, rows: triangle_rows(a, [i + 1 for i in rows]))
 
 
+ROW_COUNT_CORRUPTIONS = {
+    "reversed": lambda counts: counts[::-1],
+    "drop last row": lambda counts: counts[:-1],
+}
+
+
+@pytest.fixture
+def corrupt_row_counts(monkeypatch):
+    """Make the row-count weight apply the named corruption wherever it is
+    read.  The kept Schubert sums are dropped before and after, so the run
+    neither reads a right sum nor leaves a wrong one behind."""
+    def corrupt(corruption: str) -> None:
+        row_counts, wrong = algebra._row_counts, ROW_COUNT_CORRUPTIONS[corruption]
+        for mod in ("algebra", "prism"):
+            monkeypatch.setattr(f"asmprism.{mod}._row_counts", lambda mask, n: wrong(row_counts(mask, n)))
+        _schubert.cache_clear()
+    yield corrupt
+    _schubert.cache_clear()
+
+
+def _widened_last_bigr_rectangle(a):
+    spec = cli.prism_mod.bigrassmannian_model(a)
+    if not spec.lambdas:
+        return spec
+    *rest, last = spec.lambdas
+    return cli.prism_mod.PrismShapeSpec((*rest, tuple(p + 1 for p in last)), spec.ds)
+
+
+def _dropped_last_parabolic_shape(a):
+    spec = cli.prism_mod.parabolic_model(a)
+    return cli.prism_mod.PrismShapeSpec(spec.lambdas[:-1], spec.ds[:-1])
+
+
+MODEL_CORRUPTIONS = {
+    "widen the last bigr rectangle": ("bigr", _widened_last_bigr_rectangle),
+    "drop the last parabolic shape": ("parabolic", _dropped_last_parabolic_shape),
+}
+
+
+def _corrupt_model(monkeypatch, corruption: str):
+    """Make the CLI build one prism model wrong; the identity's empty
+    models stay right."""
+    monkeypatch.setitem(cli._PRISM_MODELS, *MODEL_CORRUPTIONS[corruption])
+
+
 class TestAnchors:
-    """Route-level mutation tests: a shared kernel made wrong, and the line
-    each verify name prints over ASM(4).  Every per-ASM check compares
+    """Route-level mutation tests: a shared kernel or a prism model made
+    wrong, and the line each verify name prints.  Every per-ASM check compares
     join(biGr(A)) with A's own corner sums, so an error in rank_conditions,
     which every route reads, fails it."""
 
@@ -244,6 +291,43 @@ class TestAnchors:
         # the pool's workers are forked, so they run the patched kernel too
         _triangle_rows_one_down(monkeypatch)
         assert run(["verify", name, "--n", n, "--jobs", jobs]) == (code, line, "")
+
+    @pytest.mark.parametrize("corruption,theorem1,schur", [
+        ("reversed", "FAIL: 17/42 ASMs, both models\n", "FAIL: 73/125"),
+        ("drop last row", "FAIL: 1/42 ASMs, both models\n", "FAIL: 4/125"),
+    ])
+    @pytest.mark.parametrize("name", ["theorem1", "bijection", "groebner", "lattice", "schur"])
+    def test_row_counts(self, corrupt_row_counts, corruption, theorem1, schur, name):
+        # every theorem1 route weighs through the same row counts, so only
+        # the x^code(w) anchor sees them; bijection, groebner and lattice
+        # read no weight
+        corrupt_row_counts(corruption)
+        lines = {
+            "theorem1": (2, theorem1),
+            "bijection": (0, "OK: 42/42 ASMs, both models\n"),
+            "groebner": (0, "OK: 42/42 ASMs\n"),
+            "lattice": (0, "OK: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+            "schur": (2, f"{schur} single shapes match the tableau Schur\n"),
+        }
+        assert run(["verify", name, "--n", "4", "--jobs", "1"]) == (*lines[name], "")
+
+    @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+    @pytest.mark.parametrize("name", ["theorem1", "bijection"])
+    @pytest.mark.parametrize("n,line", [
+        ("3", "FAIL: 1/7 ASMs, both models\n"),
+        ("4", "FAIL: 1/42 ASMs, both models\n"),
+    ])
+    def test_wrong_model(self, monkeypatch, corruption, name, n, line):
+        _corrupt_model(monkeypatch, corruption)
+        assert run(["verify", name, "--n", n, "--jobs", "1"]) == (2, line, "")
+
+    @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+    def test_bijection_needs_the_rebuild_check(self, monkeypatch, corruption):
+        # the report reads A rebuilt from the wrong model, so it agrees with
+        # itself; only A_{lambda, d} == A ties the model back to A
+        _corrupt_model(monkeypatch, corruption)
+        monkeypatch.setattr(cli.perm_mod, "asm_from_shape_tuple", lambda lams, ds: mock.ANY)
+        assert run(["verify", "bijection", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs, both models\n", "")
 
 
 def _first_row_from(real, operand: int):

@@ -89,6 +89,15 @@ class TestLength:
     def test_4123(self):
         assert W4123.length() == 3
 
+    def test_code_counts_the_later_smaller_values(self):
+        assert Perm.identity().code() == ()
+        assert W3412.code() == (2, 2, 0, 0)
+        assert W4123.code() == (3, 0, 0, 0)
+        for w in all_perms(5):
+            line = w.one_line
+            assert w.code() == tuple(sum(1 for v in line[i + 1:] if v < line[i]) for i in range(w.size))
+            assert sum(w.code()) == sum(1 for x, y in itertools.combinations(line, 2) if x > y)
+
 
 class TestWords:
     def test_empty_word(self):
@@ -208,8 +217,8 @@ class TestBiGrassmannian:
 
 
 class TestTables:
-    """bigrassmannian_encode, grassmannian_encode and Perm.matrix are served
-    from per-process tables; a call that raises leaves no entry."""
+    """The biGrassmannians of S_n, grassmannian_encode and Perm.matrix are
+    served from per-process tables; a call that raises leaves no entry."""
 
     def test_encode_equals_a_fresh_perm(self):
         for n in range(1, 7):
@@ -217,21 +226,6 @@ class TestTables:
                 for r in range(max(0, i + j - n), min(i, j) + 1):
                     u = bigrassmannian_encode(i, j, r, n)
                     assert u == Perm(bigrassmannian_one_line(i, j, r, n))
-                    assert bigrassmannian_encode(i, j, r, n) is u
-
-    @pytest.mark.parametrize("args,axiom", [
-        ((0, 2, 0, 4), "B1"),
-        ((2, 2, -1, 4), "B2"),
-        ((2, 2, 3, 4), "B2"),
-        ((3, 3, 0, 4), "B3"),
-    ])
-    def test_violations_raise_every_time(self, args, axiom):
-        bigrassmannian_encode(3, 3, 0, 6)  # B3 holds at n = 6, so n must be part of the key
-        before = bigrassmannian_encode.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ValueError, match=axiom):
-                bigrassmannian_encode(*args)
-        assert bigrassmannian_encode.cache_info().currsize == before
 
     def test_bigrassmannians_of_s_n_keyed_on_their_rank_condition(self):
         for n in range(1, 8):
@@ -239,7 +233,7 @@ class TestTables:
             assert len(table) == len(set(table.values())) == math.comb(n + 1, 3)
             assert set(table.values()) == set(all_bigrassmannians(n))
             for (i, j, r), u in table.items():
-                assert u is bigrassmannian_encode(i, j, r, n)
+                assert u == bigrassmannian_encode(i, j, r, n)
                 assert rank_conditions(u.matrix(n)) == [(i, j, r)]
                 assert bigr_of(u.matrix(n)) == {u}
 
@@ -320,7 +314,7 @@ class TestTables:
 class TestShapeTuple:
     def test_singleton_is_the_grassmannian(self):
         u = grassmannian_encode((2, 1), 2, 4)
-        assert asm_from_shape_tuple([(2, 1)], [2], 4) == u.matrix(4)
+        assert asm_from_shape_tuple([(2, 1)], [2]) == u.matrix(4)
 
     def test_facet_example_recovers_noneqi(self, noneqi):
         assert asm_from_shape_tuple([(2,), (2,)], [1, 2]) == noneqi

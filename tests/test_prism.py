@@ -230,8 +230,7 @@ def assert_grid_layout(t: PrismTableau, width: int) -> None:
 
 class TestGridLayout:
     """The entries on the algebra grid layout, at the spec's ambient size
-    and at a wider grid, as the bijection check walks a spec at the n of
-    its ASM."""
+    and at a wider grid: ``_entry`` takes any width at least that size."""
 
     def test_every_tableau_asm4(self):
         for n in (1, 2, 3, 4):
@@ -240,10 +239,6 @@ class TestGridLayout:
                     for width in (spec.ambient_size, spec.ambient_size + 2):
                         for t in all_prism_tableaux(spec):
                             assert_grid_layout(t, width)
-
-    def test_width_below_the_ambient_size_rejected(self):
-        with pytest.raises(ValueError):
-            _Fillings(BIGR_SPEC, BIGR_SPEC.ambient_size - 1)
 
 
 class TestUnstableTripleKernel:
@@ -262,7 +257,7 @@ class TestUnstableTripleKernel:
         unstable = 0
         for a in asms:
             for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                fillings = _Fillings(spec, spec.ambient_size)
+                fillings = _Fillings(spec)
                 for f in fillings.minimal()[1]:
                     t = fillings.tableau(f)
                     assert _unstable(f) == has_unstable_triple(t) == brute_force_unstable_triple(t)
@@ -332,7 +327,7 @@ def assert_matches_oracle(spec):
     """The minimal walk's fillings, ties and all, then prism_set and the
     polynomial, each in enumeration order against the full product."""
     minimal = brute_force_minimal_tableaux(spec)
-    fillings = _Fillings(spec, spec.ambient_size)
+    fillings = _Fillings(spec)
     degree, found = fillings.minimal()
     assert [fillings.tableau(f) for f in found] == minimal
     assert degree == brute_force_prism_weight(minimal[0]).total_degree == prism_min_degree(spec)
@@ -483,28 +478,30 @@ class TestPoolCache:
         assert prism_set(second) == expected
         assert asm_polynomial(second) == poly_from_monomials(
             brute_force_prism_weight(t) for t in expected)
-        pools = _Fillings(second, second.ambient_size).pools
+        pools = _Fillings(second).pools
         assert all(isinstance(pool, tuple) for pool in pools)
         assert pools[0] is _pool((1,), 2, second.ambient_size)
 
-    def test_bijection_width_then_ambient_size(self):
-        """verify_bijection walks a spec at the n of its ASM; the
-        polynomial and prism_set that follow, at the spec's ambient size,
-        are their cold-cache values and the oracle's."""
+    def test_bijection_shares_the_pools_at_the_ambient_size(self):
+        """verify_bijection walks a spec at its ambient size, even where
+        that is below the n of its ASM, so the polynomial and prism_set
+        that follow read its pools and add none, and they are the
+        oracle's."""
         from asmprism.pipedream import verify_bijection
 
-        wider = 0
+        smaller = 0
         for a in enumerate_asms(4):
             for spec in (bigrassmannian_model(a), parabolic_model(a)):
                 if spec.ambient_size == a.n:
                     continue
-                wider += 1
+                smaller += 1
                 _pool.cache_clear()
-                cold = asm_polynomial(spec), prism_set(spec)
-                _pool.cache_clear()
-                assert verify_bijection(spec, a).passed
+                assert verify_bijection(spec).passed
+                keys = _pool.cache_info().currsize
+                assert keys == len(set(zip(spec.lambdas, spec.ds)))
                 expected = brute_force_prism_set(spec)
-                assert prism_set(spec) == cold[1] == expected
-                assert asm_polynomial(spec) == cold[0] == poly_from_monomials(
+                assert prism_set(spec) == expected
+                assert asm_polynomial(spec) == poly_from_monomials(
                     brute_force_prism_weight(t) for t in expected)
-        assert wider > 0
+                assert _pool.cache_info().currsize == keys
+        assert smaller > 0
