@@ -105,12 +105,9 @@ class Asm:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         entries = self._entries
         if entries is None:
-            n, p = self.n, self._sums
-            k = _layout(n)
-            # a(i, j) is the column sum down to (i, j) less the one down to (i, j-1)
-            col = p - ((p << 8 * n) & k.full)
-            e = ((col | k.guard) - ((col << 8) & k.not_first_col)).to_bytes(n * n, "little")
-            entries = tuple(map(_entry_row, map(e.__getitem__, k.rows)))
+            n = self.n
+            sums = self._sums.to_bytes(n * n, "little")
+            entries = _entries_from_corner_rows([sums[s] for s in _layout(n).rows])
             _set_entries(self, entries)
         return entries
 
@@ -323,13 +320,6 @@ def _trusted_asm(n: int, p: int, entries: tuple[tuple[int, ...], ...] | None = N
     _set_sums(a, p)
     _set_entries(a, entries)
     return a
-
-
-@cache
-def _entry_row(key: bytes) -> tuple[int, ...]:
-    """One row of entries from its bytes 128 + a(i, j); each distinct row
-    is built once and shared."""
-    return tuple(b - 128 for b in key)
 
 
 def _is_corner_sums(p: int, m: int) -> bool:

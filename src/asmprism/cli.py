@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import combinations_with_replacement
+from typing import TypeVar
 
 from . import asm as asm_mod
 from . import ideal as ideal_mod
@@ -27,6 +28,8 @@ from .asm import Asm, AsmValidationError, MatrixParseError, PartialAsm
 class CliError(Exception):
     """Validation failure: message printed to stderr, exit code 1."""
 
+
+_Loaded = TypeVar("_Loaded", Asm, PartialAsm)
 
 # fixed ceilings on the work one call may start: ASM(7) has 218,348
 # matrices, ASM(8) 10,850,216 and ASM(9) 911,835,460 (verify: see VERIFIERS)
@@ -53,16 +56,9 @@ def _read_matrix(path: str) -> list[list[int]]:
     return rows
 
 
-def _load_asm(path: str) -> Asm:
+def _load(path: str, validate: Callable[[list[list[int]]], _Loaded]) -> _Loaded:
     try:
-        return asm_mod.validate_asm(_read_matrix(path))
-    except AsmValidationError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_partial(path: str) -> PartialAsm:
-    try:
-        return asm_mod.validate_partial_asm(_read_matrix(path))
+        return validate(_read_matrix(path))
     except AsmValidationError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -117,12 +113,10 @@ def _check_theorem1(a: Asm) -> bool:
 
 
 def _check_bijection(a: Asm) -> bool:
-    """Each model's A_{lambda, d}, rebuilt at the spec's ambient size, is A
-    under the embedding, and the model's bijection report passes."""
-    specs = [model(a) for model in _PRISM_MODELS.values()]
-    return _anchored(a) and all(
-        perm_mod.asm_from_shape_tuple(s.lambdas, s.ds) == a and pd_mod.verify_bijection(s).passed for s in specs
-    )
+    """Each model's A_{lambda, d}, which its bijection report rebuilt at the
+    spec's ambient size, is A under the embedding, and the report passes."""
+    reports = (pd_mod.verify_bijection(model(a)) for model in _PRISM_MODELS.values())
+    return _anchored(a) and all(r.asm == a and r.passed for r in reports)
 
 
 def _check_groebner(a: Asm) -> bool:
@@ -288,9 +282,9 @@ def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
         return (0, [f"OK: {detail}"]) if all(results) else (2, [f"FAIL: {detail}"])
 
     if args.verb == "complete":
-        return 0, [asm_mod.render_asm(asm_mod.canonical_completion(_load_partial(args.asm)))]
+        return 0, [asm_mod.render_asm(asm_mod.canonical_completion(_load(args.asm, asm_mod.validate_partial_asm)))]
 
-    a = _load_asm(args.asm)
+    a = _load(args.asm, asm_mod.validate_asm)
     if args.verb == "poly":
         if args.model in _PRISM_MODELS:
             poly = prism_mod.asm_polynomial(_PRISM_MODELS[args.model](a))
@@ -320,7 +314,7 @@ def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
 
     elif args.verb == "facets":
         facets = pd_mod.delta_fmax(a) if args.max else pd_mod.delta_facets(a)
-        diagrams = sorted(facets, key=lambda d: d.sorted_cells())
+        diagrams = sorted(facets, key=lambda d: sorted(d.cells))
         if args.format == "structured":
             lines = [_cells_line(d.cells) for d in diagrams]
         else:

@@ -13,8 +13,12 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .asm import Asm, _permutation_asm, bigrassmannian_one_line, join_all, rank_conditions
+
+if TYPE_CHECKING:
+    from .prism import PrismShapeSpec
 
 
 @dataclass(frozen=True)
@@ -122,18 +126,11 @@ def bigrassmannian_encode(i: int, j: int, r: int, n: int) -> Perm:
     return Perm(bigrassmannian_one_line(i, j, r, n))
 
 
-def asm_from_shape_tuple(lams: Sequence[Sequence[int]], ds: Sequence[int]) -> Asm:
+def asm_from_shape_tuple(spec: PrismShapeSpec) -> Asm:
     """A_{lambda, d}: the join of the Grassmannian permutation matrices
-    [lam^(i), d_i]_g in ASM(n), n the smallest ambient size containing
-    every shape."""
-    if len(lams) != len(ds):
-        raise ValueError(f"{len(lams)} shapes but {len(ds)} descents")
-    shapes = [tuple(p for p in lam if p) for lam in lams]
-    for lam, d in zip(shapes, ds):
-        if d < max(1, len(lam)):
-            raise ValueError(f"descent {d} smaller than the length of {lam}")
-    n = max([d + lam[0] for lam, d in zip(shapes, ds) if lam], default=1)
-    return join_all([grassmannian_encode(lam, d, n).matrix(n) for lam, d in zip(shapes, ds)], n)
+    [lam^(i), d_i]_g in ASM(n), n the spec's ambient size."""
+    n = spec.ambient_size
+    return join_all([grassmannian_encode(lam, d, n).matrix(n) for lam, d in zip(spec.lambdas, spec.ds)], n)
 
 
 @cache

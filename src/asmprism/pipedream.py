@@ -43,9 +43,6 @@ class PlusDiagram:
         object.__setattr__(p, "cells", grid_cells(mask, n))
         return p
 
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
-
     def complement_cells(self) -> frozenset[Cell]:
         """The facet Q - P of the subword complex that P stands for."""
         return grid_set(self.n) - self.cells
@@ -179,11 +176,13 @@ def phi(t: PrismTableau) -> PlusDiagram:
 
 @dataclass
 class BijectionReport:
-    """Outcome of the facet/prism bijection checks for one shape tuple."""
+    """Outcome of the facet/prism bijection checks for one shape tuple,
+    with the A_{lambda, d} they ran on."""
 
     passed: bool
     checks: dict[str, bool]
     counts: dict[str, int]
+    asm: Asm
     failure: str | None = None
 
 
@@ -203,9 +202,9 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     weight of the tableau's phi image.
 
     A is A_{lambda, d}, rebuilt from the spec at its ambient size, so the
-    facets and the fillings share one grid.
+    facets and the fillings share one grid; the report carries it.
     """
-    a = asm_from_shape_tuple(spec.lambdas, spec.ds)
+    a = asm_from_shape_tuple(spec)
     facets = _facet_masks(a)
     fmax = _fewest(facets)
     fillings = _Fillings(spec)
@@ -244,4 +243,4 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
         "stable_facet": stable_count,
         "prism": len(prism),
     }
-    return BijectionReport(all(checks.values()), checks, counts, failure)
+    return BijectionReport(all(checks.values()), checks, counts, a, failure)

@@ -4,6 +4,7 @@ import os
 import runpy
 import sys
 from contextlib import redirect_stdout, redirect_stderr
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -326,8 +327,20 @@ class TestAnchors:
         # the report reads A rebuilt from the wrong model, so it agrees with
         # itself; only A_{lambda, d} == A ties the model back to A
         _corrupt_model(monkeypatch, corruption)
-        monkeypatch.setattr(cli.perm_mod, "asm_from_shape_tuple", lambda lams, ds: mock.ANY)
+        verify = cli.pd_mod.verify_bijection
+        monkeypatch.setattr(cli.pd_mod, "verify_bijection", lambda spec: replace(verify(spec), asm=mock.ANY))
         assert run(["verify", "bijection", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs, both models\n", "")
+
+    def test_bijection_rebuilds_each_spec_once(self, monkeypatch):
+        # the check compares the A its report rebuilt, so each of the two
+        # models of each of the 42 ASMs is rebuilt once
+        calls = []
+        rebuild = cli.perm_mod.asm_from_shape_tuple
+        counting = lambda spec: calls.append(spec) or rebuild(spec)
+        for mod in (cli.perm_mod, cli.pd_mod):
+            monkeypatch.setattr(mod, "asm_from_shape_tuple", counting)
+        assert run(["verify", "bijection", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs, both models\n", "")
+        assert len(calls) == 84
 
 
 def _first_row_from(real, operand: int):

@@ -44,7 +44,7 @@ from asmprism.perm import (
     min_perm_set,
     perm_set,
 )
-from asmprism.prism import bigrassmannian_model, parabolic_model
+from asmprism.prism import PrismShapeSpec, bigrassmannian_model, parabolic_model
 
 
 W3412 = Perm((3, 4, 1, 2))
@@ -314,22 +314,23 @@ class TestTables:
 class TestShapeTuple:
     def test_singleton_is_the_grassmannian(self):
         u = grassmannian_encode((2, 1), 2, 4)
-        assert asm_from_shape_tuple([(2, 1)], [2]) == u.matrix(4)
+        assert asm_from_shape_tuple(PrismShapeSpec([(2, 1)], [2])) == u.matrix(4)
 
     def test_facet_example_recovers_noneqi(self, noneqi):
-        assert asm_from_shape_tuple([(2,), (2,)], [1, 2]) == noneqi
+        assert asm_from_shape_tuple(PrismShapeSpec([(2,), (2,)], [1, 2])) == noneqi
 
     def test_models_recover_asmdiag(self, asmdiag):
         for model in (bigrassmannian_model(asmdiag), parabolic_model(asmdiag)):
-            assert asm_from_shape_tuple(model.lambdas, model.ds) == asmdiag
+            assert asm_from_shape_tuple(model) == asmdiag
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            asm_from_shape_tuple([(1,)], [1, 2])
+        # the spec refuses the tuple before any A is built
+        with pytest.raises(ValueError, match=r"^1 shapes but 2 depths$"):
+            asm_from_shape_tuple(PrismShapeSpec([(1,)], [1, 2]))
 
     def test_descent_too_small(self):
-        with pytest.raises(ValueError):
-            asm_from_shape_tuple([(1, 1, 1)], [2])
+        with pytest.raises(ValueError, match=r"^shape \(1, 1, 1\) is longer than its depth 2$"):
+            asm_from_shape_tuple(PrismShapeSpec([(1, 1, 1)], [2]))
 
 
 class TestBigrOf:

@@ -424,7 +424,7 @@ class TestVerifyBijection:
         smaller = 0
         for a in enumerate_asms(n):
             for model in (bigrassmannian_model(a), parabolic_model(a)):
-                rebuilt = asm_from_shape_tuple(model.lambdas, model.ds)
+                rebuilt = asm_from_shape_tuple(model)
                 assert rebuilt == a and rebuilt.n == model.ambient_size <= a.n
                 smaller += rebuilt.n < a.n
                 report = verify_bijection(model)
@@ -501,7 +501,7 @@ class TestFiberSearch:
         (PrismShapeSpec(((), (2, 1), ()), (1, 3, 2)), 8),
     ])
     def test_edge_cases(self, spec, count):
-        a = asm_from_shape_tuple(spec.lambdas, spec.ds)
+        a = asm_from_shape_tuple(spec)
         assert set(assert_fibers_match_oracle(spec, a).values()) == {count}
 
 
@@ -578,7 +578,7 @@ class TestFiberDominance:
 def _rebuilt_facet_masks(spec):
     """The facet masks of A_{lambda, d} on the grid of the spec's ambient
     size, where the spec's fillings lie."""
-    return _facet_masks(asm_from_shape_tuple(spec.lambdas, spec.ds))
+    return _facet_masks(asm_from_shape_tuple(spec))
 
 
 def _filling_of(*components):
