@@ -172,11 +172,18 @@ class MonotoneTriangle:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        n = len(self.rows)
         for i, row in enumerate(self.rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
             if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
                 raise ValueError(f"row {i} is not strictly increasing: {row}")
+            if not all(1 <= v <= n for v in row):
+                raise ValueError(f"row {i} has an entry outside 1..{n}: {row}")
+        # m(i+1, j) <= m(i, j) <= m(i+1, j+1)
+        for i, (row, below) in enumerate(zip(self.rows, self.rows[1:]), start=1):
+            if not all(below[j] <= v <= below[j + 1] for j, v in enumerate(row)):
+                raise ValueError(f"row {i} does not interlace row {i + 1}: {row}, {below}")
 
     @property
     def n(self) -> int:
@@ -228,8 +235,11 @@ def corner_rows(a: Asm | PartialAsm, m: int | None = None) -> tuple[tuple[int, .
     """The corner sums r(i, 1..m) for i = 1..m; m defaults to a.n.  Row i
     is row i-1 plus the running sums of entry row i.  Past n, A is read as
     embedded by iota: every row and column of an ASM sums to 1, so there
-    r(i, j) = min(i, j)."""
+    r(i, j) = min(i, j).  iota is defined only for ASMs, so a partial ASM
+    is read at its own size only."""
     n = a.n
+    if m is not None and (m < n or m > n and isinstance(a, PartialAsm)):
+        raise ValueError(f"cannot read the corner sums of a size-{n} {type(a).__name__} at size {m}")
     rows = []
     prev: Sequence[int] = (0,) * n
     for row in a.entries:

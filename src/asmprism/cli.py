@@ -203,7 +203,7 @@ VERIFIERS = {
     "theorem1": (7, _asms, _check_theorem1, "{ok}/{total} ASMs, both models"),
     "bijection": (7, _asms, _check_bijection, "{ok}/{total} ASMs, both models"),
     "groebner": (7, _asms, _check_groebner, "{ok}/{total} ASMs"),
-    "lattice": (7, _asms, _check_lattice, "{total} ASMs, joins/meets closed, A = join(biGr(A))"),
+    "lattice": (7, _asms, _check_lattice, "{ok}/{total} ASMs, joins/meets closed, A = join(biGr(A))"),
     "schur": (5, _schur_shapes, _check_schur, "{ok}/{total} single shapes match the tableau Schur"),
 }
 

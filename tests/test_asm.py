@@ -110,6 +110,18 @@ class TestCornerSum:
                 assert len(rows) == m
                 assert [x for row in rows for x in row] == _block_sums(a, m)
 
+    def test_size_below_n_rejected(self):
+        with pytest.raises(ValueError, match=r"^cannot read the corner sums of a size-3 Asm at size 1$"):
+            corner_rows(identity_asm(3), 1)
+        assert len(corner_rows(identity_asm(3), 3)) == 3
+
+    def test_partial_asm_only_at_its_own_size(self):
+        # iota embeds ASMs only: a zero row or column has no 1 to extend
+        p = validate_partial_asm([[0]])
+        assert corner_rows(p) == corner_rows(p, 1) == ((0,),)
+        with pytest.raises(ValueError, match=r"^cannot read the corner sums of a size-1 PartialAsm at size 2$"):
+            corner_rows(p, 2)
+
     @pytest.mark.parametrize(
         "rows, match",
         [
@@ -324,6 +336,17 @@ class TestMonotoneTriangle:
             MonotoneTriangle(((1, 2),))
         with pytest.raises(ValueError):
             MonotoneTriangle(((2,), (2, 2)))
+
+    @pytest.mark.parametrize("rows,match", [
+        (((0,),), r"^row 1 has an entry outside 1\.\.1: \(0,\)$"),
+        (((1,), (1, 3)), r"^row 2 has an entry outside 1\.\.2: \(1, 3\)$"),
+        (((3,), (1, 2), (1, 2, 3)), r"^row 1 does not interlace row 2: \(3,\), \(1, 2\)$"),
+        (((2,), (1, 2), (2, 3, 4), (1, 2, 3, 4)), r"^row 2 does not interlace row 3: \(1, 2\), \(2, 3, 4\)$"),
+    ])
+    def test_entries_in_range_and_rows_interlace(self, rows, match):
+        # m(i+1, j) <= m(i, j) <= m(i+1, j+1), with every entry in 1..n
+        with pytest.raises(ValueError, match=match):
+            MonotoneTriangle(rows)
 
     def test_triangle_determines_corner_sum_asm4(self):
         # r(i, a) counts the entries of triangle row i that are <= a

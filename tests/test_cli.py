@@ -138,12 +138,12 @@ class TestVerify:
     @pytest.mark.slow
     def test_lattice_n6_exhaustive(self):
         assert run(["verify", "lattice", "--n", "6"]) == (
-            0, "OK: 7436 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
+            0, "OK: 7436/7436 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
         )
 
     def test_lattice_n5_exhaustive(self):
         assert run(["verify", "lattice", "--n", "5"]) == (
-            0, "OK: 429 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
+            0, "OK: 429/429 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
         )
 
     def test_theorem1_checks_the_multidegree(self, monkeypatch):
@@ -165,7 +165,7 @@ class TestVerify:
         monkeypatch.setattr("asmprism.asm._bytewise_min", lambda p, q, g: bytewise_min(p, q, g) + 1)
         code, out, err = run(["verify", "lattice", "--n", "3", "--jobs", "1"])
         assert code == 2
-        assert out == "FAIL: 7 ASMs, joins/meets closed, A = join(biGr(A))\n"
+        assert out == "FAIL: 0/7 ASMs, joins/meets closed, A = join(biGr(A))\n"
         assert err == ""
 
     def test_failure_exits_2(self, monkeypatch):
@@ -218,6 +218,26 @@ def corrupt_row_counts(monkeypatch):
     _schubert.cache_clear()
 
 
+@pytest.fixture
+def swap_decoded_rows(monkeypatch):
+    """Make the corner-sum decode swap its last two rows.  The kept
+    permutation matrices hold the entries they decode, so they are dropped
+    before and after."""
+    decode = cli.asm_mod._entries_from_corner_rows
+
+    def swapped(rows):
+        e = decode(rows)
+        return (*e[:-2], e[-1], e[-2]) if len(e) > 1 else e
+
+    monkeypatch.setattr(cli.asm_mod, "_entries_from_corner_rows", swapped)
+    kept = (cli.perm_mod._matrix, cli._bigrassmannian_pairs)
+    for cached in kept:
+        cached.cache_clear()
+    yield
+    for cached in kept:
+        cached.cache_clear()
+
+
 def _widened_last_bigr_rectangle(a):
     spec = cli.prism_mod.bigrassmannian_model(a)
     if not spec.lambdas:
@@ -253,7 +273,7 @@ class TestAnchors:
         ("groebner", "FAIL: 1/42 ASMs\n"),
         ("theorem1", "FAIL: 1/42 ASMs, both models\n"),
         ("bijection", "FAIL: 1/42 ASMs, both models\n"),
-        ("lattice", "FAIL: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("lattice", "FAIL: 1/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
     ])
     def test_dropped_rank_condition_fails_every_check(self, monkeypatch, name, line):
         _corrupt_rank_conditions(monkeypatch, "drop last")
@@ -264,7 +284,7 @@ class TestAnchors:
         ("groebner", "FAIL: {ok}/42 ASMs\n"),
         ("theorem1", "FAIL: {ok}/42 ASMs, both models\n"),
         ("bijection", "FAIL: {ok}/42 ASMs, both models\n"),
-        ("lattice", "FAIL: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("lattice", "FAIL: {ok}/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
     ])
     def test_other_rank_corruptions_fail_every_check(self, monkeypatch, corruption, ok, name, line):
         _corrupt_rank_conditions(monkeypatch, corruption)
@@ -286,7 +306,7 @@ class TestAnchors:
         ("bijection", "4", 2, "FAIL: 1/42 ASMs, both models\n"),
         # neither reads the triangle
         ("groebner", "4", 0, "OK: 42/42 ASMs\n"),
-        ("lattice", "4", 0, "OK: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("lattice", "4", 0, "OK: 42/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
     ])
     def test_triangle_rows_one_down(self, monkeypatch, jobs, name, n, code, line):
         # the pool's workers are forked, so they run the patched kernel too
@@ -307,7 +327,7 @@ class TestAnchors:
             "theorem1": (2, theorem1),
             "bijection": (0, "OK: 42/42 ASMs, both models\n"),
             "groebner": (0, "OK: 42/42 ASMs\n"),
-            "lattice": (0, "OK: 42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+            "lattice": (0, "OK: 42/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
             "schur": (2, f"{schur} single shapes match the tableau Schur\n"),
         }
         assert run(["verify", name, "--n", "4", "--jobs", "1"]) == (*lines[name], "")
@@ -330,6 +350,27 @@ class TestAnchors:
         verify = cli.pd_mod.verify_bijection
         monkeypatch.setattr(cli.pd_mod, "verify_bijection", lambda spec: replace(verify(spec), asm=mock.ANY))
         assert run(["verify", "bijection", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs, both models\n", "")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("name,n,code,line", [
+        # an A with a(n, n) = 1 has an A_{lambda, d} one size smaller, and
+        # comparing the two decodes the smaller one's entries to embed it;
+        # the identity's one row has nothing to swap
+        ("bijection", "3", 2, "FAIL: 6/7 ASMs, both models\n"),
+        ("bijection", "4", 2, "FAIL: 36/42 ASMs, both models\n"),
+        # these compare ASMs of one size only, so they never decode
+        ("theorem1", "3", 0, "OK: 7/7 ASMs, both models\n"),
+        ("theorem1", "4", 0, "OK: 42/42 ASMs, both models\n"),
+        ("groebner", "3", 0, "OK: 7/7 ASMs\n"),
+        ("groebner", "4", 0, "OK: 42/42 ASMs\n"),
+        ("lattice", "3", 0, "OK: 7/7 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("lattice", "4", 0, "OK: 42/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("schur", "3", 0, "OK: 34/34 single shapes match the tableau Schur\n"),
+        ("schur", "4", 0, "OK: 125/125 single shapes match the tableau Schur\n"),
+    ])
+    def test_corner_sum_decode_swapping_the_last_two_rows(self, swap_decoded_rows, jobs, name, n, code, line):
+        # the pool's workers are forked, so they run the patched decode too
+        assert run(["verify", name, "--n", n, "--jobs", jobs]) == (code, line, "")
 
     def test_bijection_rebuilds_each_spec_once(self, monkeypatch):
         # the check compares the A its report rebuilt, so each of the two
