@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
@@ -137,7 +138,7 @@ class Asm:
         if self.n == other.n:
             return self._sums == other._sums
         m = self.n if self.n > other.n else other.n
-        return _pack(self, m) == _pack(other, m)
+        return _sums_at(self, m) == _sums_at(other, m)
 
     def __hash__(self) -> int:
         return hash(self._canonical_rows())
@@ -322,6 +323,11 @@ def _pack(a: Asm, m: int) -> int:
     return int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
 
 
+def _sums_at(a: Asm, m: int) -> int:
+    """a's packed corner sums at size m >= a.n, re-packed only when m > a.n."""
+    return a._sums if a.n == m else _pack(a, m)
+
+
 def _trusted_asm(n: int, p: int, entries: tuple[tuple[int, ...], ...] | None = None) -> Asm:
     """The ASM of size n whose packed corner sums are p, holding ``entries``
     if the caller has them; p is not checked."""
@@ -385,7 +391,7 @@ def asm_leq(a: Asm, b: Asm) -> bool:
     m, p, q = a.n, a._sums, b._sums
     if m != b.n:
         m = m if m > b.n else b.n
-        p, q = _pack(a, m), _pack(b, m)
+        p, q = _sums_at(a, m), _sums_at(b, m)
     g = _layout(m).guard
     return ((p | g) - q) & g == g
 
@@ -395,7 +401,7 @@ def asm_join(a: Asm, b: Asm) -> Asm:
     m, p, q = a.n, a._sums, b._sums
     if m != b.n:
         m = m if m > b.n else b.n
-        p, q = _pack(a, m), _pack(b, m)
+        p, q = _sums_at(a, m), _sums_at(b, m)
     return _asm_of_sums(_bytewise_min(p, q, _layout(m).guard), m)
 
 
@@ -404,7 +410,7 @@ def asm_meet(a: Asm, b: Asm) -> Asm:
     m, p, q = a.n, a._sums, b._sums
     if m != b.n:
         m = m if m > b.n else b.n
-        p, q = _pack(a, m), _pack(b, m)
+        p, q = _sums_at(a, m), _sums_at(b, m)
     return _asm_of_sums(_bytewise_max(p, q, _layout(m).guard), m)
 
 
@@ -572,6 +578,10 @@ def render_asm(entries_owner: Asm | PartialAsm) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in entries_owner.entries)
 
 
+# an ASCII decimal integer: int() alone also takes 0_1 and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_matrix_text(text: str) -> list[list[int]]:
     """Parse the ASM text format, reporting the line and token column of the
     first offending token.  Blank lines are skipped wherever they are."""
@@ -582,10 +592,9 @@ def parse_matrix_text(text: str) -> list[list[int]]:
             continue
         row = []
         for colno, tok in enumerate(line.split(), start=1):
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise MatrixParseError(lineno, colno, f"not an integer: {tok!r}") from None
+            if not _INTEGER.fullmatch(tok):
+                raise MatrixParseError(lineno, colno, f"not an integer: {tok!r}")
+            row.append(int(tok))
         rows.append(row)
         linenos.append(lineno)
     if not rows:

@@ -51,8 +51,7 @@ def _read_matrix(path: str) -> list[list[int]]:
         rows = asm_mod.parse_matrix_text(text)
     except MatrixParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    if len(rows) > MAX_N:
-        raise CliError(f"{path}: matrix size must be at most {MAX_N}, got {len(rows)}")
+    _bounded(f"{path}: matrix size", len(rows), MAX_N)
     return rows
 
 
@@ -61,6 +60,15 @@ def _load(path: str, validate: Callable[[list[list[int]]], _Loaded]) -> _Loaded:
         return validate(_read_matrix(path))
     except AsmValidationError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _bounded(what: str, value: int, ceiling: int) -> int:
+    """Reject a size below 1 or above its ceiling."""
+    if value < 1:
+        raise CliError(f"{what} must be positive")
+    if value > ceiling:
+        raise CliError(f"{what} must be at most {ceiling}, got {value}")
+    return value
 
 
 def _bounded_jobs(jobs: int) -> int:
@@ -87,6 +95,13 @@ def _cells_line(cells: Iterable[tuple[int, int]]) -> str:
 
 # the two prism models of an ASM, checked and listed in this order
 _PRISM_MODELS = {"bigr": prism_mod.bigrassmannian_model, "parabolic": prism_mod.parabolic_model}
+
+# each poly --model: the polynomial of an ASM by that route
+_POLYS: dict[str, Callable[[Asm], Polynomial]] = {
+    **{name: lambda a, model=model: prism_mod.asm_polynomial(model(a)) for name, model in _PRISM_MODELS.items()},
+    "schubert-sum": pd_mod.min_perm_schubert_sum,
+    "multidegree": ideal_mod.multidegree,
+}
 
 
 # one helper per verify verb; top-level so they can cross process boundaries
@@ -137,10 +152,13 @@ def _asms(n: int) -> list[Asm]:
 
 
 def _schur_shapes(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each partition in the n x n box, by length and then lexicographically,
+    with each depth d from its length (at least 1) to n."""
     return [
         (parts, d)
-        for parts in _partitions_in_box(n, n)
-        for d in range(max(1, len(parts)), n + 1)
+        for length in range(n + 1)
+        for parts in sorted(combinations_with_replacement(range(n, 0, -1), length))
+        for d in range(max(1, length), n + 1)
     ]
 
 
@@ -185,16 +203,6 @@ def _check_lattice(a: Asm) -> bool:
     return _anchored(a)
 
 
-def _partitions_in_box(rows: int, cols: int) -> list[tuple[int, ...]]:
-    """The partitions with at most ``rows`` parts, each at most ``cols``,
-    by length and then lexicographically."""
-    return [
-        parts
-        for length in range(rows + 1)
-        for parts in sorted(combinations_with_replacement(range(cols, 0, -1), length))
-    ]
-
-
 # each verify name: its largest --n, its items for n, the check run on each
 # item, and the detail line, filled with the items that passed and the total.
 # schur keeps every tableau it lists (prism._pool): 161,246 at n = 5 and
@@ -219,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "structured"], default="text")
 
     p = sub.add_parser("poly", help="the ASM polynomial / multidegree")
-    p.add_argument("--model", choices=[*_PRISM_MODELS, "schubert-sum", "multidegree"], required=True)
+    p.add_argument("--model", choices=list(_POLYS), required=True)
     with_asm(p)
 
     p = sub.add_parser("prism", help="prism tableau listings")
@@ -263,20 +271,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
     """The exit code and the output lines of one command."""
     if args.verb == "count":
-        if args.n < 1:
-            raise CliError("n must be positive")
-        if args.n > MAX_N:
-            raise CliError(f"n must be at most {MAX_N}, got {args.n}")
-        return 0, [str(sum(1 for _ in asm_mod.enumerate_asms(args.n)))]
+        n = _bounded("n", args.n, MAX_N)
+        return 0, [str(sum(1 for _ in asm_mod.enumerate_asms(n)))]
 
     if args.verb == "verify":
-        if args.n < 1:
-            raise CliError("--n must be positive")
         max_n, items_for, check, detail = VERIFIERS[args.name]
-        if args.n > max_n:
-            raise CliError(f"--n must be at most {max_n}, got {args.n}")
+        n = _bounded("--n", args.n, max_n)
         jobs = _bounded_jobs(args.jobs)
-        items = items_for(args.n)
+        items = items_for(n)
         results = _pmap(_passes, [(check, item) for item in items], jobs)
         detail = detail.format(ok=sum(results), total=len(items))
         return (0, [f"OK: {detail}"]) if all(results) else (2, [f"FAIL: {detail}"])
@@ -286,13 +288,7 @@ def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
 
     a = _load(args.asm, asm_mod.validate_asm)
     if args.verb == "poly":
-        if args.model in _PRISM_MODELS:
-            poly = prism_mod.asm_polynomial(_PRISM_MODELS[args.model](a))
-        elif args.model == "schubert-sum":
-            poly = pd_mod.min_perm_schubert_sum(a)
-        else:
-            poly = ideal_mod.multidegree(a)
-        lines = [poly.render()]
+        lines = [_POLYS[args.model](a).render()]
 
     elif args.verb == "prism":
         tableaux = sorted(
@@ -352,9 +348,6 @@ def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
         else:
             sr = ideal_mod.stanley_reisner_facets(ideal_mod.initial_ideal(a), a.n)
             lines = [_cells_line(f) for f in sorted(sr.facets, key=lambda f: sorted(f))]
-
-    else:
-        raise CliError(f"unknown verb {args.verb!r}")
     return 0, lines
 
 

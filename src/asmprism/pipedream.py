@@ -176,14 +176,16 @@ def phi(t: PrismTableau) -> PlusDiagram:
 
 @dataclass
 class BijectionReport:
-    """Outcome of the facet/prism bijection checks for one shape tuple,
-    with the A_{lambda, d} they ran on."""
+    """Outcome of the facet/prism bijection checks for one shape tuple, with
+    the A_{lambda, d} they ran on and the first check that failed, if any."""
 
-    passed: bool
-    checks: dict[str, bool]
     counts: dict[str, int]
     asm: Asm
     failure: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
@@ -211,30 +213,24 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     fibers = fillings.fibers(facets)
 
     failure: str | None = None
-    covered = unique = True
     stable_count = 0
     for mask in facets:
         fib = fibers.get(mask, [])
         stable = [f for f in fib if not _unstable(f)]
         stable_count += len(stable)
-        if len(stable) == 1 and _dominates(stable[0], fib):
+        if failure or (len(stable) == 1 and _dominates(stable[0], fib)):
             continue
-        unique = False
         pluses = sorted(grid_cells(mask, a.n))
         if not fib:
-            covered = False
-            problem = f"facet with pluses {pluses} has empty fiber"
+            failure = f"facet with pluses {pluses} has empty fiber"
         elif len(stable) != 1:
-            problem = f"facet {pluses} has {len(stable)} stable tableaux in its fiber"
+            failure = f"facet {pluses} has {len(stable)} stable tableaux in its fiber"
         else:
-            problem = f"stable tableau in fiber of {pluses} is not the fiber maximum"
-        failure = failure or problem
+            failure = f"stable tableau in fiber of {pluses} is not the fiber maximum"
 
     prism = fillings.prism()
-    matches = {union for _, union in prism} == fmax and len(prism) == len(fmax)
-    if not matches:
-        failure = failure or "prism set does not biject with the maximal-dimension facets"
-    checks = {"facets_covered": covered, "unique_stable_per_fiber": unique, "prism_matches_fmax": matches}
+    if not failure and ({union for _, union in prism} != fmax or len(prism) != len(fmax)):
+        failure = "prism set does not biject with the maximal-dimension facets"
 
     counts = {
         "all_prism": fillings.count(),
@@ -243,4 +239,4 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
         "stable_facet": stable_count,
         "prism": len(prism),
     }
-    return BijectionReport(all(checks.values()), checks, counts, a, failure)
+    return BijectionReport(counts, a, failure)

@@ -115,14 +115,10 @@ class Rssyt:
                 if q and rows[q - 1][b] <= v:
                     raise ValueError("columns must strictly decrease bottom to top")
 
-    def grid_row(self, q: int) -> int:
-        """Grid row of 1-based filling row q (row 1 is the bottom row)."""
-        return self.depth - q + 1
-
     def cells(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (grid row, grid column, value)."""
+        """Yield (grid row, grid column, value): filling row q is grid row depth - q + 1."""
         for q, row in enumerate(self.rows, start=1):
-            a = self.grid_row(q)
+            a = self.depth - q + 1
             for b, v in enumerate(row, start=1):
                 yield a, b, v
 

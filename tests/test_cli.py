@@ -97,16 +97,17 @@ class TestVerify:
         code, out, _ = run(["verify", "schur", "--n", "2"])
         assert code == 0
 
-    @pytest.mark.parametrize("rows", range(6))
-    def test_partitions_in_box(self, rows):
-        # a partition inside rows x cols is a lattice path, so there are C(rows + cols, rows)
-        for cols in range(6):
-            parts = cli._partitions_in_box(rows, cols)
-            assert len(parts) == len(set(parts)) == math.comb(rows + cols, rows)
-            assert parts == sorted(parts, key=lambda p: (len(p), p))
-            for p in parts:
-                assert len(p) <= rows and all(0 < x <= cols for x in p)
-                assert list(p) == sorted(p, reverse=True)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_schur_shapes(self, n):
+        # a partition inside the n x n box is a lattice path, so there are C(2n, n)
+        shapes = cli._schur_shapes(n)
+        parts = list(dict.fromkeys(p for p, _ in shapes))  # the last assert rules out repeats
+        assert len(parts) == math.comb(2 * n, n)
+        assert parts == sorted(parts, key=lambda p: (len(p), p))
+        for p in parts:
+            assert len(p) <= n and all(0 < x <= n for x in p)
+            assert list(p) == sorted(p, reverse=True)
+        assert shapes == [(p, d) for p in parts for d in range(max(1, len(p)), n + 1)]
 
     def test_jobs_flag_same_output(self):
         # 42 ASMs at n = 4 go to the pool in chunks of 5
@@ -539,6 +540,12 @@ class TestErrors:
         assert code == 1
         assert "line 2, column 1" in err
 
+    # int() alone takes an underscore and non-ASCII digits (U+0661, U+FF11)
+    @pytest.mark.parametrize("tok", ["0_1", "\u0661", "\uff11"])
+    def test_underscores_and_unicode_digits_are_refused(self, monkeypatch, tok):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{tok}\n"))
+        assert run(["deg", "--asm", "-"]) == (1, "", f"error: -: line 1, column 1: not an integer: {tok!r}\n")
+
     def test_undecodable_bytes_report_position(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"1 0\n0 \xff1\n")
@@ -602,6 +609,12 @@ class TestSizeLimits:
 
     def test_count_9(self):
         assert run(["count", "9"]) == (1, "", "error: n must be at most 8, got 9\n")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["count", "0"], "n"), (["count", "-3"], "n"), (["verify", "groebner", "--n", "0"], "--n"),
+    ])
+    def test_sizes_below_one(self, argv, what):
+        assert run(argv) == (1, "", f"error: {what} must be positive\n")
 
     @pytest.mark.parametrize("name", ["theorem1", "lattice"])
     def test_verify_n8(self, name):

@@ -255,6 +255,18 @@ class TestDecodeOnDemand:
             assert small.n == 4 and large.n == 5
             assert small == large and large == small and hash(small) == hash(large)
 
+    def test_mixed_sizes_leave_the_larger_undecoded(self):
+        # the larger operand's sums are already at the common size: only
+        # the smaller one is re-packed, so the larger is never decoded
+        for a, b in itertools.product(self.ASM4[::3], repeat=2):
+            for y in enumerate_asms(3):
+                x, wide = asm_join(a, b), embed(y)
+                assert (x == y) == (y == x) == (x == wide)
+                assert asm_leq(y, x) == asm_leq(wide, x) and asm_leq(x, y) == asm_leq(x, wide)
+                assert asm_join(x, y)._sums == asm_join(x, wide)._sums
+                assert asm_meet(y, x)._sums == asm_meet(wide, x)._sums
+                assert not decoded(x)
+
     def test_pickle_round_trip(self):
         for a, b in itertools.product(self.ASM4[::5], repeat=2):
             j = asm_meet(a, b)

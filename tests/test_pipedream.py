@@ -511,7 +511,7 @@ class TestFailureText:
         spec = bigrassmannian_model(a)
         monkeypatch.setattr(_Fillings, "fibers", lambda self, targets: {})
         report = verify_bijection(spec)
-        assert not report.passed and not report.checks["facets_covered"]
+        assert not report.passed
         match = re.fullmatch(r"facet with pluses (\[.*\]) has empty fiber", report.failure)
         assert match
         cells = ast.literal_eval(match.group(1))

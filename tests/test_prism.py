@@ -211,7 +211,7 @@ def assert_grid_layout(t: PrismTableau, width: int) -> None:
         union |= cells
         where = {}  # (label, antidiagonal) -> (filling row, grid row, grid column)
         for q, row in enumerate(comp.rows, start=1):
-            a = comp.grid_row(q)
+            a = comp.depth - q + 1
             for b, v in enumerate(row, start=1):
                 where[v, a + b - 1] = (q, a, b)
         assert grid_cells(cells, width) == {(v, d - v + 1) for v, d in where}
