@@ -88,7 +88,7 @@ class Asm:
     """An alternating sign matrix.  :func:`validate_asm` checks matrices
     from outside; :func:`enumerate_asms`, the lattice operations and
     ``Perm.matrix`` build valid ones.  Every ``Asm`` holds its size ``n``
-    and its packed corner sums ``_sums`` (see :func:`_pack`) from
+    and its packed corner sums ``_sums`` (see :func:`corner_rows`) from
     construction: ``Asm(entries)`` packs them, and the other builders hand
     them to :func:`_trusted_asm`.  ``entries`` is held when the builder had
     the rows, and otherwise decoded from the sums on first read.  Equality
@@ -100,7 +100,8 @@ class Asm:
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         _set_n(self, len(entries))
         _set_entries(self, entries)
-        _set_sums(self, _pack(self, self.n))
+        _layout(self.n)  # refuses an n the guard bits cannot hold
+        _set_sums(self, int.from_bytes(bytes(chain.from_iterable(corner_rows(self))), "little"))
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -232,23 +233,14 @@ def identity_asm(n: int) -> Asm:
     return Asm(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def corner_rows(a: Asm | PartialAsm, m: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """The corner sums r(i, 1..m) for i = 1..m; m defaults to a.n.  Row i
-    is row i-1 plus the running sums of entry row i.  Past n, A is read as
-    embedded by iota: every row and column of an ASM sums to 1, so there
-    r(i, j) = min(i, j).  iota is defined only for ASMs, so a partial ASM
-    is read at its own size only."""
-    n = a.n
-    if m is not None and (m < n or m > n and isinstance(a, PartialAsm)):
-        raise ValueError(f"cannot read the corner sums of a size-{n} {type(a).__name__} at size {m}")
+def corner_rows(a: Asm | PartialAsm) -> tuple[tuple[int, ...], ...]:
+    """The corner sums r(i, 1..n) for i = 1..n at a's own size: row i is
+    row i-1 plus the running sums of entry row i."""
     rows = []
-    prev: Sequence[int] = (0,) * n
+    prev: Sequence[int] = (0,) * a.n
     for row in a.entries:
         prev = tuple(map(operator.add, prev, accumulate(row)))
         rows.append(prev)
-    if m is not None and m > n:
-        rows = [row + (i,) * (m - n) for i, row in enumerate(rows, start=1)]
-        rows += [tuple(range(1, i)) + (i,) * (m - i + 1) for i in range(n + 1, m + 1)]
     return tuple(rows)
 
 
@@ -317,15 +309,18 @@ def _layout(n: int) -> _Layout:
     )
 
 
-def _pack(a: Asm, m: int) -> int:
-    """The corner sums of a at size m >= a.n (see :func:`corner_rows`), packed."""
-    _layout(m)  # refuses an m the guard bits cannot hold
-    return int.from_bytes(bytes(chain.from_iterable(corner_rows(a, m))), "little")
-
-
 def _sums_at(a: Asm, m: int) -> int:
-    """a's packed corner sums at size m >= a.n, re-packed only when m > a.n."""
-    return a._sums if a.n == m else _pack(a, m)
+    """a's packed corner sums at size m >= a.n, with no entry read.  Past
+    n, A is read as embedded by iota: every row and column of an ASM sums
+    to 1, so there r(i, j) = min(i, j).  Row i is a's row i, or 1, ..., i - 1
+    when i > n, padded with i out to column m."""
+    n = a.n
+    if n == m:
+        return a._sums
+    _layout(m)  # refuses an m the guard bits cannot hold
+    sums = a._sums.to_bytes(n * n, "little")
+    rows = [sums[n * i - n:n * i] if i <= n else bytes(range(1, i)) for i in range(1, m + 1)]
+    return int.from_bytes(b"".join(r + bytes((i,)) * (m - len(r)) for i, r in enumerate(rows, 1)), "little")
 
 
 def _trusted_asm(n: int, p: int, entries: tuple[tuple[int, ...], ...] | None = None) -> Asm:
@@ -424,10 +419,10 @@ def join_all(asms: Iterable[Asm], n: int | None = None) -> Asm:
         q = a._sums
         if a.n != m:
             if a.n < m:
-                q = _pack(a, m)
+                q = _sums_at(a, m)
             else:
                 if p is not None:
-                    p = _pack(_trusted_asm(m, p), a.n)
+                    p = _sums_at(_trusted_asm(m, p), a.n)
                 m, g = a.n, _layout(a.n).guard
         if p is None:
             p, g = q, _layout(m).guard

@@ -1,8 +1,8 @@
 """Command line surface.
 
-Exit codes: 0 on success, 1 on validation errors (bad input), 2 when a
-``verify`` run finds a counterexample.  Output is deterministic for a
-fixed invocation.
+Exit codes: 0 on success, 1 on bad input (a usage error or a matrix that
+fails validation), 2 when a ``verify`` run finds a counterexample.
+Output is deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -96,11 +96,12 @@ def _cells_line(cells: Iterable[tuple[int, int]]) -> str:
 # the two prism models of an ASM, checked and listed in this order
 _PRISM_MODELS = {"bigr": prism_mod.bigrassmannian_model, "parabolic": prism_mod.parabolic_model}
 
-# each poly --model: the polynomial of an ASM by that route
+# each poly --model: the polynomial of an ASM by that route, looked up when
+# called, so that poly and verify theorem1 run whatever the tables hold
 _POLYS: dict[str, Callable[[Asm], Polynomial]] = {
-    **{name: lambda a, model=model: prism_mod.asm_polynomial(model(a)) for name, model in _PRISM_MODELS.items()},
-    "schubert-sum": pd_mod.min_perm_schubert_sum,
-    "multidegree": ideal_mod.multidegree,
+    **{name: lambda a, name=name: prism_mod.asm_polynomial(_PRISM_MODELS[name](a)) for name in _PRISM_MODELS},
+    "schubert-sum": lambda a: pd_mod.min_perm_schubert_sum(a),
+    "multidegree": lambda a: ideal_mod.multidegree(a),
 }
 
 
@@ -114,16 +115,17 @@ def _anchored(a: Asm) -> bool:
 
 
 def _check_theorem1(a: Asm) -> bool:
-    """Every route weighs through ``algebra._row_counts``, so the weights are
-    anchored too: each w in MinPerm(A) adds x^code(w), the weight of its
-    bottom pipe dream, and coefficients count pipe dreams, so none cancels."""
+    """The Schubert sum over MinPerm(A), from one walk, equals every other
+    ``_POLYS`` route.  Every route weighs through ``algebra._row_counts``,
+    so the weights are anchored too: each w in MinPerm(A) adds x^code(w),
+    the weight of its bottom pipe dream, and coefficients count pipe
+    dreams, so none cancels."""
     mins = perm_mod.min_perm_set(a)
     target = sum((pd_mod.schubert_polynomial(w, a.n) for w in mins), Polynomial.zero())
     return (
         _anchored(a)
         and all(target.coefficient(Monomial(w.code())) > 0 for w in mins)
-        and all(prism_mod.asm_polynomial(model(a)) == target for model in _PRISM_MODELS.values())
-        and ideal_mod.multidegree(a) == target
+        and all(poly(a) == target for name, poly in _POLYS.items() if name != "schubert-sum")
     )
 
 
@@ -352,8 +354,12 @@ def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage and message; its code 2 for a usage
+        # error is the counterexample code here, and bad input exits 1
+        return 1 if exc.code == 2 else exc.code
     try:
         code, lines = _run(args)
     except CliError as exc:

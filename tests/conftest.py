@@ -27,6 +27,7 @@ from asmprism.asm import (
     asm_meet,
     bigrassmannian_one_line,
     corner_rows,
+    embed,
     identity_asm,
     join_all,
     rank_conditions,
@@ -204,13 +205,22 @@ def brute_force_meet(a: Asm, b: Asm, universe: list[Asm]) -> Asm:
 #
 # The packed lattice kernel in asmprism.asm is checked against these: the
 # same entrywise comparisons, minima and maxima, cell by cell on the
-# tuples of corner_rows, validated by validate_asm.
+# tuples of corner_rows, validated by validate_asm.  A smaller ASM reaches
+# the common size through the entry-based embed, one row and column at a
+# time, so the tables share nothing with the kernel's bytewise iota.
+
+
+def _embedded_corner_rows(a: Asm, m: int) -> tuple[tuple[int, ...], ...]:
+    """The corner sums of a embedded into ASM(m), m >= a.n."""
+    while a.n < m:
+        a = embed(a)
+    return corner_rows(a)
 
 
 def _common_corner_rows(a: Asm, b: Asm) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The corner sums of a and b at their common size."""
     m = max(a.n, b.n)
-    return corner_rows(a, m), corner_rows(b, m)
+    return _embedded_corner_rows(a, m), _embedded_corner_rows(b, m)
 
 
 def corner_leq(a: Asm, b: Asm) -> bool:
@@ -241,7 +251,20 @@ def corner_join_all(asms: Sequence[Asm], n: int | None = None) -> Asm:
     if not asms:
         return identity_asm(n if n else 1)
     m = max(n or 1, max(a.n for a in asms))
-    return asm_from_corner_sum(_entrywise_min([corner_rows(a, m) for a in asms]))
+    return asm_from_corner_sum(_entrywise_min([_embedded_corner_rows(a, m) for a in asms]))
+
+
+def decoded_entries_match(asms: Sequence[Asm]) -> bool:
+    """Whether the join and the meet of every pair of asms, which hold only
+    their packed sums, decode to entries whose corner sums are the entrywise
+    minimum and maximum of the pair's, read off the entries the asms hold.
+    No verify check decodes corner sums, so this is the decoder's check."""
+    for a, b in itertools.product(asms, repeat=2):
+        ra, rb = corner_rows(a), corner_rows(b)
+        for got, pick in ((asm_join(a, b), min), (asm_meet(a, b), max)):
+            if corner_rows(got) != tuple(tuple(map(pick, x, y)) for x, y in zip(ra, rb)):
+                return False
+    return True
 
 
 def pair_lattice_check(asms: Sequence[Asm]) -> bool:

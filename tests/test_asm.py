@@ -29,6 +29,7 @@ from asmprism.asm import (
     MatrixParseError,
     MonotoneTriangle,
     _is_corner_sums,
+    _sums_at,
     _trusted_asm,
     asm_from_corner_sum,
     asm_join,
@@ -102,25 +103,19 @@ class TestCornerSum:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_block_sums(self, n):
-        """corner_rows at m = n, n+1 and n+2 against the block sums of the
-        matrix padded with diagonal 1s, summed from the definition."""
+        """corner_rows, and the packed sums at m = n, n+1 and n+2, against
+        the block sums of the matrix padded with diagonal 1s, summed from
+        the definition."""
         for a in enumerate_asms(n):
+            assert [x for row in corner_rows(a) for x in row] == _block_sums(a, n)
             for m in (n, n + 1, n + 2):
-                rows = corner_rows(a, m)
-                assert len(rows) == m
-                assert [x for row in rows for x in row] == _block_sums(a, m)
-
-    def test_size_below_n_rejected(self):
-        with pytest.raises(ValueError, match=r"^cannot read the corner sums of a size-3 Asm at size 1$"):
-            corner_rows(identity_asm(3), 1)
-        assert len(corner_rows(identity_asm(3), 3)) == 3
+                assert list(_sums_at(a, m).to_bytes(m * m, "little")) == _block_sums(a, m)
 
     def test_partial_asm_only_at_its_own_size(self):
-        # iota embeds ASMs only: a zero row or column has no 1 to extend
+        # corner_rows takes no size: iota embeds ASMs only, as a zero row
+        # or column has no 1 to extend
         p = validate_partial_asm([[0]])
-        assert corner_rows(p) == corner_rows(p, 1) == ((0,),)
-        with pytest.raises(ValueError, match=r"^cannot read the corner sums of a size-1 PartialAsm at size 2$"):
-            corner_rows(p, 2)
+        assert corner_rows(p) == ((0,),)
 
     @pytest.mark.parametrize(
         "rows, match",
@@ -447,8 +442,8 @@ class TestEmbed:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_padding_is_iota(self, n):
         for a in enumerate_asms(n):
-            assert corner_rows(embed(a)) == corner_rows(a, n + 1)
-            assert corner_rows(embed(embed(a))) == corner_rows(a, n + 2)
+            assert embed(a)._sums == _sums_at(a, n + 1)
+            assert embed(embed(a))._sums == _sums_at(a, n + 2)
 
     def test_order_embedding_asm3(self):
         asms = list(enumerate_asms(3))

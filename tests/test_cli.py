@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import pair_lattice_check
+from conftest import decoded_entries_match, pair_lattice_check
 
 from asmprism import algebra, cli
 from asmprism.algebra import Polynomial
@@ -152,6 +152,11 @@ class TestVerify:
         code, out, _ = run(["verify", "theorem1", "--n", "3"])
         assert code == 2
         assert out.startswith("FAIL")
+
+    def test_theorem1_checks_every_route_of_poly(self, monkeypatch):
+        # a route added to poly's table is checked by theorem1 too
+        monkeypatch.setitem(cli._POLYS, "zero", lambda a: Polynomial.zero())
+        assert run(["verify", "theorem1", "--n", "3"]) == (2, "FAIL: 0/7 ASMs, both models\n", "")
 
     def test_lattice_checks_the_join(self, monkeypatch):
         # a join that returns the meet is not an upper bound
@@ -353,25 +358,30 @@ class TestAnchors:
         assert run(["verify", "bijection", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs, both models\n", "")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("name,n,code,line", [
-        # an A with a(n, n) = 1 has an A_{lambda, d} one size smaller, and
-        # comparing the two decodes the smaller one's entries to embed it;
-        # the identity's one row has nothing to swap
-        ("bijection", "3", 2, "FAIL: 6/7 ASMs, both models\n"),
-        ("bijection", "4", 2, "FAIL: 36/42 ASMs, both models\n"),
-        # these compare ASMs of one size only, so they never decode
-        ("theorem1", "3", 0, "OK: 7/7 ASMs, both models\n"),
-        ("theorem1", "4", 0, "OK: 42/42 ASMs, both models\n"),
-        ("groebner", "3", 0, "OK: 7/7 ASMs\n"),
-        ("groebner", "4", 0, "OK: 42/42 ASMs\n"),
-        ("lattice", "3", 0, "OK: 7/7 ASMs, joins/meets closed, A = join(biGr(A))\n"),
-        ("lattice", "4", 0, "OK: 42/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
-        ("schur", "3", 0, "OK: 34/34 single shapes match the tableau Schur\n"),
-        ("schur", "4", 0, "OK: 125/125 single shapes match the tableau Schur\n"),
+    @pytest.mark.parametrize("name,n,line", [
+        # no check decodes corner sums: ASMs of different sizes, as A and an
+        # A_{lambda, d} one size smaller, compare by their packed sums,
+        # widened bytewise under iota
+        ("bijection", "3", "OK: 7/7 ASMs, both models\n"),
+        ("bijection", "4", "OK: 42/42 ASMs, both models\n"),
+        ("theorem1", "3", "OK: 7/7 ASMs, both models\n"),
+        ("theorem1", "4", "OK: 42/42 ASMs, both models\n"),
+        ("groebner", "3", "OK: 7/7 ASMs\n"),
+        ("groebner", "4", "OK: 42/42 ASMs\n"),
+        ("lattice", "3", "OK: 7/7 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("lattice", "4", "OK: 42/42 ASMs, joins/meets closed, A = join(biGr(A))\n"),
+        ("schur", "3", "OK: 34/34 single shapes match the tableau Schur\n"),
+        ("schur", "4", "OK: 125/125 single shapes match the tableau Schur\n"),
     ])
-    def test_corner_sum_decode_swapping_the_last_two_rows(self, swap_decoded_rows, jobs, name, n, code, line):
+    def test_corner_sum_decode_swapping_the_last_two_rows(self, swap_decoded_rows, jobs, name, n, line):
         # the pool's workers are forked, so they run the patched decode too
-        assert run(["verify", name, "--n", n, "--jobs", jobs]) == (code, line, "")
+        assert run(["verify", name, "--n", n, "--jobs", jobs]) == (0, line, "")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_corner_sum_decode_swap_fails_the_decoder_check(self, swap_decoded_rows, n):
+        # the verify names pass the swap above; conftest's decoder check,
+        # which test_lattice_kernel runs on every pair of ASM(4), catches it
+        assert decoded_entries_match(list(cli.asm_mod.enumerate_asms(n))) is False
 
     def test_bijection_rebuilds_each_spec_once(self, monkeypatch):
         # the check compares the A its report rebuilt, so each of the two
@@ -588,6 +598,22 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --jobs must be at least 1")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "bogus"], "asmprism verify: error: argument name: invalid choice: 'bogus'"),
+        (["count", "x"], "asmprism count: error: argument n: invalid int value: 'x'"),
+        (["verify", "lattice", "--n", "3", "--jobs", "x"], "asmprism verify: error: argument --jobs: invalid int value: 'x'"),
+        ([], "asmprism: error: the following arguments are required: verb"),
+    ], ids=["verify bogus", "count x", "jobs x", "no verb"])
+    def test_usage_errors_exit_1(self, argv, message):
+        # argparse's usage and message, with the exit code of bad input
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: asmprism") and message in err
+
+    def test_help_exits_0(self):
+        code, out, err = run(["--help"])
+        assert (code, err) == (0, "") and out.startswith("usage: asmprism")
 
 
 class TestSizeLimits:

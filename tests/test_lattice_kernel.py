@@ -3,6 +3,7 @@ of conftest: order, join, meet, join_all, Ess(A) and the Robbins-Rumsey
 test, each checked against an oracle that never reads the packed sums."""
 
 import itertools
+import operator
 import pickle
 import random
 
@@ -14,6 +15,7 @@ from conftest import (
     corner_join_all,
     corner_leq,
     corner_meet,
+    decoded_entries_match,
     table_rank_conditions,
 )
 
@@ -23,6 +25,7 @@ from asmprism.asm import (
     AsmValidationError,
     _asm_of_sums,
     _is_corner_sums,
+    _sums_at,
     asm_from_corner_sum,
     asm_join,
     asm_leq,
@@ -154,6 +157,8 @@ class TestEdgeCases:
     def test_size_beyond_the_guard_bit(self):
         with pytest.raises(ValueError, match="n <= 127"):
             asm_leq(identity_asm(128), identity_asm(1))
+        with pytest.raises(ValueError, match="n <= 127"):
+            _sums_at(identity_asm(2), 128)
 
 
 class TestSumsAtConstruction:
@@ -205,6 +210,15 @@ class TestSumsAtConstruction:
         assert asm_leq(top, top) and asm_join(top, identity_asm(3)) == top
 
 
+def count_decodes(monkeypatch) -> list:
+    """Spy on the corner-sum decoder: the list it returns grows by one
+    entry per call from now on."""
+    calls = []
+    decode = asm_mod._entries_from_corner_rows
+    monkeypatch.setattr(asm_mod, "_entries_from_corner_rows", lambda rows: calls.append(rows) or decode(rows))
+    return calls
+
+
 def decoded(a: Asm) -> bool:
     """Whether a holds its entries, read off the optional slot without
     decoding them."""
@@ -249,23 +263,55 @@ class TestDecodeOnDemand:
             assert not decoded(j)
 
     def test_equality_across_sizes_reads_entries(self):
-        # equal ASMs of sizes 4 and 5 have different packed sums
+        # equal ASMs of sizes 4 and 5 have different packed sums: == widens
+        # the smaller one's, and the hash reads the canonical entries
         for a, b in itertools.product(self.ASM4, repeat=2):
             small, large = asm_join(a, b), join_all([a, b], 5)
             assert small.n == 4 and large.n == 5
             assert small == large and large == small and hash(small) == hash(large)
 
     def test_mixed_sizes_leave_the_larger_undecoded(self):
-        # the larger operand's sums are already at the common size: only
-        # the smaller one is re-packed, so the larger is never decoded
+        # the larger operand's sums are already at the common size, and the
+        # smaller one's are widened bytewise, so neither is decoded
         for a, b in itertools.product(self.ASM4[::3], repeat=2):
-            for y in enumerate_asms(3):
-                x, wide = asm_join(a, b), embed(y)
+            for u in enumerate_asms(3):
+                x, y, wide = asm_join(a, b), asm_join(u, u), embed(u)
                 assert (x == y) == (y == x) == (x == wide)
                 assert asm_leq(y, x) == asm_leq(wide, x) and asm_leq(x, y) == asm_leq(x, wide)
                 assert asm_join(x, y)._sums == asm_join(x, wide)._sums
                 assert asm_meet(y, x)._sums == asm_meet(wide, x)._sums
-                assert not decoded(x)
+                assert not decoded(x) and not decoded(y)
+
+    MIXED_OPS = {"==": operator.eq, "asm_leq": asm_leq, "asm_join": asm_join, "asm_meet": asm_meet}
+    ORACLES = {"==": lambda a, b: corner_leq(a, b) and corner_leq(b, a), "asm_leq": corner_leq,
+               "asm_join": corner_join, "asm_meet": corner_meet}
+
+    @pytest.mark.parametrize("small_first", [True, False], ids=["3,4", "4,3"])
+    @pytest.mark.parametrize("op", sorted(MIXED_OPS))
+    def test_no_size_change_decodes(self, monkeypatch, op, small_first):
+        # both operands hold only their packed sums; the last pair is equal
+        ASM3 = list(enumerate_asms(3))
+        pairs = [(asm_meet(ASM3[u], ASM3[v]), asm_join(self.ASM4[a], self.ASM4[b]))
+                 for u, v, a, b in [(1, 4, 9, 30), (0, 6, 41, 2), (3, 3, 17, 17)]]
+        pairs.append((asm_join(ASM3[2], ASM3[2]), asm_join(embed(ASM3[2]), embed(ASM3[2]))))
+        pairs = [pair if small_first else pair[::-1] for pair in pairs]
+        calls = count_decodes(monkeypatch)
+        got = [self.MIXED_OPS[op](*pair) for pair in pairs]
+        assert calls == [] and not any(decoded(a) for pair in pairs for a in pair)
+        assert got == [self.ORACLES[op](*pair) for pair in pairs]
+
+    def test_join_all_widens_without_decoding(self, monkeypatch):
+        # the running minimum of two ASM(3)s is widened when an ASM(4) arrives
+        ASM3 = list(enumerate_asms(3))
+        families = [[asm_join(ASM3[1], ASM3[4]), self.ASM4[9]], [asm_join(ASM3[6], ASM3[0]), self.ASM4[40]]]
+        calls = count_decodes(monkeypatch)
+        got = [join_all(family) for family in families]
+        assert calls == [] and not any(decoded(family[0]) for family in families)
+        for family, j in zip(families, got):
+            assert_lazy_equals(j, validate_asm(corner_join_all(family).entries))
+
+    def test_decoded_entries_match_the_sums(self):
+        assert decoded_entries_match(self.ASM4)
 
     def test_pickle_round_trip(self):
         for a, b in itertools.product(self.ASM4[::5], repeat=2):
