@@ -9,8 +9,10 @@ Conventions used throughout the package:
 * The order is A <= B iff r_A(i, j) >= r_B(i, j) everywhere, so the
   identity matrix is the lattice minimum and joins take entrywise
   minima of corner sums.
-* Two ASMs are equal when their canonical representatives agree, where
-  the canonical form strips trailing blocks of the form [A|0; 0|1].
+* Two ASMs are equal when their packed corner sums agree at the larger
+  size.  A hash reads Ess(A) and r on it, which determine A and which
+  iota, A -> [A|0; 0|1], leaves alone.  A pickle carries the packed
+  sums, so only ``repr`` reads the entries.
 * The lattice layer (order, join, meet) and the diagram, rank
   conditions and monotone triangle run on each ASM's corner sums packed
   into one int: byte (i-1)*n + j-1 holds r(i, j).  Every r is at most
@@ -93,7 +95,8 @@ class Asm:
     them to :func:`_trusted_asm`.  ``entries`` is held when the builder had
     the rows, and otherwise decoded from the sums on first read.  Equality
     compares the sums at the larger size, which is equality under iota;
-    hashing, ``repr`` and pickles read the entries."""
+    the hash reads :func:`rank_conditions`, and a pickle carries the sums
+    that unpickling puts to the Robbins-Rumsey test."""
 
     __slots__ = ("n", "_sums", "_entries")
 
@@ -119,20 +122,6 @@ class Asm:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _canonical_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The entries with trailing [A|0; 0|1] blocks stripped."""
-        rows = self.entries
-        n = len(rows)
-        # The last row and column of an ASM each hold a single 1, so a 1 at (n, n) makes both e_n.
-        while n > 1 and rows[n - 1][n - 1] == 1:
-            n -= 1
-        return rows if n == len(rows) else tuple(r[:n] for r in rows[:n])
-
-    def canonical(self) -> Asm:
-        """Strip trailing [A|0; 0|1] blocks; representative of the iota class."""
-        rows = self._canonical_rows()
-        return self if len(rows) == self.n else Asm(rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Asm):
             return NotImplemented
@@ -142,13 +131,13 @@ class Asm:
         return _sums_at(self, m) == _sums_at(other, m)
 
     def __hash__(self) -> int:
-        return hash(self._canonical_rows())
+        return hash(tuple(rank_conditions(self)))
 
     def __repr__(self) -> str:
         return f"Asm({self.entries!r})"
 
     def __reduce__(self) -> tuple:
-        return Asm, (self.entries,)
+        return _asm_of_sums, (self._sums, self.n)
 
 
 # the slots are set through their descriptors, past the frozen __setattr__

@@ -38,17 +38,17 @@ MAX_N = 8
 
 def _read_matrix(path: str) -> list[list[int]]:
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            # undecodable bytes become lone surrogates, so the parser
-            # rejects them with a line and column instead of a traceback
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        rows = asm_mod.parse_matrix_text(text)
+        # undecodable bytes become lone surrogates, so the parser
+        # rejects them with a line and column instead of a traceback
+        rows = asm_mod.parse_matrix_text(data.decode("utf-8", "surrogateescape"))
     except MatrixParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
     _bounded(f"{path}: matrix size", len(rows), MAX_N)

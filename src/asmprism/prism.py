@@ -22,7 +22,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence, Set
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 
 from .algebra import Monomial, Polynomial, _row_counts, grid_weight_sum, poly_from_monomials
@@ -411,40 +411,24 @@ def parabolic_model(a: Asm) -> PrismShapeSpec:
 def schur_polynomial_ssyt(lam: Sequence[int], d: int) -> Polynomial:
     """Independent Schur route: the generating function of semistandard
     tableaux (rows weakly increase, columns strictly increase) with
-    entries at most d."""
+    entries at most d, built a row at a time from the top."""
     lam = partition(lam)
-    if not lam:
-        return Polynomial.one()
-    if len(lam) > d:
-        return Polynomial.zero()
 
-    rows: list[list[int]] = []
-    monomials: list[Monomial] = []
+    @cache
+    def below(above: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
+        # the weakly increasing rows whose entries exceed the ones above them
+        picks = combinations_with_replacement(range(1, d + 1), width)
+        return [row for row in picks if all(map(operator.lt, above, row))]
 
-    def fill_row(q: int) -> None:
+    def fillings(q: int, above: tuple[int, ...], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # each tableau that rows 0..q-1 (flattened in prefix) start
         if q == len(lam):
-            monomials.append(Monomial.counting(v for row in rows for v in row))
+            yield prefix
             return
-        width = lam[q]
+        for row in below(above, lam[q]):
+            yield from fillings(q + 1, row, prefix + row)
 
-        def place(b: int, acc: list[int]) -> None:
-            if b == width:
-                rows.append(list(acc))
-                fill_row(q + 1)
-                rows.pop()
-                return
-            lo = 1 if not acc else acc[-1]
-            if q:
-                lo = max(lo, rows[q - 1][b] + 1)
-            for v in range(lo, d + 1):
-                acc.append(v)
-                place(b + 1, acc)
-                acc.pop()
-
-        place(0, [])
-
-    fill_row(0)
-    return poly_from_monomials(monomials)
+    return poly_from_monomials(map(Monomial.counting, fillings(0, (), ())))
 
 
 def render_prism_tableau(t: PrismTableau) -> str:

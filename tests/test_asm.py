@@ -455,22 +455,17 @@ class TestEmbed:
         assert identity_asm(5) == identity_asm(1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_canonical_matches_block_stripping(self, n):
-        """The (n, n) test of Asm.canonical against stripping whole
-        trailing [A|0; 0|1] blocks, on ASM(n) embedded 0, 1 and 2 times."""
-        for a in enumerate_asms(n):
-            for b in (a, embed(a), embed(embed(a))):
-                assert b.canonical().entries == brute_force_canonical(b)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_hash_is_the_hash_of_the_canonical_rows(self, n):
-        """hash(A) is the hash of its stripped rows, as a tuple of tuples,
-        at every size A is embedded in, and it does not depend on whether
-        the entries were held or decoded from the sums."""
-        for a in enumerate_asms(n):
-            want = hash(brute_force_canonical(a))
+        """hash(A) is the hash of its rank conditions, at every size A is
+        embedded in, equal to the hash of its stripped rows as an ASM, and
+        it does not depend on whether the entries were held or decoded from
+        the sums.  The rank conditions tell the ASMs of ASM(n) apart."""
+        asms = list(enumerate_asms(n))
+        for a in asms:
+            want = hash(tuple(rank_conditions(a)))
             for b in (a, embed(a), embed(embed(a)), _trusted_asm(a.n, a._sums)):
-                assert hash(b) == want
+                assert hash(b) == want == hash(validate_asm(brute_force_canonical(b)))
+        assert len({tuple(rank_conditions(a)) for a in asms}) == len(asms)
 
 
 class TestPartialAsm:

@@ -553,7 +553,7 @@ class TestErrors:
     # int() alone takes an underscore and non-ASCII digits (U+0661, U+FF11)
     @pytest.mark.parametrize("tok", ["0_1", "\u0661", "\uff11"])
     def test_underscores_and_unicode_digits_are_refused(self, monkeypatch, tok):
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{tok}\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f"{tok}\n".encode())))
         assert run(["deg", "--asm", "-"]) == (1, "", f"error: -: line 1, column 1: not an integer: {tok!r}\n")
 
     def test_undecodable_bytes_report_position(self, tmp_path):
@@ -562,6 +562,14 @@ class TestErrors:
         code, _, err = run(["essential", "--asm", str(p)])
         assert code == 1
         assert "line 2, column 2: not an integer" in err
+
+    def test_undecodable_stdin_reports_position(self, monkeypatch):
+        # stdin is decoded like a file, whatever the stream's own error handler
+        strict = io.TextIOWrapper(io.BytesIO(b"1 0\n0 \xff\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", strict)
+        code, _, err = run(["essential", "--asm", "-"])
+        assert code == 1
+        assert "-: line 2, column 2: not an integer" in err
 
     def test_invalid_asm_reports_axiom(self, tmp_path):
         p = tmp_path / "bad.txt"

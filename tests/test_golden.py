@@ -47,7 +47,7 @@ VERIFY_NAMES = ("theorem1", "bijection", "groebner", "lattice", "schur")
 def _invoke(argv: list[str], stdin: str = "") -> tuple[int, str]:
     out = io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()))
     try:
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = cli.main(argv)

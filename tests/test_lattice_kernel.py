@@ -142,9 +142,9 @@ class TestEdgeCases:
         a = asm_join(*ASMS_1_TO_4[-2:])
         b = Asm(a.entries)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert a.__reduce__() == (Asm, (a.entries,))  # a pickle carries the entries alone
+        assert a.__reduce__() == (_asm_of_sums, (a._sums, a.n))  # a pickle carries the sums alone
         c = pickle.loads(pickle.dumps(a))
-        assert c.entries == a.entries and c._sums == a._sums
+        assert c._sums == a._sums and not decoded(c) and c.entries == a.entries
         assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
 
     def test_invalid_input_raises_through_validate_asm(self):
@@ -153,6 +153,13 @@ class TestEdgeCases:
             asm_join(bad, bad)
         with pytest.raises(AsmValidationError, match="row 1 sums to 2"):
             join_all([bad])
+
+    def test_unpickling_validates(self):
+        # a pickle carries packed sums, and unpickling puts them to the
+        # Robbins-Rumsey test, so an unvalidated Asm does not come back
+        bad = Asm(((1, 1), (0, 0)))
+        with pytest.raises(AsmValidationError, match="row 1 sums to 2"):
+            pickle.loads(pickle.dumps(bad))
 
     def test_size_beyond_the_guard_bit(self):
         with pytest.raises(ValueError, match="n <= 127"):
@@ -174,7 +181,6 @@ class TestSumsAtConstruction:
             "Asm": Asm(x.entries),
             "identity_asm": identity_asm(5),
             "embed": embed(x),
-            "canonical": embed(embed(x)).canonical(),
             "unpickle": pickle.loads(pickle.dumps(asm_meet(x, y))),
             "enumerate_asms": list(enumerate_asms(4))[17],
             "Perm.matrix": Perm((3, 1, 4, 2)).matrix(6),
@@ -192,7 +198,7 @@ class TestSumsAtConstruction:
     def test_lattice_results_hold_no_entries_until_read(self):
         # Perm.matrix is left out: its matrices are kept per process, so an
         # earlier test may have read them
-        lazy = {"join", "meet", "join_all"}
+        lazy = {"unpickle", "join", "meet", "join_all"}
         for name, a in self.builders().items():
             if name != "Perm.matrix":
                 assert decoded(a) == (name not in lazy), name
@@ -264,7 +270,7 @@ class TestDecodeOnDemand:
 
     def test_equality_across_sizes_reads_entries(self):
         # equal ASMs of sizes 4 and 5 have different packed sums: == widens
-        # the smaller one's, and the hash reads the canonical entries
+        # the smaller one's, and the hash reads Ess(A), which iota leaves alone
         for a, b in itertools.product(self.ASM4, repeat=2):
             small, large = asm_join(a, b), join_all([a, b], 5)
             assert small.n == 4 and large.n == 5
@@ -309,6 +315,14 @@ class TestDecodeOnDemand:
         assert calls == [] and not any(decoded(family[0]) for family in families)
         for family, j in zip(families, got):
             assert_lazy_equals(j, validate_asm(corner_join_all(family).entries))
+
+    def test_no_identity_operation_decodes(self, monkeypatch):
+        # a pickle carries the packed sums and a hash reads the rank conditions
+        joins = [asm_join(a, b) for a, b in itertools.product(self.ASM4, repeat=2)]
+        calls = count_decodes(monkeypatch)
+        assert pickle.dumps(joins[-1]) and calls == []
+        assert len(set(joins)) == 42 and calls == []
+        assert not any(map(decoded, joins))
 
     def test_decoded_entries_match_the_sums(self):
         assert decoded_entries_match(self.ASM4)
