@@ -455,6 +455,19 @@ class TestEmbed:
         assert identity_asm(5) == identity_asm(1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_canonical_matches_block_stripping(self, n):
+        """Stripping whole trailing [A|0; 0|1] blocks, on ASM(n) embedded
+        0, 1 and 2 times, leaves the ASM the rank conditions fix: equal to
+        A, with A's rank conditions, and of the least size they allow, the
+        largest i + j - r(i, j) over Ess(A), or 1 when Ess(A) is empty."""
+        for a in enumerate_asms(n):
+            conds = rank_conditions(a)
+            size = max((i + j - r for i, j, r in conds), default=1)
+            for b in (a, embed(a), embed(embed(a))):
+                c = validate_asm(brute_force_canonical(b))
+                assert c.n == size and rank_conditions(c) == conds and c == b
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_hash_is_the_hash_of_the_canonical_rows(self, n):
         """hash(A) is the hash of its rank conditions, at every size A is
         embedded in, equal to the hash of its stripped rows as an ASM, and
