@@ -18,7 +18,7 @@ from functools import lru_cache
 from .algebra import Polynomial, grid_cells, grid_set, grid_weight_sum
 from .asm import Asm, Cell, _trusted_asm
 from .perm import Perm, asm_from_shape_tuple, min_perm_set, perm_set
-from .prism import PrismShapeSpec, PrismTableau, _as_filling, _dominates, _Fillings, _unstable
+from .prism import PrismShapeSpec, PrismTableau, _as_filling, _Fillings
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,8 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
 
     (a) every facet of Delta(Q, A) is the image of some prism tableau;
     (b) each facet fiber contains exactly one tableau with no unstable
-        triples, and it dominates every member of the fiber entry by
-        entry, so it is the fiber's entrywise maximum, and those tableaux
+        triples, and its labels are the fieldwise maximum of the fiber's
+        labels, so it is the fiber's entrywise maximum, and those tableaux
         biject with the facets;
     (c) the minimal stable tableaux biject with the maximal-dimension
         facets.
@@ -210,18 +210,15 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
     facets = _facet_masks(a)
     fmax = _fewest(facets)
     fillings = _Fillings(spec)
-    fibers = fillings.fibers(facets)
+    tops, stables = fillings.fibers(facets)
 
     failure: str | None = None
-    stable_count = 0
     for mask in facets:
-        fib = fibers.get(mask, [])
-        stable = [f for f in fib if not _unstable(f)]
-        stable_count += len(stable)
-        if failure or (len(stable) == 1 and _dominates(stable[0], fib)):
+        stable = stables.get(mask, ())
+        if failure or stable == (tops.get(mask),):
             continue
         pluses = sorted(grid_cells(mask, a.n))
-        if not fib:
+        if mask not in tops:
             failure = f"facet with pluses {pluses} has empty fiber"
         elif len(stable) != 1:
             failure = f"facet {pluses} has {len(stable)} stable tableaux in its fiber"
@@ -236,7 +233,7 @@ def verify_bijection(spec: PrismShapeSpec) -> BijectionReport:
         "all_prism": fillings.count(),
         "facets": len(facets),
         "fmax": len(fmax),
-        "stable_facet": stable_count,
+        "stable_facet": sum(map(len, stables.values())),
         "prism": len(prism),
     }
     return BijectionReport(counts, a, failure)

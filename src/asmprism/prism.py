@@ -26,7 +26,7 @@ from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 
 from .algebra import Monomial, Polynomial, _row_counts, grid_weight_sum, poly_from_monomials
-from .asm import Asm, _row_partition, _triangle_rows, rank_conditions
+from .asm import Asm, _bytewise_max, _row_partition, _triangle_rows, rank_conditions
 
 Partition = tuple[int, ...]
 
@@ -159,14 +159,15 @@ class PrismTableau:
                 raise ValueError(f"component {c + 1} does not match its declared shape and depth")
 
 
-Entry = tuple[Rssyt, int, tuple[tuple[int, int], ...], int, int]
+Entry = tuple[Rssyt, int, tuple[tuple[int, int], ...], int]
 Filling = tuple[tuple[Entry, ...], int]
 
 
 def _entry(f: Rssyt, n: int) -> Entry:
     """f with its phi cells and its replacement candidates, as n-by-n grid
     masks (see ``algebra``), for n at least the spec's ambient size, and
-    its labels packed with their guard mask.
+    its labels packed a byte each, rows bottom first, the first label in
+    the highest byte.
 
     The label v in grid cell (a, b) is the plus (v, a + b - v), so the
     pair of v and the antidiagonal D = a + b - 1 is bit (v - 1) * n + D - v,
@@ -178,21 +179,15 @@ def _entry(f: Rssyt, n: int) -> Entry:
     strictly decrease up each column from at most d in grid row d, so
     every label and candidate v' is at most its grid row a, and the plus's
     column a + b - v' lies in b..D, inside the grid as the shape lies in
-    d x (n - d).
-
-    The labels, rows bottom first, fill fields one bit wider than d needs;
-    ``guards`` is each field's top bit.  A field of (top | guards) - labels
-    is positive, so no borrow crosses it, and keeps its guard bit iff top's
-    label is the larger or equal."""
-    cells = labels = guards = 0
-    width = f.depth.bit_length() + 1
+    d x (n - d).  The same bound keeps each label below n; only
+    ``_Fillings.fibers`` reads the label bytes, and it takes n <= 127."""
+    cells = labels = 0
     candidates = []
     below: tuple[int, ...] = ()
     for q, row in enumerate(f.rows):
         a = f.depth - q
         for b, v in enumerate(row):
-            labels = labels << width | v
-            guards = guards << width | 1 << width - 1
+            labels = labels << 8 | v
             bit = 1 << ((v - 1) * n + a + b - v)
             cells |= bit
             hi = row[b - 1] if b else f.depth
@@ -204,22 +199,10 @@ def _entry(f: Rssyt, n: int) -> Entry:
             if higher:
                 candidates.append((bit, higher))
         below = row
-    return f, cells, tuple(candidates), labels, guards
+    return f, cells, tuple(candidates), labels
 
 
-def _dominates(top: Filling, fiber: Sequence[Filling]) -> bool:
-    """Is every entry of ``top`` at least the matching entry of every member
-    of the fiber?  When ``top`` lies in the fiber, this says it is the
-    fiber's entrywise maximum.  All fillings of one spec have one shape,
-    so their components' packed labels match up field by field (see
-    ``_entry``): one subtraction per component, skipped when the member
-    shares the component's entry with ``top``."""
-    highs = [(entry, entry[3] | entry[4], entry[4]) for entry in top[0]]
-    return all(entry is high or (guarded - entry[3]) & guards == guards
-               for member, _ in fiber for entry, (high, guarded, guards) in zip(member, highs))
-
-
-def _unstable(filling: Filling) -> bool:
+def _unstable(filling: tuple[Sequence[Entry], int]) -> bool:
     """Does the filling have an unstable triple?  A label sits at most once
     on an antidiagonal of one component, so ``twice`` holds the (label,
     antidiagonal) pairs in two colors.  The triple exists when one such
@@ -324,18 +307,29 @@ class _Fillings:
         order: prism_set as fillings."""
         return [f for f in self.minimal()[1] if not _unstable(f)]
 
-    def fibers(self, targets: Set[int]) -> dict[int, list[Filling]]:
-        """The fillings whose phi image is one of the grid masks
-        ``targets``, grouped by mask, each fiber in enumeration order.
+    def fibers(self, targets: Set[int]) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+        """For each grid mask of ``targets`` that is the phi image of some
+        filling: the fieldwise maximum of its fiber's packed labels, and
+        the packed labels of the fiber's stable members in enumeration
+        order.  A filling's labels are its entries' (see ``_entry``), the
+        first component's highest.  A mask with an empty fiber is in
+        neither dict, one with no stable member only in the first.
 
         A branch is dropped once its union lies inside no target, so only
-        the fibers are built.  The targets are numbered, and ``inside[b]``
+        the fibers are walked.  The targets are numbered, and ``inside[b]``
         is the bitset of the targets that hold grid bit b.  Each pool
         entry gets, once per call, the AND of ``inside`` over its phi
         cells: the targets that hold it (an entry inside none is left
         out).  The walk carries the targets that hold the union, one AND
-        per node, and goes on while any is left."""
-        inside = [0] * self.n * self.n
+        per node, and the labels, one shift and OR per node, and goes on
+        while any is left.  A leaf keeps no filling, only ints: the
+        maximum, and a tuple of the stable members' labels.  Labels lie
+        below n, and n <= 127 as for packed corner sums, so no label byte
+        reaches its guard bit."""
+        n = self.n
+        if n > 127:
+            raise ValueError(f"packed labels need a grid at most 127 wide, got {n}")
+        inside = [0] * n * n
         for t, mask in enumerate(targets):
             for b in _bits(mask):
                 inside[b] |= 1 << t
@@ -350,24 +344,31 @@ class _Fillings:
                 if holders:
                     kept.append((entry, holders))
             pools.append(kept)
+        shifts = [8 * sum(lam) for lam in self.spec.lambdas]
+        guard = int.from_bytes(b"\x80" * (sum(shifts) // 8), "big")
 
-        fibers: dict[int, list[Filling]] = {}
+        tops: dict[int, int] = {}
+        stables: dict[int, tuple[int, ...]] = {}
         chosen: list[Entry] = []
 
-        def walk(c: int, union: int, holders: int) -> None:
+        def walk(c: int, union: int, holders: int, labels: int) -> None:
             if c == len(pools):
                 if union in targets:
-                    fibers.setdefault(union, []).append((tuple(chosen), union))
+                    top = tops.get(union)
+                    tops[union] = labels if top is None else _bytewise_max(top, labels, guard)
+                    if not _unstable((chosen, union)):
+                        stables[union] = (*stables.get(union, ()), labels)
                 return
+            shift = shifts[c]
             for entry, entry_holders in pools[c]:
                 both = holders & entry_holders
                 if both:
                     chosen.append(entry)
-                    walk(c + 1, union | entry[1], both)
+                    walk(c + 1, union | entry[1], both, labels << shift | entry[3])
                     chosen.pop()
 
-        walk(0, 0, everything)
-        return fibers
+        walk(0, 0, everything, 0)
+        return tops, stables
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -700,22 +700,26 @@ def all_prism_tableaux(spec):
         yield PrismTableau(spec, tuple(combo))
 
 
-def phi_fibers(spec, images):
-    """The fiber search inside verify_bijection on the grid of the spec's
-    ambient size, with its images as sets of cells and its fillings as
-    prism tableaux: the number of fillings of spec, and the fibers over
-    ``images`` in enumeration order."""
+def phi_fibers(fillings, images):
+    """The fiber walk inside verify_bijection, over the pools of the
+    ``prism._Fillings`` given, with its images as sets of cells and each
+    packed label int as the list of its labels: for each image hit, the
+    fiber maximum and the stable members' labels in the walk's order."""
     from asmprism.algebra import grid_cells
-    from asmprism.prism import _Fillings
 
-    fillings = _Fillings(spec)
     n = fillings.n
+    size = sum(map(sum, fillings.spec.lambdas))
+
+    def labels(packed: int) -> list[int]:
+        return list(packed.to_bytes(size, "big"))
+
     targets = {sum(1 << (i - 1) * n + j - 1 for i, j in image) for image in images}
-    fibers = {
-        grid_cells(mask, n): [fillings.tableau(f) for f in fib]
-        for mask, fib in fillings.fibers(targets).items()
+    tops, stables = fillings.fibers(targets)
+    assert stables.keys() <= tops.keys()
+    return {
+        grid_cells(mask, n): (labels(top), [labels(s) for s in stables.get(mask, ())])
+        for mask, top in tops.items()
     }
-    return fillings.count(), fibers
 
 
 def brute_force_minimal_tableaux(spec):
@@ -749,31 +753,17 @@ def brute_force_fibers(spec):
     return fibers
 
 
-def _labels(filling) -> list[int]:
-    """The labels of a filling, component by component, each component's
-    rows bottom first."""
-    return [v for entry in filling[0] for row in entry[0].rows for v in row]
+def tableau_labels(t) -> list[int]:
+    """The labels of a prism tableau, component by component, each
+    component's rows bottom first."""
+    return [v for comp in t.components for row in comp.rows for v in row]
 
 
-def entrywise_dominates(top, fiber) -> bool:
-    """The fiber-dominance test on flat label lists: is every label of the
-    filling ``top`` at least the matching label of every member?  The
-    oracle for the packed test ``prism._dominates``."""
-    highs = _labels(top)
-    return all(all(map(operator.ge, highs, _labels(f))) for f in fiber)
-
-
-def dominates_fiber(s, fiber) -> bool:
-    """Is every entry of the prism tableau s at least the matching entry of
-    every member of the fiber?  When s lies in the fiber, this says s is
-    its entrywise maximum."""
-    return all(
-        x >= y
-        for t in fiber
-        for cs, ct in zip(s.components, t.components)
-        for rs, rt in zip(cs.rows, ct.rows)
-        for x, y in zip(rs, rt)
-    )
+def entrywise_max(fiber) -> list[int]:
+    """The fiber maximum on flat label lists: each label's largest value
+    over the members.  The oracle for the packed maximum that
+    ``prism._Fillings.fibers`` takes."""
+    return [max(labels) for labels in zip(*map(tableau_labels, fiber))]
 
 
 def brute_force_fiber_max(fib):

@@ -21,7 +21,7 @@ ASMDIAG_TEXT = "0 0 0 1\n0 1 0 0\n1 -1 1 0\n0 1 0 0\n"
 NONEQI_TEXT = "0 0 1 0\n1 0 -1 1\n0 1 0 0\n0 0 1 0\n"
 
 
-def run(argv, stdin=None, monkeypatch=None):
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import re
 
@@ -11,6 +12,7 @@ from conftest import (
     bottom_pipe_dream,
     brute_force_fiber_max,
     brute_force_fibers,
+    brute_force_phi_image,
     brute_force_pipe_dreams,
     brute_force_prism_weight,
     brute_force_unstable_triple,
@@ -19,12 +21,12 @@ from conftest import (
     diagram_demazure,
     diagram_word,
     divided_difference,
-    dominates_fiber,
-    entrywise_dominates,
+    entrywise_max,
     has_unstable_triple,
     phi_fibers,
     schubert_oracle,
     square_word,
+    tableau_labels,
     word_product,
 )
 
@@ -51,12 +53,12 @@ from asmprism.prism import (
     PrismShapeSpec,
     PrismTableau,
     Rssyt,
-    _dominates,
     _entry,
     _Fillings,
     asm_polynomial,
     bigrassmannian_model,
     parabolic_model,
+    prism_set,
 )
 
 
@@ -433,14 +435,24 @@ class TestVerifyBijection:
 
 
 def assert_fibers_match_oracle(spec, a):
-    """The fiber search against the fibers of the whole product, and the
-    report's counts against counts taken from those fibers."""
+    """The fiber walk against the fibers of the whole product, once in
+    enumeration order and once with every pool reversed, which walks each
+    fiber last member first: each hit facet's maximum against the fiber's
+    entrywise maximum, which lies in the fiber, and its stable members
+    against the oracle's, in the walk's order.  Then the report's counts
+    against counts taken from those fibers."""
     facets = {f.cells for f in delta_facets(a)}
     oracle = brute_force_fibers(spec)
-    _, fibers = phi_fibers(spec, facets)
-    assert set(fibers) <= facets
-    for cells in facets:
-        assert fibers.get(cells, []) == oracle.get(cells, [])
+    fillings = _Fillings(spec)
+    forward = phi_fibers(fillings, facets)
+    fillings.pools = [pool[::-1] for pool in fillings.pools]
+    backward = phi_fibers(fillings, facets)
+    assert forward.keys() == backward.keys() == facets & oracle.keys()
+    for cells, (top, stable) in forward.items():
+        fib = oracle[cells]
+        assert top == entrywise_max(fib) == tableau_labels(brute_force_fiber_max(fib))
+        assert stable == [tableau_labels(t) for t in fib if not brute_force_unstable_triple(t)]
+        assert backward[cells] == (top, stable[::-1])
     lowest = min(map(len, oracle))
     expected = {
         "all_prism": sum(map(len, oracle.values())),
@@ -509,7 +521,7 @@ class TestFailureText:
     def test_empty_fiber_names_the_facet_cells(self, monkeypatch):
         a = list(enumerate_asms(4))[20]
         spec = bigrassmannian_model(a)
-        monkeypatch.setattr(_Fillings, "fibers", lambda self, targets: {})
+        monkeypatch.setattr(_Fillings, "fibers", lambda self, targets: ({}, {}))
         report = verify_bijection(spec)
         assert not report.passed
         match = re.fullmatch(r"facet with pluses (\[.*\]) has empty fiber", report.failure)
@@ -518,73 +530,112 @@ class TestFailureText:
         assert cells == sorted(cells) and all(isinstance(c, tuple) for c in cells)
         assert frozenset(cells) in {f.cells for f in delta_facets(a)}
 
-
-class TestFiberDominance:
-    """The dominance check of verify_bijection, on the fillings' entries,
-    against the entrywise maximum of the fiber, rebuilt as a prism
-    tableau, and against the same test on prism tableaux."""
-
-    def test_dominates_exactly_the_fiber_max(self):
-        non_max = 0
-        for n in (1, 2, 3, 4):
-            for a in enumerate_asms(n):
-                for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                    fillings = _Fillings(spec)
-                    for fib in fillings.fibers(_rebuilt_facet_masks(spec)).values():
-                        tableaux = [fillings.tableau(f) for f in fib]
-                        maxi = brute_force_fiber_max(tableaux)
-                        for s, t in zip(fib, tableaux):
-                            assert _dominates(s, fib) == (t == maxi) == dominates_fiber(t, tableaux)
-                            non_max += t != maxi
-        assert non_max > 0
-
-    def test_packed_matches_entrywise_asm5(self):
-        """The packed test against the flat label lists on every fiber of
-        ASM(n <= 5), both models, with every member as the top."""
-        verdicts = {True: 0, False: 0}
-        for n in (1, 2, 3, 4, 5):
-            for a in enumerate_asms(n):
-                for spec in (bigrassmannian_model(a), parabolic_model(a)):
-                    for fib in _Fillings(spec).fibers(_rebuilt_facet_masks(spec)).values():
-                        for top in fib:
-                            verdict = _dominates(top, fib)
-                            assert verdict == entrywise_dominates(top, fib)
-                            verdicts[verdict] += 1
-        assert verdicts[True] > 0 and verdicts[False] > 0
-
-    @pytest.mark.parametrize("low,high", [
-        ([((8, 8, 7), (7, 6))], [((8, 8, 7), (7, 7))]),  # the last field
-        ([((8, 7),)], [((8, 8),)]),  # a label 8 in the last field
-        ([((6,),), ((3,),)], [((7,),), ((3,),)]),  # the last field before a component boundary
-        ([((6,),), ((3,),)], [((6,),), ((4,),)]),  # the first field after it
+    @pytest.mark.parametrize("perturb,text", [
+        (lambda top, stable: (top, stable * 2), "facet {} has 2 stable tableaux in its fiber"),
+        (lambda top, stable: (top, ()), "facet {} has 0 stable tableaux in its fiber"),
+        (lambda top, stable: (top + 1, stable), "stable tableau in fiber of {} is not the fiber maximum"),
     ])
-    def test_one_label_larger_by_one(self, low, high):
-        low, high = _filling_of(*low), _filling_of(*high)
-        fiber = [low, high]
-        assert _dominates(high, fiber) and entrywise_dominates(high, fiber)
-        assert not _dominates(low, fiber) and not entrywise_dominates(low, fiber)
+    def test_fiber_verdicts_name_the_facet(self, monkeypatch, perturb, text):
+        """One facet's walk result changed: two stable members, none, or a
+        maximum above its one stable member.  The report names that facet."""
+        a = list(enumerate_asms(4))[20]
+        walk = _Fillings.fibers
+        changed = []
 
-    def test_shared_entries(self):
-        """A member that shares a component's entry with the top, by
-        identity, is compared on its other components only."""
-        top = _filling_of(((8, 5),), ((4, 4), (2,)))
-        same = (top[0][0], _entry(top[0][1][0], 16)), 0
-        lower = (top[0][0], _entry(Rssyt((2, 1), 8, ((4, 3), (2,))), 16)), 0
-        higher = (top[0][0], _entry(Rssyt((2, 1), 8, ((4, 4), (3,))), 16)), 0
-        assert _dominates(top, [top, same, lower])
-        assert not _dominates(top, [top, same, higher])
+        def fibers(self, targets):
+            tops, stables = walk(self, targets)
+            mask = min(tops)
+            tops[mask], stables[mask] = perturb(tops[mask], stables[mask])
+            changed.append(mask)
+            return tops, stables
 
-
-def _rebuilt_facet_masks(spec):
-    """The facet masks of A_{lambda, d} on the grid of the spec's ambient
-    size, where the spec's fillings lie."""
-    return _facet_masks(asm_from_shape_tuple(spec))
+        monkeypatch.setattr(_Fillings, "fibers", fibers)
+        report = verify_bijection(bigrassmannian_model(a))
+        assert report.failure == text.format(sorted(grid_cells(changed[0], a.n)))
 
 
-def _filling_of(*components):
-    """A filling on the 16-wide grid of depth-8 components, each given by
-    its rows bottom first; only its entries are read."""
-    return tuple(_entry(Rssyt(tuple(map(len, rows)), 8, rows), 16) for rows in components), 0
+class TestFiberMaximum:
+    """The fiber walk's maximum and stable members on hand-made pools,
+    each with its larger filling walked first.  In every fiber of
+    ASM(n <= 5) the stable member, the maximum, is enumerated last, so
+    these and the reversed walk of ``assert_fibers_match_oracle`` are what
+    tell a maximum from the last member walked."""
+
+    @pytest.mark.parametrize("high,low", [
+        ([((8, 8, 7), (7, 7))], [((8, 8, 7), (7, 6))]),  # the last field
+        ([((8, 8),)], [((8, 7),)]),  # a label 8 in the last field
+        ([((7,),), ((3,),)], [((6,),), ((3,),)]),  # the last field before a component boundary
+        ([((6,),), ((4,),)], [((6,),), ((3,),)]),  # the first field after it
+    ])
+    def test_one_label_larger_by_one(self, high, low):
+        tableaux, top, stable = _walk_fiber(*([h] if h == l else [h, l] for h, l in zip(high, low)))
+        assert len(tableaux) == 2
+        assert top == tableau_labels(tableaux[0]) == entrywise_max(tableaux) != tableau_labels(tableaux[1])
+        assert stable == [tableau_labels(t) for t in tableaux if not brute_force_unstable_triple(t)]
+
+    @pytest.mark.parametrize("second,larger", [
+        ([((4, 4), (2,)), ((4, 4), (2,)), ((4, 3), (2,))], 0),
+        ([((4, 4), (3,)), ((4, 4), (2,))], 0),
+        ([((4, 3), (2,)), ((4, 4), (2,))], 1),
+    ])
+    def test_shared_entries(self, second, larger):
+        """Members that share the first component's entry, and the second's
+        labels too when the same filling comes twice: the maximum is the
+        largest second component's filling, wherever it is walked."""
+        tableaux, top, stable = _walk_fiber([((8, 5),)], second)
+        assert len(tableaux) == len(second)
+        assert top == tableau_labels(tableaux[larger]) == entrywise_max(tableaux)
+        assert stable == [tableau_labels(t) for t in tableaux if not brute_force_unstable_triple(t)]
+
+    @pytest.mark.parametrize("options,depth", [
+        ([((8, 5),), ((7, 6),)], 8),
+        ([((7, 6),), ((8, 5),)], 8),
+        ([((125, 64),), ((100, 65),)], 125),  # labels that fill 7 bits, on a 127-wide grid
+    ])
+    def test_incomparable_members(self, options, depth):
+        """Neither member is above the other, so the maximum is no member's
+        labels, and no member is the maximum the verdict asks for."""
+        tableaux, top, _ = _walk_fiber(options, depth=depth)
+        assert top == entrywise_max(tableaux)
+        assert top[-2:] == [max(row[0][0] for row in options), max(row[0][1] for row in options)]
+        assert top not in map(tableau_labels, tableaux)
+
+    def test_a_grid_wider_than_127_is_refused(self):
+        """A label byte holds labels below 128, so the walk refuses a grid
+        where one could reach the guard bit; the pools, which pack labels
+        by shifts, still serve prism_set, and verify_bijection refuses the
+        spec when it rebuilds A_{lambda, d}."""
+        spec = PrismShapeSpec(((1,),), (127,))
+        assert spec.ambient_size == 128
+        with pytest.raises(ValueError, match="at most 127 wide, got 128"):
+            _Fillings(spec).fibers(set())
+        assert len(prism_set(spec)) == 127
+        with pytest.raises(ValueError, match="127"):
+            verify_bijection(spec)
+
+
+def _walk_fiber(*components, depth=8):
+    """The fiber walk over hand-made pools of components of one depth, each
+    given by its fillings (rows bottom first) in the order it is walked.
+    Every filling of a component that has more than one is also the one
+    filling of an extra component placed before them all, so the whole
+    product is one fiber and the given components hold the lowest label
+    bytes.  Returns the product's tableaux in walk order, and the walk's
+    maximum and stable members' labels."""
+    covers = [[rows] for options in components if len(options) > 1 for rows in options]
+    components = covers + list(components)
+    spec = PrismShapeSpec(
+        tuple(tuple(map(len, options[0])) for options in components), (depth,) * len(components))
+    fillings = _Fillings(spec)
+    fillings.pools = [
+        [_entry(Rssyt(lam, depth, rows), fillings.n) for rows in options]
+        for lam, options in zip(spec.lambdas, components)
+    ]
+    tableaux = [PrismTableau(spec, tuple(entry[0] for entry in combo))
+                for combo in itertools.product(*fillings.pools)]
+    [image] = set(map(brute_force_phi_image, tableaux))
+    [(top, stable)] = phi_fibers(fillings, [image]).values()
+    return tableaux, top, stable
 
 
 @st.composite

@@ -200,14 +200,16 @@ class TestUnstableTriples:
 
 
 def assert_grid_layout(t: PrismTableau, width: int) -> None:
-    """t's entries at the given grid width: the union of their phi cells
-    decodes to phi(t), and each cell's candidate mask decodes to the
-    pluses (v', D - v' + 1) of the larger labels v' the cell can take on
-    its antidiagonal D, every v' at most the cell's grid row, so no bit
-    wraps into another row."""
+    """t's entries at the given grid width: each entry packs its rows'
+    labels a byte each, bottom row first in the highest byte; the union of
+    their phi cells decodes to phi(t), and each cell's candidate mask
+    decodes to the pluses (v', D - v' + 1) of the larger labels v' the
+    cell can take on its antidiagonal D, every v' at most the cell's grid
+    row, so no bit wraps into another row."""
     union = 0
     for comp in t.components:
-        _, cells, candidates, _, _ = _entry(comp, width)
+        _, cells, candidates, labels = _entry(comp, width)
+        assert labels == int.from_bytes(bytes(v for row in comp.rows for v in row), "big")
         union |= cells
         where = {}  # (label, antidiagonal) -> (filling row, grid row, grid column)
         for q, row in enumerate(comp.rows, start=1):
