@@ -316,31 +316,25 @@ class _Fillings:
         neither dict, one with no stable member only in the first.
 
         A branch is dropped once its union lies inside no target, so only
-        the fibers are walked.  The targets are numbered, and ``inside[b]``
-        is the bitset of the targets that hold grid bit b.  Each pool
-        entry gets, once per call, the AND of ``inside`` over its phi
-        cells: the targets that hold it (an entry inside none is left
-        out).  The walk carries the targets that hold the union, one AND
-        per node, and the labels, one shift and OR per node, and goes on
-        while any is left.  A leaf keeps no filling, only ints: the
-        maximum, and a tuple of the stable members' labels.  Labels lie
-        below n, and n <= 127 as for packed corner sums, so no label byte
-        reaches its guard bit."""
-        n = self.n
-        if n > 127:
-            raise ValueError(f"packed labels need a grid at most 127 wide, got {n}")
-        inside = [0] * n * n
-        for t, mask in enumerate(targets):
-            for b in _bits(mask):
-                inside[b] |= 1 << t
-        everything = (1 << len(targets)) - 1
+        the fibers are walked.  The targets are numbered, and each pool
+        entry gets, once per call, the bitset of the targets whose masks
+        hold its phi cells (an entry inside none is left out).  The walk
+        carries the targets that hold the union, one AND per node, and the
+        labels, one shift and OR per node, and goes on while any is left.
+        A leaf keeps no filling, only ints: the maximum, and a tuple of the
+        stable members' labels.  Labels lie below n, and n <= 127 as for
+        packed corner sums, so no label byte reaches its guard bit."""
+        if self.n > 127:
+            raise ValueError(f"packed labels need a grid at most 127 wide, got {self.n}")
+        outside = [(1 << t, ~mask) for t, mask in enumerate(targets)]
         pools = []
         for pool in self.pools:
             kept = []
             for entry in pool:
-                holders = everything
-                for b in _bits(entry[1]):
-                    holders &= inside[b]
+                holders = 0
+                for bit, beyond in outside:
+                    if not entry[1] & beyond:
+                        holders |= bit
                 if holders:
                     kept.append((entry, holders))
             pools.append(kept)
@@ -367,16 +361,8 @@ class _Fillings:
                     walk(c + 1, union | entry[1], both, labels << shift | entry[3])
                     chosen.pop()
 
-        walk(0, 0, everything, 0)
+        walk(0, 0, (1 << len(targets)) - 1, 0)
         return tops, stables
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def prism_set(spec: PrismShapeSpec) -> list[PrismTableau]:

@@ -468,7 +468,7 @@ class TestEmbed:
                 assert c.n == size and rank_conditions(c) == conds and c == b
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_hash_is_the_hash_of_the_canonical_rows(self, n):
+    def test_hash_is_the_hash_of_the_rank_conditions(self, n):
         """hash(A) is the hash of its rank conditions, at every size A is
         embedded in, equal to the hash of its stripped rows as an ASM, and
         it does not depend on whether the entries were held or decoded from

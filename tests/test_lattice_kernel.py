@@ -268,7 +268,7 @@ class TestDecodeOnDemand:
             assert (j == asm_meet(a, b)) == (corner_join(a, b) == corner_meet(a, b))
             assert not decoded(j)
 
-    def test_equality_across_sizes_reads_entries(self):
+    def test_equality_and_hash_across_sizes(self):
         # equal ASMs of sizes 4 and 5 have different packed sums: == widens
         # the smaller one's, and the hash reads Ess(A), which iota leaves alone
         for a, b in itertools.product(self.ASM4, repeat=2):

@@ -556,10 +556,11 @@ class TestFailureText:
 
 class TestFiberMaximum:
     """The fiber walk's maximum and stable members on hand-made pools,
-    each with its larger filling walked first.  In every fiber of
-    ASM(n <= 5) the stable member, the maximum, is enumerated last, so
-    these and the reversed walk of ``assert_fibers_match_oracle`` are what
-    tell a maximum from the last member walked."""
+    each with its larger filling walked first, and the walk's empty
+    cases.  In every fiber of ASM(n <= 5) the stable member, the maximum,
+    is enumerated last, so these and the reversed walk of
+    ``assert_fibers_match_oracle`` are what tell a maximum from the last
+    member walked."""
 
     @pytest.mark.parametrize("high,low", [
         ([((8, 8, 7), (7, 7))], [((8, 8, 7), (7, 6))]),  # the last field
@@ -599,6 +600,25 @@ class TestFiberMaximum:
         assert top == entrywise_max(tableaux)
         assert top[-2:] == [max(row[0][0] for row in options), max(row[0][1] for row in options)]
         assert top not in map(tableau_labels, tableaux)
+
+    def test_no_targets(self):
+        """With no target no pool entry is kept, and nothing is hit."""
+        spec = bigrassmannian_model(list(enumerate_asms(4))[20])
+        assert _Fillings(spec).fibers(set()) == ({}, {})
+
+    def test_a_pool_that_fits_no_target(self):
+        """On the 3-wide grid the one filling of (1,) at depth 1 has phi
+        cell bit 0 and the one filling of (2,) bits 0 and 1.  A target of
+        bit 0 alone holds the first entry but no entry of the second pool,
+        so nothing is hit; the union of both, with labels 1, 1, 1, is."""
+        fillings = _Fillings(PrismShapeSpec(((1,), (2,)), (1, 1)))
+        assert fillings.fibers({0b1}) == ({}, {})
+        assert fillings.fibers({0b11}) == ({0b11: 0x010101}, {0b11: (0x010101,)})
+
+    def test_the_empty_spec(self):
+        """With no component the one filling has no phi cell and no label,
+        and it is stable."""
+        assert _Fillings(PrismShapeSpec((), ())).fibers({0}) == ({0: 0}, {0: (0,)})
 
     def test_a_grid_wider_than_127_is_refused(self):
         """A label byte holds labels below 128, so the walk refuses a grid
