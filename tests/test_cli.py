@@ -29,6 +29,12 @@ def run(argv):
 
 
 @pytest.fixture
+def two_cores(monkeypatch):
+    """--jobs 2 runs two shares whatever the host's core count."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
 def asmdiag_file(tmp_path):
     p = tmp_path / "asmdiag.txt"
     p.write_text(ASMDIAG_TEXT)
@@ -110,7 +116,7 @@ class TestVerify:
         assert shapes == [(p, d) for p in parts for d in range(max(1, len(p)), n + 1)]
 
     def test_jobs_flag_same_output(self):
-        # 42 ASMs at n = 4 go to the pool in chunks of 5
+        # each of the two workers walks ASM(n) and checks every other ASM
         for name, n in (("theorem1", "3"), ("theorem1", "4"), ("lattice", "4")):
             _, serial, _ = run(["verify", name, "--n", n])
             _, parallel, _ = run(["verify", name, "--n", n, "--jobs", "2"])
@@ -129,10 +135,23 @@ class TestVerify:
         assert run(["verify", "groebner", "--n", "6"]) == (0, "OK: 7436/7436 ASMs\n", "")
 
     @pytest.mark.parametrize("name", sorted(cli.VERIFIERS))
-    def test_jobs_reach_the_pool(self, monkeypatch, name):
+    def test_jobs_reach_the_pool(self, monkeypatch, two_cores, name):
         seen = []
-        pmap = cli._pmap
-        monkeypatch.setattr(cli, "_pmap", lambda fn, items, jobs: seen.append(jobs) or pmap(fn, items, 1))
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, shares):
+                return map(fn, shares)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         assert run(["verify", name, "--n", "2", "--jobs", "2"])[0] == 0
         assert seen == [cli._bounded_jobs(2)]
 
@@ -175,11 +194,39 @@ class TestVerify:
         assert err == ""
 
     def test_failure_exits_2(self, monkeypatch):
-        monkeypatch.setitem(cli.VERIFIERS, "theorem1", (7, cli._asms, lambda a: False, "0/{total} ASMs"))
+        monkeypatch.setitem(cli.VERIFIERS, "theorem1", (7, cli.asm_mod.enumerate_asms, lambda a: False, "0/{total} ASMs"))
         code, out, _ = run(["verify", "theorem1", "--n", "3"])
         assert code == 2
         assert out.startswith("FAIL")
         assert "OK" not in out
+
+    @pytest.mark.parametrize("name", sorted(cli.VERIFIERS))
+    def test_shares_check_each_item_once(self, name):
+        _, items_for, _, _ = cli.VERIFIERS[name]
+        for n in range(1, 5):
+            items = list(items_for(n))
+            passing = set(items[::3])
+            for jobs in range(1, 5):
+                seen = []
+                record = lambda item: seen.append(item) or item in passing
+                counts = []
+                for k in range(jobs):
+                    seen.clear()
+                    counts.append(cli._tally((items_for, record, n, k, jobs)))
+                    assert seen == items[k::jobs]
+                assert [sum(c) for c in zip(*counts)] == [len(passing), len(items)]
+
+    def test_a_share_with_no_item(self, two_cores):
+        assert run(["verify", "theorem1", "--n", "1", "--jobs", "2"]) == (0, "OK: 1/1 ASMs, both models\n", "")
+
+    def test_no_asm_is_pickled(self, monkeypatch, two_cores):
+        def refuse(self):
+            raise AssertionError("an Asm was pickled")
+
+        monkeypatch.setattr(cli.Asm, "__reduce__", refuse)
+        assert run(["verify", "lattice", "--n", "4", "--jobs", "2"]) == (
+            0, "OK: 42/42 ASMs, joins/meets closed, A = join(biGr(A))\n", ""
+        )
 
 
 RANK_CORRUPTIONS = {
@@ -638,6 +685,7 @@ class TestSizeLimits:
             (cli.asm_mod, "validate_partial_asm"),
             (cli.perm_mod, "_minimal_above"),
             (cli, "_schur_shapes"),
+            (cli, "_tally"),
         ]:
             monkeypatch.setattr(mod, name, refuse)
 
@@ -650,20 +698,20 @@ class TestSizeLimits:
     def test_sizes_below_one(self, argv, what):
         assert run(argv) == (1, "", f"error: {what} must be positive\n")
 
-    @pytest.mark.parametrize("name", ["theorem1", "lattice"])
+    @pytest.mark.parametrize("name", ["theorem1", "bijection", "groebner"])
     def test_verify_n8(self, name):
-        ceiling = {"theorem1": 7, "lattice": 7}[name]
         assert run(["verify", name, "--n", "8"]) == (
-            1, "", f"error: --n must be at most {ceiling}, got 8\n")
+            1, "", "error: --n must be at most 7, got 8\n")
 
     def test_verify_schur_n6(self):
         # the Schur side alone would list 18,781,524 tableaux and keep them
         assert run(["verify", "schur", "--n", "6"]) == (1, "", "error: --n must be at most 5, got 6\n")
 
-    def test_verify_lattice_n8(self):
-        # the 10,850,216 ASMs of ASM(8) would be listed in the parent: refused before enumeration
-        assert run(["verify", "lattice", "--n", "8", "--jobs", "2"]) == (
-            1, "", "error: --n must be at most 7, got 8\n")
+    def test_verify_lattice_n9(self):
+        # the 911,835,460 ASMs of ASM(9), 84 times ASM(8)'s 41 min on two cores:
+        # refused before enumeration
+        assert run(["verify", "lattice", "--n", "9", "--jobs", "2"]) == (
+            1, "", "error: --n must be at most 8, got 9\n")
 
     @pytest.mark.parametrize("argv", [
         ["perm-set"], ["deg"], ["poly", "--model", "bigr"], ["facets"], ["complete"],
@@ -679,7 +727,7 @@ class TestSizeLimits:
 def test_size_limits_admit_8x8(tmp_path):
     assert cli.MAX_N == 8
     assert {name: max_n for name, (max_n, *_) in cli.VERIFIERS.items()} == {
-        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 7, "schur": 5}
+        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 8, "schur": 5}
     p = tmp_path / "id8.txt"
     p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
     assert run(["deg", "--asm", str(p)]) == (0, "0\n", "")

@@ -1,5 +1,7 @@
 import ast
+import functools
 import itertools
+import operator
 import random
 import re
 
@@ -471,6 +473,29 @@ def assert_fibers_match_oracle(spec, a):
     return expected
 
 
+class _CountedMasks(frozenset):
+    """Facet masks that count the membership tests made on them.  The
+    fiber walk makes one per leaf, so the count is the leaves it reaches."""
+
+    calls = 0
+
+    def __contains__(self, mask):
+        self.calls += 1
+        return super().__contains__(mask)
+
+
+def leaves_reached(spec):
+    """The leaves of the fiber walk over spec's facet masks, checked to be
+    exactly the fillings whose phi union lies inside some facet: the walk
+    prunes every other branch."""
+    fillings = _Fillings(spec)
+    masks = _CountedMasks(_facet_masks(asm_from_shape_tuple(spec)))
+    fillings.fibers(masks)
+    unions = (functools.reduce(operator.or_, (e[1] for e in f), 0) for f in itertools.product(*fillings.pools))
+    assert masks.calls == sum(any(not union & ~mask for mask in masks) for union in unions)
+    return masks.calls
+
+
 class TestFiberSearch:
     """The pruned fiber search inside verify_bijection against the fibers
     of the whole product of component fillings."""
@@ -515,6 +540,13 @@ class TestFiberSearch:
     def test_edge_cases(self, spec, count):
         a = asm_from_shape_tuple(spec)
         assert set(assert_fibers_match_oracle(spec, a).values()) == {count}
+
+    def test_the_walk_reaches_only_fillings_inside_a_facet(self):
+        # the fibers return the same dicts on a looser set-up, which walks
+        # entries that only meet a facet; only the leaf count tells
+        models = (bigrassmannian_model, parabolic_model)
+        assert sum(leaves_reached(model(a)) for a in enumerate_asms(5) for model in models) == 6231
+        assert leaves_reached(PrismShapeSpec(((2,), (1, 1)), (3, 4))) == 14
 
 
 class TestFailureText:
