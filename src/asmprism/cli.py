@@ -1,20 +1,21 @@
 """Command line surface.
 
 Exit codes: 0 on success, 1 on bad input (a usage error or a matrix that
-fails validation), 2 when a ``verify`` run finds a counterexample.
-Output is deterministic for a fixed invocation.
+fails validation), 2 when a ``verify`` run finds a counterexample, 130
+when interrupted (see ``_run``).  Output is fixed by the invocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import combinations_with_replacement, islice
+from multiprocessing import Pool
 from typing import TypeVar
 
 from . import asm as asm_mod
@@ -80,8 +81,7 @@ def _bounded_jobs(jobs: int) -> int:
 
 
 def _cells_line(cells: Iterable[tuple[int, int]]) -> str:
-    cells = sorted(cells)
-    return " ".join(f"{i},{j}" for i, j in cells) if cells else "-"
+    return " ".join(f"{i},{j}" for i, j in sorted(cells)) or "-"
 
 
 # the two prism models of an ASM, checked and listed in this order
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb in ("perm-set", "min-perm", "deg", "diagram", "essential", "triangle"):
         p = sub.add_parser(verb)
         with_asm(p)
-        if verb in ("diagram", "essential"):
+        if verb == "diagram":
             with_format(p)
 
     p = sub.add_parser("ideal", help="antidiagonal initial ideal data")
@@ -278,9 +278,14 @@ def _run(args: argparse.Namespace) -> tuple[int, list[str]]:
         shares = [(items_for, check, n, k, jobs) for k in range(jobs)]
         if jobs == 1:  # in-process, where tests count patched calls
             counts = map(_tally, shares)
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                counts = list(pool.map(_tally, shares))
+        else:  # leaving the pool terminates the workers, which ignore Ctrl-C
+            with Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+                # SIGTERM to this process alone leaves the pool as Ctrl-C does
+                previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+                try:
+                    counts = pool.map(_tally, shares)
+                finally:
+                    signal.signal(signal.SIGTERM, previous)
         ok, total = map(sum, zip(*counts))
         detail = detail.format(ok=ok, total=total)
         return (0, [f"OK: {detail}"]) if ok == total else (2, [f"FAIL: {detail}"])
@@ -365,6 +370,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        return 130
     for line in lines:
         print(line)
     return code

@@ -22,7 +22,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence, Set
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import combinations_with_replacement
 
 from .algebra import Monomial, Polynomial, _row_counts, grid_weight_sum, poly_from_monomials
@@ -225,10 +225,7 @@ def _as_filling(t: PrismTableau) -> Filling:
     union of their phi cells."""
     n = t.spec.ambient_size
     entries = tuple(_entry(comp, n) for comp in t.components)
-    union = 0
-    for entry in entries:
-        union |= entry[1]
-    return entries, union
+    return entries, reduce(operator.or_, (entry[1] for entry in entries), 0)
 
 
 def prism_weight(t: PrismTableau) -> Monomial:
@@ -262,50 +259,46 @@ class _Fillings:
     def tableau(self, filling: Filling) -> PrismTableau:
         return PrismTableau(self.spec, tuple(entry[0] for entry in filling[0]))
 
-    def minimal(self) -> tuple[int, list[Filling]]:
-        """The least degree of a filling, and the fillings of that degree
-        in enumeration order: each as its entries and the union of their
-        phi cells.
+    def prism(self) -> list[Filling]:
+        """The minimal fillings with no unstable triple, in enumeration
+        order, each as its entries and the union of their phi cells.
 
-        A depth-first branch and bound over the product of the pools: the
-        degree of a filling is the number of its phi cells and the union
-        only grows, so a branch is dropped as soon as its union is larger
-        than the smallest complete filling seen so far.  The last
-        component's loop closes the leaves.  Ties are kept, so the
-        survivors come out in enumeration order."""
+        A filling's degree is the number of its phi cells and the union
+        only grows, so one depth-first walk, run twice, drops a branch once
+        its union has more than ``limit`` cells.  The first pass keeps
+        nothing and sets the limit one below each leaf it reaches, so it
+        ends one below the least degree; the second keeps the stable
+        leaves of that degree.  The last component's loop closes them."""
         pools = self.pools
         if not pools:
-            return 0, [((), 0)]
+            return [((), 0)]
         last = len(pools) - 1
-        best = math.inf
-        found: list[Filling] = []
+        limit = math.inf
+        kept: list[Filling] | None = None
         chosen: list[Entry] = []
 
         def walk(c: int, union: int) -> None:
-            nonlocal best, found
+            nonlocal limit
             if c == last:
                 for entry in pools[c]:
                     grown = union | entry[1]
-                    size = grown.bit_count()
-                    if size <= best:
-                        if size < best:
-                            best, found = size, []
-                        found.append(((*chosen, entry), grown))
+                    if grown.bit_count() <= limit:
+                        if kept is None:
+                            limit = grown.bit_count() - 1
+                        elif not _unstable(leaf := ((*chosen, entry), grown)):
+                            kept.append(leaf)
                 return
             for entry in pools[c]:
                 grown = union | entry[1]
-                if grown.bit_count() <= best:
+                if grown.bit_count() <= limit:
                     chosen.append(entry)
                     walk(c + 1, grown)
                     chosen.pop()
 
         walk(0, 0)
-        return best, found
-
-    def prism(self) -> list[Filling]:
-        """The minimal fillings with no unstable triple, in enumeration
-        order: prism_set as fillings."""
-        return [f for f in self.minimal()[1] if not _unstable(f)]
+        limit, kept = limit + 1, []
+        walk(0, 0)
+        return kept
 
     def fibers(self, targets: Set[int]) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
         """For each grid mask of ``targets`` that is the phi image of some

@@ -653,10 +653,25 @@ def brute_force_unstable_triple(t) -> bool:
 
 def prism_min_degree(spec) -> int:
     """deg(lambda, d): the least weight degree over all prism fillings,
-    the first result of the library's minimal walk."""
+    read off the unions of the library's prism(), which all have it."""
     from asmprism.prism import _Fillings
 
-    return _Fillings(spec).minimal()[0]
+    degrees = {union.bit_count() for _, union in _Fillings(spec).prism()}
+    assert len(degrees) == 1, degrees
+    return degrees.pop()
+
+
+def least_degree_fillings(fillings):
+    """The fillings of least degree, unstable ones included, in enumeration
+    order, by building the whole product of the pools of the
+    ``prism._Fillings`` given: each as its entries and the union of their
+    phi cells."""
+    product = [
+        (entries, functools.reduce(operator.or_, (entry[1] for entry in entries), 0))
+        for entries in itertools.product(*fillings.pools)
+    ]
+    least = min(union.bit_count() for _, union in product)
+    return [f for f in product if f[1].bit_count() == least]
 
 
 def has_unstable_triple(t) -> bool:

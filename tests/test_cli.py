@@ -2,9 +2,13 @@ import io
 import math
 import os
 import runpy
+import signal
+import subprocess
 import sys
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -139,7 +143,7 @@ class TestVerify:
         seen = []
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, *initializer):
                 seen.append(max_workers)
 
             def __enter__(self):
@@ -151,9 +155,38 @@ class TestVerify:
             def map(self, fn, shares):
                 return map(fn, shares)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "Pool", Pool)
         assert run(["verify", name, "--n", "2", "--jobs", "2"])[0] == 0
         assert seen == [cli._bounded_jobs(2)]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 starts no worker on one core")
+    def test_sigterm_to_the_parent_stops_its_workers(self):
+        # a run of about 30 s, in a session of its own, and SIGTERM to its
+        # parent alone: the process group must be gone within 5 s
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "asmprism", "verify", "lattice", "--n", "7", "--jobs", "2"]
+        proc = subprocess.Popen(argv, env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+        def group_alive():
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        try:
+            time.sleep(2)  # the workers are running
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 5
+            out, err = proc.communicate(timeout=5)
+            while group_alive() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not group_alive()
+        finally:
+            if group_alive():
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        assert (proc.returncode, out, err) == (130, b"", b"")
 
     @pytest.mark.slow
     def test_lattice_n6_exhaustive(self):
@@ -525,6 +558,8 @@ class TestListingVerbs:
 
     def test_essential(self, asmdiag_file):
         assert run(["essential", "--asm", asmdiag_file])[1] == "1,3 2,1 3,2\n"
+        # its one line has one form: no --format
+        assert run(["essential", "--format", "text", "--asm", asmdiag_file])[0] == 1
 
     def test_diagram_text(self, asmdiag_file):
         code, out, _ = run(["diagram", "--asm", asmdiag_file])

@@ -37,8 +37,8 @@ PER_ASM_ARGS: list[list[str]] = (
     ]
     + [["facets", *mx, *fmt] for mx in ([], ["--max"]) for fmt in FORMATS]
     + [["perm-set"], ["min-perm"], ["deg"]]
-    + [[verb, *fmt] for verb in ("diagram", "essential") for fmt in FORMATS]
-    + [["triangle"], ["ideal", "--init"], ["ideal", "--facets"], ["complete"]]
+    + [["diagram", *fmt] for fmt in FORMATS]
+    + [["essential"], ["triangle"], ["ideal", "--init"], ["ideal", "--facets"], ["complete"]]
 )
 
 VERIFY_NAMES = ("theorem1", "bijection", "groebner", "lattice", "schur")

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
     brute_force_unstable_triple,
     component_cells,
     has_unstable_triple,
+    least_degree_fillings,
     partition_leq,
     prism_min_degree,
     relaxed_unstable_triple,
@@ -260,7 +262,7 @@ class TestUnstableTripleKernel:
         for a in asms:
             for spec in (bigrassmannian_model(a), parabolic_model(a)):
                 fillings = _Fillings(spec)
-                for f in fillings.minimal()[1]:
+                for f in least_degree_fillings(fillings):
                     t = fillings.tableau(f)
                     assert _unstable(f) == has_unstable_triple(t) == brute_force_unstable_triple(t)
                     unstable += _unstable(f)
@@ -326,13 +328,12 @@ class TestPrismSet:
 
 
 def assert_matches_oracle(spec):
-    """The minimal walk's fillings, ties and all, then prism_set and the
-    polynomial, each in enumeration order against the full product."""
+    """The least-degree walk's unions at the least degree, then prism_set
+    and the polynomial in enumeration order, against the full product."""
     minimal = brute_force_minimal_tableaux(spec)
-    fillings = _Fillings(spec)
-    degree, found = fillings.minimal()
-    assert [fillings.tableau(f) for f in found] == minimal
-    assert degree == brute_force_prism_weight(minimal[0]).total_degree == prism_min_degree(spec)
+    degree = brute_force_prism_weight(minimal[0]).total_degree
+    assert all(union.bit_count() == degree for _, union in _Fillings(spec).prism())
+    assert prism_min_degree(spec) == degree
     expected = [t for t in minimal if not brute_force_unstable_triple(t)]
     assert prism_set(spec) == expected
     assert asm_polynomial(spec) == poly_from_monomials(brute_force_prism_weight(t) for t in expected)
@@ -389,12 +390,53 @@ class TestPrismSetOracle:
     def test_single_component_and_n1(self, spec):
         assert spec.ambient_size == 1 or spec.k == 1
         assert_matches_oracle(spec)
+        # one color, or no cell: no unstable triple, so every least-degree
+        # filling of the product comes back, with its union
+        fillings = _Fillings(spec)
+        assert fillings.prism() == least_degree_fillings(fillings)
 
     def test_weight_is_the_antidiagonal_count(self):
         for a in enumerate_asms(4):
             for spec in (bigrassmannian_model(a), parabolic_model(a)):
                 for t in all_prism_tableaux(spec):
                     assert prism_weight(t) == brute_force_prism_weight(t)
+
+
+class TestLeastDegreeWalk:
+    """prism() walks twice and tests stability only at the second pass's
+    leaves, which all have the least degree, so it keeps no filling that
+    it does not return."""
+
+    def test_one_stability_test_per_least_degree_filling_asm5(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("asmprism.prism._unstable", lambda f: calls.append(f) or _unstable(f))
+        total = 0
+        for a in enumerate_asms(5):
+            for spec in (bigrassmannian_model(a), parabolic_model(a)):
+                fillings = _Fillings(spec)
+                calls.clear()
+                fillings.prism()
+                assert calls == (least_degree_fillings(fillings) if spec.k else [])
+                total += len(calls)
+        assert total == 5025
+
+    def test_holds_no_tie_list(self):
+        # ASM(6) #6590's bigr model: 1,314 fillings tie at the least degree
+        # and 14 are stable.  A list of the ties holds a 56-byte tuple each
+        fillings = _Fillings(bigrassmannian_model(list(enumerate_asms(6))[6590]))
+        ties = least_degree_fillings(fillings)
+        assert len(fillings.prism()) == 14 and len(ties) == 1314
+        tracemalloc.start()
+        try:
+            fillings.prism()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * len(ties)
+
+    def test_the_empty_spec(self, monkeypatch):
+        monkeypatch.setattr("asmprism.prism._unstable", lambda f: pytest.fail("no leaf to test"))
+        assert _Fillings(PrismShapeSpec((), ())).prism() == [((), 0)]
 
 
 class TestModels:
