@@ -95,10 +95,11 @@ class Asm:
     them to :func:`_trusted_asm`.  ``entries`` is held when the builder had
     the rows, and otherwise decoded from the sums on first read.  Equality
     compares the sums at the larger size, which is equality under iota;
-    the hash reads :func:`rank_conditions`, and a pickle carries the sums
-    that unpickling puts to the Robbins-Rumsey test."""
+    the hash reads :func:`rank_conditions`, which the ASM keeps in ``_ess``
+    from their first read on, and a pickle carries the sums that
+    unpickling puts to the Robbins-Rumsey test."""
 
-    __slots__ = ("n", "_sums", "_entries")
+    __slots__ = ("n", "_sums", "_entries", "_ess")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         _set_n(self, len(entries))
@@ -141,7 +142,9 @@ class Asm:
 
 
 # the slots are set through their descriptors, past the frozen __setattr__
-_set_n, _set_sums, _set_entries = Asm.n.__set__, Asm._sums.__set__, Asm._entries.__set__
+_set_n, _set_sums, _set_entries, _set_ess = (
+    Asm.n.__set__, Asm._sums.__set__, Asm._entries.__set__, Asm._ess.__set__
+)
 
 
 @dataclass(frozen=True)
@@ -450,13 +453,28 @@ def inversions(a: Asm) -> frozenset[Cell]:
     return frozenset((k // n + 1, k % n + 1) for k in compress(range(n * n), d))
 
 
-def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
+@cache
+def _condition(i: int, j: int, r: int) -> tuple[int, int, int]:
+    """The rank condition (i, j, r), one tuple per process, which every
+    ASM's kept rank conditions share."""
+    return i, j, r
+
+
+def rank_conditions(a: Asm) -> tuple[tuple[int, int, int], ...]:
     """Fulton's rank conditions of A: (i, j, r_A(i, j)) for each (i, j) in
     Ess(A), in increasing order of (i, j).  They determine A.  Ess(A) is
     the cells of D(A) whose south and east neighbours are not in D(A).
     Column n holds no cell of D(A), since r(i, n) = i > r(i-1, n), so the
     east shift, which brings (i+1, 1) to (i, n), needs no mask.  The
-    essential bytes and the sums are each decoded with one ``to_bytes``."""
+    essential bytes and the sums are each decoded with one ``to_bytes``.
+
+    They are built on a's first read and kept in its ``_ess`` slot, which
+    no builder sets, so making an ASM costs nothing more; the tuple is
+    immutable, so no reader can change what the next one gets."""
+    try:
+        return a._ess
+    except AttributeError:
+        pass
     n = a.n
     p, d = _diagram_bytes(a)
     ess = (d & ~(d >> 8 * n) & ~(d >> 8)).to_bytes(n * n, "little")
@@ -464,9 +482,11 @@ def rank_conditions(a: Asm) -> list[tuple[int, int, int]]:
     out = []
     k = ess.find(1)
     while k >= 0:
-        out.append((k // n + 1, k % n + 1, sums[k]))
+        out.append(_condition(k // n + 1, k % n + 1, sums[k]))
         k = ess.find(1, k + 1)
-    return out
+    conds = tuple(out)
+    _set_ess(a, conds)
+    return conds
 
 
 def essential_set(a: Asm) -> frozenset[Cell]:

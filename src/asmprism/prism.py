@@ -268,7 +268,15 @@ class _Fillings:
         its union has more than ``limit`` cells.  The first pass keeps
         nothing and sets the limit one below each leaf it reaches, so it
         ends one below the least degree; the second keeps the stable
-        leaves of that degree.  The last component's loop closes them."""
+        leaves of that degree.  The last component's loop closes them.
+
+        Which completions of a branch fit under the limit depends only on
+        its depth and union, not on the entries chosen before, so each
+        pass keeps per depth the unions whose subtree reached no leaf, and
+        skips them when they come up again.  A subtree that reaches a leaf,
+        stable or not, is live.  The first pass only lowers the limit, so
+        a dead union stays dead through it; the second starts afresh, as it
+        walks one above where the first ended."""
         pools = self.pools
         if not pools:
             return [((), 0)]
@@ -277,26 +285,34 @@ class _Fillings:
         kept: list[Filling] | None = None
         chosen: list[Entry] = []
 
-        def walk(c: int, union: int) -> None:
+        def walk(c: int, union: int) -> bool:
             nonlocal limit
+            live = False
             if c == last:
                 for entry in pools[c]:
                     grown = union | entry[1]
                     if grown.bit_count() <= limit:
+                        live = True
                         if kept is None:
                             limit = grown.bit_count() - 1
                         elif not _unstable(leaf := ((*chosen, entry), grown)):
                             kept.append(leaf)
-                return
+                return live
+            below = dead[c + 1]
             for entry in pools[c]:
                 grown = union | entry[1]
-                if grown.bit_count() <= limit:
+                if grown.bit_count() <= limit and grown not in below:
                     chosen.append(entry)
-                    walk(c + 1, grown)
+                    if walk(c + 1, grown):
+                        live = True
+                    else:
+                        below.add(grown)
                     chosen.pop()
+            return live
 
+        dead: list[set[int]] = [set() for _ in pools]
         walk(0, 0)
-        limit, kept = limit + 1, []
+        limit, kept, dead = limit + 1, [], [set() for _ in pools]
         walk(0, 0)
         return kept
 

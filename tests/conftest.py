@@ -300,12 +300,12 @@ def _table_diagram(rows: Sequence[Sequence[int]]) -> frozenset[Cell]:
     return frozenset(cells)
 
 
-def table_rank_conditions(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+def table_rank_conditions(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], ...]:
     """(i, j, r(i, j)) for the cells of the diagram of the table whose south
     and east neighbours are not in it, in increasing order of (i, j)."""
     d = _table_diagram(rows)
     ess = [(i, j) for (i, j) in d if (i + 1, j) not in d and (i, j + 1) not in d]
-    return [(i, j, rows[i - 1][j - 1]) for (i, j) in sorted(ess)]
+    return tuple((i, j, rows[i - 1][j - 1]) for (i, j) in sorted(ess))
 
 
 def partial_bigrassmannian(i: int, j: int, r: int, n: int) -> PartialAsm:

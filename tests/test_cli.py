@@ -474,6 +474,22 @@ class TestAnchors:
         assert run(["verify", "bijection", "--n", "4", "--jobs", "1"]) == (0, "OK: 42/42 ASMs, both models\n", "")
         assert len(calls) == 84
 
+    @pytest.mark.parametrize("name,built", [
+        ("theorem1", 42), ("lattice", 42),
+        # and the ASM that pipedream._facet_masks_of rebuilds from A's sums
+        ("groebner", 84), ("bijection", 84),
+    ])
+    def test_each_asm_builds_its_rank_conditions_once(self, monkeypatch, name, built):
+        # every route reads Ess(A) through rank_conditions, which keeps it
+        # on the ASM; the list holds each ASM it is built for, so no id is
+        # reused and each is built for once
+        calls = []
+        diagram_bytes = cli.asm_mod._diagram_bytes
+        monkeypatch.setattr(cli.asm_mod, "_diagram_bytes", lambda a: calls.append(a) or diagram_bytes(a))
+        code, out, _ = run(["verify", name, "--n", "4", "--jobs", "1"])
+        assert code == 0 and out.startswith("OK: 42/42 ASMs")
+        assert len(set(map(id, calls))) == len(calls) == built
+
 
 def _first_row_from(real, operand: int):
     """A kernel that is right everywhere but row 1, which it copies from

@@ -127,7 +127,7 @@ class TestEdgeCases:
         one = identity_asm(1)
         assert asm_leq(one, one)
         assert asm_join(one, one).entries == asm_meet(one, one).entries == ((1,),)
-        assert rank_conditions(one) == [] and inversions(one) == frozenset()
+        assert rank_conditions(one) == () and inversions(one) == frozenset()
 
     def test_permutation_matrices(self):
         # the identity, every w in S_4, and each padded with fixed points above its size
@@ -206,6 +206,24 @@ class TestSumsAtConstruction:
         assert not decoded(j)
         j.entries
         assert decoded(j) and j.entries is j.entries
+
+    def test_rank_conditions_kept_from_the_first_read(self, monkeypatch):
+        """No builder builds Ess(A).  The first read of rank_conditions
+        builds it, as a tuple, and every later read returns that tuple, the
+        hash included; an embedded or unpickled copy builds its own."""
+        calls = []
+        diagram_bytes = asm_mod._diagram_bytes
+        monkeypatch.setattr(asm_mod, "_diagram_bytes", lambda a: calls.append(a) or diagram_bytes(a))
+        for name, a in self.builders().items():
+            if name == "Perm.matrix":  # kept per process, so maybe read before
+                continue
+            calls.clear()
+            conds = rank_conditions(a)
+            assert isinstance(conds, tuple) and all(type(c) is tuple for c in conds), name
+            assert rank_conditions(a) is conds and hash(a) == hash(conds), name
+            wider, copy = embed(a), pickle.loads(pickle.dumps(a))
+            assert hash(wider) == hash(a) and rank_conditions(copy) == conds, name
+            assert list(map(id, calls)) == [id(a), id(wider), id(copy)], name
 
     def test_construction_refuses_n_above_127(self):
         for build in (identity_asm, lambda n: Asm(identity_asm(1).entries * n)):

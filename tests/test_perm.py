@@ -234,7 +234,7 @@ class TestTables:
             assert set(table.values()) == set(all_bigrassmannians(n))
             for (i, j, r), u in table.items():
                 assert u == bigrassmannian_encode(i, j, r, n)
-                assert rank_conditions(u.matrix(n)) == [(i, j, r)]
+                assert rank_conditions(u.matrix(n)) == ((i, j, r),)
                 assert bigr_of(u.matrix(n)) == {u}
 
     def test_grassmannian_encode_equals_a_fresh_perm(self):
