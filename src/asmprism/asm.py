@@ -471,10 +471,9 @@ def rank_conditions(a: Asm) -> tuple[tuple[int, int, int], ...]:
     They are built on a's first read and kept in its ``_ess`` slot, which
     no builder sets, so making an ASM costs nothing more; the tuple is
     immutable, so no reader can change what the next one gets."""
-    try:
-        return a._ess
-    except AttributeError:
-        pass
+    conds = getattr(a, "_ess", None)
+    if conds is not None:
+        return conds
     n = a.n
     p, d = _diagram_bytes(a)
     ess = (d & ~(d >> 8 * n) & ~(d >> 8)).to_bytes(n * n, "little")

@@ -161,9 +161,8 @@ def delta_facets(a: Asm) -> frozenset[PlusDiagram]:
 
 
 def delta_fmax(a: Asm) -> frozenset[PlusDiagram]:
-    """The maximal-dimension facets: pipe dreams over MinPerm(A)."""
-    n = a.n
-    return frozenset(PlusDiagram._of_mask(m, n) for w in min_perm_set(a) for m in _pipe_dream_masks(w, n))
+    """The maximal-dimension facets, which ``verify_bijection`` reads: the fewest pluses."""
+    return frozenset(PlusDiagram._of_mask(m, a.n) for m in _fewest(_facet_masks(a)))
 
 
 def phi(t: PrismTableau) -> PlusDiagram:

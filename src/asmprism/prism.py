@@ -268,7 +268,8 @@ class _Fillings:
         its union has more than ``limit`` cells.  The first pass keeps
         nothing and sets the limit one below each leaf it reaches, so it
         ends one below the least degree; the second keeps the stable
-        leaves of that degree.  The last component's loop closes them.
+        leaves of that degree.  One loop serves every component: under
+        the last, an entry that fits closes a leaf in place.
 
         Which completions of a branch fit under the limit depends only on
         its depth and union, not on the entries chosen before, so each
@@ -288,20 +289,18 @@ class _Fillings:
         def walk(c: int, union: int) -> bool:
             nonlocal limit
             live = False
-            if c == last:
-                for entry in pools[c]:
-                    grown = union | entry[1]
-                    if grown.bit_count() <= limit:
-                        live = True
-                        if kept is None:
-                            limit = grown.bit_count() - 1
-                        elif not _unstable(leaf := ((*chosen, entry), grown)):
-                            kept.append(leaf)
-                return live
-            below = dead[c + 1]
+            below = dead[c]
             for entry in pools[c]:
                 grown = union | entry[1]
-                if grown.bit_count() <= limit and grown not in below:
+                if grown.bit_count() > limit:
+                    continue
+                if c == last:
+                    live = True
+                    if kept is None:
+                        limit = grown.bit_count() - 1
+                    elif not _unstable(leaf := ((*chosen, entry), grown)):
+                        kept.append(leaf)
+                elif grown not in below:
                     chosen.append(entry)
                     if walk(c + 1, grown):
                         live = True

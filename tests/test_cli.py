@@ -119,6 +119,14 @@ class TestVerify:
             assert list(p) == sorted(p, reverse=True)
         assert shapes == [(p, d) for p in parts for d in range(max(1, len(p)), n + 1)]
 
+    def test_schur_keeps_no_pool(self):
+        # verify schur asks for each shape once, so no pool outlives its check
+        pools = cli.prism_mod._pool.cache_info
+        before = pools().currsize
+        for item in cli._schur_shapes(3):
+            assert cli._check_schur(item)
+            assert pools().currsize <= before
+
     def test_jobs_flag_same_output(self):
         # each of the two workers walks ASM(n) and checks every other ASM
         for name, n in (("theorem1", "3"), ("theorem1", "4"), ("lattice", "4")):
@@ -514,7 +522,7 @@ KERNEL_CORRUPTIONS = {
 def _lattice_verdict(asms) -> bool:
     """verify lattice's verdict on asms: a join or meet outside ASM(n)
     raises, and _passes counts that as a failure."""
-    return all(cli._passes((cli._check_lattice, a)) for a in asms)
+    return all(cli._passes(cli._check_lattice, a) for a in asms)
 
 
 class TestLatticeOracle:
@@ -754,9 +762,9 @@ class TestSizeLimits:
         assert run(["verify", name, "--n", "8"]) == (
             1, "", "error: --n must be at most 7, got 8\n")
 
-    def test_verify_schur_n6(self):
-        # the Schur side alone would list 18,781,524 tableaux and keep them
-        assert run(["verify", "schur", "--n", "6"]) == (1, "", "error: --n must be at most 5, got 6\n")
+    def test_verify_schur_n7(self):
+        # n = 6 already takes 26 min on two cores: 7 is refused before any work
+        assert run(["verify", "schur", "--n", "7"]) == (1, "", "error: --n must be at most 6, got 7\n")
 
     def test_verify_lattice_n9(self):
         # the 911,835,460 ASMs of ASM(9), 84 times ASM(8)'s 41 min on two cores:
@@ -778,7 +786,7 @@ class TestSizeLimits:
 def test_size_limits_admit_8x8(tmp_path):
     assert cli.MAX_N == 8
     assert {name: max_n for name, (max_n, *_) in cli.VERIFIERS.items()} == {
-        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 8, "schur": 5}
+        "theorem1": 7, "bijection": 7, "groebner": 7, "lattice": 8, "schur": 6}
     p = tmp_path / "id8.txt"
     p.write_text(render_asm(cli.asm_mod.identity_asm(8)) + "\n")
     assert run(["deg", "--asm", str(p)]) == (0, "0\n", "")

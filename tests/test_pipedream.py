@@ -33,9 +33,9 @@ from conftest import (
 )
 
 from asmprism.algebra import Monomial, Polynomial, grid_cells, poly_from_monomials
-from asmprism.asm import MonotoneTriangle, embed, enumerate_asms, identity_asm
+from asmprism.asm import MonotoneTriangle, embed, enumerate_asms, identity_asm, validate_asm
 from asmprism.ideal import multidegree
-from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, perm_set
+from asmprism.perm import Perm, all_perms, asm_from_shape_tuple, min_perm_set, perm_set
 from asmprism.pipedream import (
     PlusDiagram,
     _facet_masks,
@@ -66,6 +66,12 @@ from asmprism.prism import (
 
 W3412 = Perm((3, 4, 1, 2))
 W4123 = Perm((4, 1, 2, 3))
+
+
+def min_perm_pipe_dreams(a):
+    """The maximal-dimension facets of Delta(Q, A) as cell sets, by the
+    walk over MinPerm(A): the pipe dreams of each minimal permutation."""
+    return {grid_cells(m, a.n) for w in min_perm_set(a) for m in _pipe_dream_masks(w, a.n)}
 
 
 def diagram(n, *cells) -> PlusDiagram:
@@ -272,10 +278,9 @@ class TestFacets:
 
     @staticmethod
     def assert_fmax_is_the_fewest_facets(a):
-        # delta_fmax reads MinPerm(A); verify_bijection reads the fewest
-        # pluses among all facets, over Perm(A)
-        assert {f.cells for f in delta_fmax(a)} == {
-            grid_cells(m, a.n) for m in _fewest(_facet_masks(a))}
+        # delta_fmax, like verify_bijection, takes the fewest pluses among
+        # all facets, over Perm(A); the oracle walks MinPerm(A) instead
+        assert {f.cells for f in delta_fmax(a)} == min_perm_pipe_dreams(a)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_fmax_from_min_perm_set_every_asm(self, n):
@@ -285,6 +290,15 @@ class TestFacets:
     def test_fmax_from_min_perm_set_identity8(self):
         self.assert_fmax_is_the_fewest_facets(identity_asm(8))
         assert {f.cells for f in delta_fmax(identity_asm(8))} == {frozenset()}
+
+    def test_fmax_from_min_perm_set_heaviest_known_asm8(self):
+        # ASM(8) #4,611,342 in enumerate_asms order
+        a = validate_asm((
+            (0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0, 0, 0),
+            (0, 1, -1, 0, 0, 1, 0, 0), (1, -1, 1, -1, 1, -1, 1, 0), (0, 0, 0, 1, -1, 1, 0, 0),
+            (0, 1, -1, 0, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0),
+        ))
+        self.assert_fmax_is_the_fewest_facets(a)
 
     def test_perm_set_recovered_from_facets_asm3(self):
         # the facet words pick out exactly Perm(A)
@@ -459,7 +473,7 @@ def assert_fibers_match_oracle(spec, a):
     expected = {
         "all_prism": sum(map(len, oracle.values())),
         "facets": len(facets),
-        "fmax": len(delta_fmax(a)),
+        "fmax": len(min_perm_pipe_dreams(a)),
         "stable_facet": sum(
             not brute_force_unstable_triple(t)
             for cells in facets for t in oracle.get(cells, [])),
